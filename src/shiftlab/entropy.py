@@ -11,16 +11,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapExceededError
 from .folner import FolnerWindows, density_from_indicator, orbit_indicator
-from .measures import MarkovMeasure, measure_of, measure_of_constraints, sample_point_in
+from .measures import MarkovMeasure, measure_of, measure_of_constraints, mix_seed, sample_point_in
 from .symbolic import (
+    _EMPTY,
+    _FULL,
     CylinderUnion,
     PointRep,
     SetLike,
     Sft,
+    _atoms_of,
+    _merge_cluster,
     cylinder,
     resolve_constraints,
     whole_space,
@@ -126,23 +130,117 @@ def join_under_sequence(m: MarkovMeasure, p: Partition, s: Sequence[int]) -> Par
     return Partition([resolve_constraints(cs, m.sft) for cs in live])
 
 
-def _join_measures(m: MarkovMeasure, p: Partition, seq: tuple[int, ...]) -> list[Fraction]:
-    """Positive measures of the join atoms, grown incrementally."""
-    live: list[tuple[tuple, Fraction]] = [((), Fraction(1))]
-    for t in seq:
-        nxt = []
-        for constraints, _mu in live:
-            for atom in p.atoms:
-                extended = constraints + ((t, atom),)
-                mu = measure_of_constraints(m, extended)
-                if mu > 0:
-                    nxt.append((extended, mu))
-        if len(nxt) > JOIN_ASSIGNMENT_CAP:
+def _join_profile(
+    m: MarkovMeasure, p: Partition, seq: Sequence[int]
+) -> list[list[Fraction]]:
+    """Positive measures of the join atoms after every prefix of seq, in one pass.
+
+    Higher-block recoding (Lind & Marcus, §1.4 and §2.3): every atom becomes
+    a set of legal words over the partition's common support [lo, hi] (width
+    w; whole-space atoms do not widen it), and each live assignment carries
+    one exact vector v with v[u] = mu(assignment and word u on [t+lo, t+hi])
+    at the last sequence coordinate t. The window at t holds every
+    coordinate a later window shares with earlier ones, so extending by a
+    gap g never revisits the constraints: for g >= w the vector collapses to
+    its last symbol and crosses the free coordinates by P^(g-w+1); for g < w
+    it steps the overlapping window g symbols forward. Restricting to an
+    atom keeps its words, and zero-measure assignments are dropped.
+    """
+    sft = m.sft
+    blocks = [_atoms_of(atom) for atom in p.atoms]
+    spans = [
+        (start, start + len(words[0]) - 1)
+        for b in blocks
+        if isinstance(b, list)
+        for start, words in b
+    ]
+    lo = min((s for s, _ in spans), default=0)
+    width = max((e for _, e in spans), default=0) - lo + 1
+    words = tuple(sft.legal_words(width))
+    index = {u: i for i, u in enumerate(words)}
+    inner = [m._inner_weight(u) for u in words]
+    # Per atom, the (index, first symbol, inner weight) of its words that can
+    # carry mass; an empty atom has none and never goes live. A weight of
+    # None stands for 1 (every width-1 word), saving a Fraction product.
+    atoms = []
+    for b in blocks:
+        if b is _EMPTY:
+            members = ()
+        elif b is _FULL:
+            members = words
+        else:
+            members = _merge_cluster(sft, b, lo, lo + width - 1)
+        table = []
+        for u in members:
+            i = index[u]
+            if inner[i]:
+                table.append((i, u[0], None if inner[i] == 1 else inner[i]))
+        atoms.append(table)
+    member_sets = [frozenset(i for i, _a, _wt in atom) for atom in atoms]
+    last = [u[-1] for u in words]
+    P = m.transition
+    # One-symbol moves of the window: (index of the shifted word, P entry).
+    step = [
+        [(index[u[1:] + (b,)], P[u[-1]][b]) for b in sft.successors(u[-1]) if P[u[-1]][b]]
+        for u in words
+    ]
+    k = sft.alphabet_size
+
+    def spread(entry: Sequence[Fraction]) -> list[dict[int, Fraction]]:
+        # entry[a]: mass arriving at the window's first coordinate in symbol a.
+        return [
+            {i: entry[a] if wt is None else entry[a] * wt for i, a, wt in atom if entry[a]}
+            for atom in atoms
+        ]
+
+    profile: list[list[Fraction]] = []
+    live: list[dict[int, Fraction]] = []
+    for n, t in enumerate(seq):
+        if n == 0:
+            nxt = spread(m.stationary)
+        else:
+            gap = t - seq[n - 1]
+            if gap >= width:
+                power = m.matrix_power(gap - width + 1)
+            nxt = []
+            for v in live:
+                if gap >= width:
+                    ends: dict[int, Fraction] = {}
+                    for i, x in v.items():
+                        c = last[i]
+                        ends[c] = ends[c] + x if c in ends else x
+                    entry = [
+                        _exact_sum(x * power[c][a] for c, x in ends.items() if power[c][a])
+                        for a in range(k)
+                    ]
+                    nxt.extend(spread(entry))
+                else:
+                    for _ in range(gap):
+                        moved: dict[int, Fraction] = {}
+                        for i, x in v.items():
+                            for j, pr in step[i]:
+                                y = x * pr
+                                moved[j] = moved[j] + y if j in moved else y
+                        v = moved
+                    nxt.extend(
+                        {i: x for i, x in v.items() if i in members} for members in member_sets
+                    )
+        live = [v for v in nxt if v]
+        if len(live) > JOIN_ASSIGNMENT_CAP:
             raise CapExceededError(
                 f"join refinement exceeds {JOIN_ASSIGNMENT_CAP} live atoms"
             )
-        live = nxt
-    return [mu for _cs, mu in live]
+        profile.append([_exact_sum(v.values()) for v in live])
+    return profile
+
+
+def _exact_sum(values: Iterable[Fraction]) -> Union[Fraction, int]:
+    """Exact sum without a zero seed, which would cost one more normalization; 0 if empty."""
+    it = iter(values)
+    total = next(it, 0)
+    for x in it:
+        total += x
+    return total
 
 
 @dataclass(frozen=True)
@@ -171,8 +269,8 @@ def sequence_entropy_profile(
     if not seq:
         raise ValueError("sequence must be nonempty")
     rows = []
-    for n in range(1, len(seq) + 1):
-        h = entropy_from_measures(_join_measures(m, p, seq[:n]))
+    for n, measures in enumerate(_join_profile(m, p, seq), start=1):
+        h = entropy_from_measures(measures)
         rows.append((n, h, h / n))
     return EntropyProfile(tuple(rows))
 
@@ -250,13 +348,6 @@ def df_estimate(
 # ---------------------------------------------------------------------------
 
 
-def _mix_seed(*parts: int) -> int:
-    value = 0
-    for part in parts:
-        value = value * 1_000_003 + part + 1
-    return value
-
-
 def ms_function_test(
     m: MarkovMeasure,
     b: CylinderUnion,
@@ -288,8 +379,8 @@ def ms_function_test(
         best = -1.0
         best_info: dict = {}
         for attempt in range(params.pair_attempts):
-            p = sample_point_in(m, cell, lo, hi, _mix_seed(params.seed, idx, attempt, 0))
-            q = sample_point_in(m, cell, lo, hi, _mix_seed(params.seed, idx, attempt, 1))
+            p = sample_point_in(m, cell, lo, hi, mix_seed(params.seed, idx, attempt, 0))
+            q = sample_point_in(m, cell, lo, hi, mix_seed(params.seed, idx, attempt, 1))
             split = orbit_indicator(p, b, 0, horizon) & orbit_indicator(q, comp, 0, horizon)
             est = density_from_indicator(split, tail_fraction=params.tail_fraction)
             if est.upper > best:
@@ -344,7 +435,7 @@ def greedy_entropy_sequence(
             if s in chosen:
                 continue
             trial = tuple(sorted(chosen + [s]))
-            h = entropy_from_measures(_join_measures(m, p, trial))
+            h = entropy_from_measures(_join_profile(m, p, trial)[-1])
             if best_h is None or h > best_h + 1e-12:
                 best_s, best_h = s, h
         chosen.append(best_s)

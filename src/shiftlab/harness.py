@@ -32,6 +32,10 @@ class InfeasibleExperiment(Exception):
     """Raised when an experiment is degenerate (exit code 2)."""
 
 
+def _ms_since(t0: float) -> float:
+    return (time.perf_counter() - t0) * 1000
+
+
 def _run_entropy(exp: Experiment, seed_override: Optional[int]) -> list[ReportRow]:
     sysb = exp.system
     partition_spec = exp.params.get("partition", "generators")
@@ -57,18 +61,19 @@ def _run_entropy(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
     for si, seq in enumerate(sequences):
         t0 = time.perf_counter()
         profile = sequence_entropy_profile(sysb.measure, partition, seq)
-        dt = (time.perf_counter() - t0) * 1000
+        dt = _ms_since(t0)
         for n, h, rate in profile.rows:
             rows.append(
                 ReportRow(
                     experiment_id=exp.experiment_id,
                     system_id=sysb.id,
                     operation=f"sequence_entropy_profile[s{si}][n{n:02d}]",
-                    inputs={"sequence": list(seq), "n": n, "partition": "generators"},
+                    inputs={"sequence": list(seq), "n": n, "partition": partition_spec},
                     outputs={"H_n": h, "H_n_over_n": rate},
-                    runtime_ms=dt,
                 )
             )
+        # One profile is one measured span: it lands on the sequence's last row.
+        rows[-1].runtime_ms = dt
     return rows
 
 
@@ -81,9 +86,11 @@ def _run_independence(exp: Experiment, seed_override: Optional[int]) -> list[Rep
         raise ConfigError(f"{exp.experiment_id}.params.n_list", "expected a nonempty list")
     if a1.is_empty or a2.is_empty:
         raise InfeasibleExperiment(f"{exp.experiment_id}: empty target cylinder")
+    t0 = time.perf_counter()
     reports = independence_density_profile(
         sysb.sft, sysb.measure, a1, a2, n_list, [full_e(sysb.sft)]
     )
+    dt = _ms_since(t0)
     rows = []
     for rep in reports:
         rows.append(
@@ -100,6 +107,7 @@ def _run_independence(exp: Experiment, seed_override: Optional[int]) -> list[Rep
                 witness_summary="I=" + ",".join(map(str, rep.best)),
             )
         )
+    rows[-1].runtime_ms = dt
     return rows
 
 
@@ -124,6 +132,7 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
     rows = []
     inconclusive = False
     for seed in seeds:
+        t0 = time.perf_counter()
         try:
             verdict = find_sensitivity_witnesses(
                 sysb.sft, sysb.measure, a, ux, uy, eps, int(seed), params
@@ -139,6 +148,7 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
                     outputs={},
                     verdict=INCONCLUSIVE,
                     witness_summary=str(err),
+                    runtime_ms=_ms_since(t0),
                 )
             )
             continue
@@ -164,12 +174,14 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
                 outputs=outputs,
                 verdict=verdict.classification,
                 witness_summary=summary,
+                runtime_ms=_ms_since(t0),
             )
         )
     return rows, inconclusive
 
 
 def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRow]:
+    t0 = time.perf_counter()
     sysb = exp.system
     path = f"{exp.experiment_id}.params"
     target = parse_set(exp.params.get("set"), sysb.sft, f"{path}.set")
@@ -206,6 +218,7 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
                 "density_upper": est.upper,
                 "measure": mu,
             },
+            runtime_ms=_ms_since(t0),
         )
     ]
 
@@ -228,7 +241,9 @@ def _run_crosscheck(exp: Experiment, seed_override: Optional[int]) -> list[Repor
             params = dataclasses.replace(
                 params, in_params=dataclasses.replace(params.in_params, extra_e_maps=extras)
             )
+        t0 = time.perf_counter()
         report = equivalence_crosscheck([system], {system.id: pairs[system.id]}, params)
+        dt = _ms_since(t0)
         for r in report.rows:
             outputs = {
                 "in_positive": r.in_positive,
@@ -249,12 +264,18 @@ def _run_crosscheck(exp: Experiment, seed_override: Optional[int]) -> list[Repor
                     verdict="agree" if r.in_eq_ms else "disagree",
                 )
             )
+        if report.rows:
+            rows[-1].runtime_ms = dt
     return rows
 
 
 def run_experiment(exp: Experiment, seed_override: Optional[int] = None) -> tuple[list[ReportRow], bool]:
-    """Rows plus an inconclusive flag for one experiment."""
-    t0 = time.perf_counter()
+    """Rows plus an inconclusive flag for one experiment.
+
+    A row's runtime_ms is the measured span of the call that produced it;
+    when one call yields several rows the span sits on the last of them and
+    the others carry None.
+    """
     inconclusive = False
     if exp.kind == "entropy":
         rows = _run_entropy(exp, seed_override)
@@ -268,10 +289,6 @@ def run_experiment(exp: Experiment, seed_override: Optional[int] = None) -> tupl
         rows = _run_crosscheck(exp, seed_override)
     else:
         raise ConfigError("kind", f"unhandled kind {exp.kind!r}")
-    elapsed = (time.perf_counter() - t0) * 1000
-    for row in rows:
-        if not row.runtime_ms:
-            row.runtime_ms = elapsed / max(1, len(rows))
     return rows, inconclusive
 
 

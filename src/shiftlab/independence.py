@@ -78,7 +78,8 @@ class TableE:
         return self.default
 
     def referenced(self, shifts: Sequence[int]) -> tuple[CylinderUnion, ...]:
-        return (self.default,) + tuple(v for s, v in self.overrides if s in set(shifts))
+        wanted = set(shifts)
+        return (self.default,) + tuple(v for s, v in self.overrides if s in wanted)
 
     def describe(self) -> str:
         return f"TableE({len(self.overrides)} overrides)"

@@ -252,6 +252,14 @@ def l2_distance_sq(
     return mu_a + mu_b - 2 * mu_ab
 
 
+def mix_seed(*parts: int) -> int:
+    """One sampling seed from a tuple of integers (base seed, loop indices)."""
+    value = 0
+    for part in parts:
+        value = value * 1_000_003 + part + 1
+    return value
+
+
 def _draw_bounds(weights: Sequence[Fraction]) -> list[int]:
     """Integer thresholds so that a 64-bit uniform r selects the first index
     with r < ceil(cumsum * 2^64); identical to comparing Fraction(r, 2^64)

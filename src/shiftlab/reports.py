@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 CSV_COLUMNS = (
     "experiment_id",
@@ -63,7 +63,7 @@ class ReportRow:
     outputs: dict
     verdict: str = ""
     witness_summary: str = ""
-    runtime_ms: float = 0.0
+    runtime_ms: Optional[float] = None
     details: dict = field(default_factory=dict)
 
     @property
@@ -96,7 +96,7 @@ class ReportRow:
             "outputs": _jsonable(self.outputs),
             "verdict": self.verdict,
             "witness_summary": self.witness_summary,
-            "runtime_ms": round(self.runtime_ms, 3),
+            "runtime_ms": None if self.runtime_ms is None else round(self.runtime_ms, 3),
             "details": _jsonable(self.details),
         }
 

@@ -42,6 +42,7 @@ from .measures import (
     MarkovMeasure,
     measure_of,
     measure_of_constraints,
+    mix_seed,
     sample_point,
 )
 from .symbolic import (
@@ -320,7 +321,7 @@ def classify_ms_pair(
             )
             try:
                 verdict = find_sensitivity_witnesses(
-                    sft, m, cell, ux, uy, eps_candidate, _mix_seed(params.witness.sample_seed, d, idx), params.witness
+                    sft, m, cell, ux, uy, eps_candidate, mix_seed(params.witness.sample_seed, d, idx), params.witness
                 )
             except EntryTimeNotFoundError as err:
                 inconclusive_notes.append(f"level {d}, cell {cell!r}: {err}")
@@ -347,13 +348,6 @@ def classify_ms_pair(
         witnesses=tuple(witnesses),
         params={"depth": depth, "eps_grid": tuple(params.eps_grid)},
     )
-
-
-def _mix_seed(*parts: int) -> int:
-    value = 0
-    for part in parts:
-        value = value * 1_000_003 + part + 1
-    return value
 
 
 # ---------------------------------------------------------------------------

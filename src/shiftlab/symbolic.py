@@ -635,6 +635,7 @@ class BridgedBlocks:
         self._blocks = tuple((s, tuple(sorted(set(ws)))) for s, ws in blocks)
         if any(not ws for _, ws in self._blocks):
             raise ValueError("BridgedBlocks with an empty block")
+        self._word_sets = tuple(frozenset(ws) for _, ws in self._blocks)
 
     @property
     def is_empty(self) -> bool:
@@ -653,10 +654,9 @@ class BridgedBlocks:
         return (first[0], last[0] + len(last[1][0]) - 1)
 
     def contains_point(self, p: PointRep, shift: int = 0) -> bool:
-        for s, ws in self._blocks:
-            width = len(ws[0])
-            window = tuple(p.eval(n + shift) for n in range(s, s + width))
-            if window not in set(ws):
+        for (s, ws), word_set in zip(self._blocks, self._word_sets):
+            window = tuple(p.eval(n + shift) for n in range(s, s + len(ws[0])))
+            if window not in word_set:
                 return False
         return True
 

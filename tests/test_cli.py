@@ -229,3 +229,50 @@ def test_invalid_partition_named_in_error(runner, tmp_path):
     result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
     assert result.exit_code == 1
     assert "partition" in result.output
+
+
+def _entropy_config(experiment_id, partition, sequences):
+    return {
+        "experiment_id": experiment_id,
+        "kind": "entropy",
+        "system": "golden_mean",
+        "params": {"partition": partition, "sequences": sequences},
+    }
+
+
+def test_custom_partitions_get_distinct_digests():
+    two = [{"start": 0, "word": "0"}, {"start": 0, "word": "1"}]
+    three = [{"start": 0, "word": "00"}, {"start": 0, "word": "01"}, {"start": 0, "word": "1"}]
+    config = load_config(
+        {
+            "experiments": [
+                _entropy_config("two", two, [[0, 2]]),
+                _entropy_config("three", three, [[0, 2]]),
+                _entropy_config("gen", "generators", [[0, 2]]),
+            ]
+        }
+    )
+    rows, code = run_config(config)
+    assert code == 0
+    digests = {(r.experiment_id, r.inputs["n"]): r.digest for r in rows}
+    for n in (1, 2):
+        assert len({digests[(eid, n)] for eid in ("two", "three", "gen")}) == 3
+    assert [r.inputs["partition"] for r in rows if r.experiment_id == "three"] == [three, three]
+    assert all(r.inputs["partition"] == "generators" for r in rows if r.experiment_id == "gen")
+
+
+def test_entropy_runtime_on_final_row_only(runner, tmp_path):
+    config = _entropy_config("timed", "generators", [[0, 1, 3], [2, 5]])
+    config["output"] = {"csv": "t.csv", "json": "t.json"}
+    path = tmp_path / "timed.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    rows = json.loads((tmp_path / "t.json").read_text())["rows"]
+    for si, length in ((0, 3), (1, 2)):
+        seq_rows = [r for r in rows if r["operation"].startswith(f"sequence_entropy_profile[s{si}]")]
+        assert len(seq_rows) == length
+        timed = [r for r in seq_rows if r["runtime_ms"] is not None]
+        assert len(timed) == 1 and timed[0]["inputs"]["n"] == length
+    csv_lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert len(csv_lines) == 5 and all(line.endswith(",") for line in csv_lines)

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.entropy import (
     JOIN_ASSIGNMENT_CAP,
     Partition,
+    _join_profile,
     crosscheck_hms_hap,
     default_cell_family,
     df_estimate,
@@ -17,12 +20,14 @@ from shiftlab.entropy import (
     separation_count,
     sequence_entropy_profile,
     shannon_entropy,
+    two_set_partition,
 )
 from shiftlab.errors import CapExceededError
 from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of
-from shiftlab.symbolic import EventuallyPeriodic, cylinder, whole_space
-from .oracles import join_entropy_oracle
+from shiftlab.panel import bernoulli_system, cycle4_system, golden_mean_system
+from shiftlab.symbolic import Cylinder, CylinderUnion, EventuallyPeriodic, cylinder, whole_space
+from .oracles import constraint_span, join_entropy_oracle
 
 W = FolnerWindows.canonical_windows()
 
@@ -131,6 +136,64 @@ def test_profile_any_sequence_full_shift(bernoulli):
         profile = sequence_entropy_profile(bernoulli.measure, p, seq)
         for n, h, rate in profile.rows:
             assert rate == pytest.approx(math.log(2), abs=1e-12)
+
+
+PANEL = (bernoulli_system(), golden_mean_system(), cycle4_system())
+
+
+def mixed_support_partition(sft):
+    """x_0 = 0 split by x_1 (support [0, 1]), x_0 != 0 split by x_{-1} (support [-1, 0])."""
+    k = sft.alphabet_size
+    right = [cylinder(sft, 0, [0, 0])]
+    right.append(CylinderUnion(sft, [Cylinder(sft, 0, [0, b]) for b in range(1, k)]))
+    left = [
+        CylinderUnion(sft, [Cylinder(sft, -1, [b, a]) for a in range(1, k)]) for b in range(k)
+    ]
+    return Partition([a for a in right + left if not a.is_empty])
+
+
+@st.composite
+def join_cases(draw):
+    system = draw(st.sampled_from(PANEL))
+    sft = system.sft
+    kind = draw(st.sampled_from(("generators", "two_set", "mixed")))
+    if kind == "generators":
+        p = generator_partition(sft)
+    elif kind == "mixed":
+        p = mixed_support_partition(sft)
+    else:
+        words = list(sft.legal_words(draw(st.integers(1, 3))))
+        word = draw(st.sampled_from(words))
+        p = two_set_partition(cylinder(sft, draw(st.integers(-2, 2)), word))
+    # The oracle enumerates k^span words: keep the span within 2^10 words.
+    k = sft.alphabet_size
+    lo, hi = constraint_span([(0, a) for a in p.atoms])
+    room = max(n for n in range(1, 11) if k**n <= 1 << 10) - (hi - lo + 1)
+    seq = [draw(st.integers(0, 2))]
+    for g in draw(st.lists(st.integers(1, 4), max_size=4)):
+        if seq[-1] + g - seq[0] > room:
+            break
+        seq.append(seq[-1] + g)
+    return system, p, seq
+
+
+@settings(max_examples=100, deadline=None)
+@given(join_cases())
+def test_join_profile_matches_word_oracle(case):
+    system, p, seq = case
+    p.validate_under(system.measure)
+    profile = _join_profile(system.measure, p, seq)
+    assert len(profile) == len(seq)
+    for n, measures in enumerate(profile, start=1):
+        oracle = join_entropy_oracle(system.measure, p.atoms, seq[:n])
+        assert sorted(measures) == sorted(oracle)
+
+
+def test_profile_cap_refuses(bernoulli):
+    with pytest.raises(CapExceededError):
+        sequence_entropy_profile(
+            bernoulli.measure, generator_partition(bernoulli.sft), range(15)
+        )
 
 
 def test_one_atom_partition_zero(cycle4):
