@@ -1,6 +1,6 @@
 """Batch experiment runner.
 
-    shiftlab run CONFIG [--out-dir DIR] [--seed-override N] [--threads N]
+    shiftlab run CONFIG [--out-dir DIR] [--seed-override N]
     shiftlab list-panel
     shiftlab selfcheck [--only 1,2,...]
 
@@ -32,12 +32,11 @@ def main():
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".", show_default=True)
 @click.option("--seed-override", type=int, default=None, help="Replace configured seeds.")
-@click.option("--threads", type=int, default=1, show_default=True, help="Concurrent experiments.")
-def run(config_path: str, out_dir: str, seed_override, threads: int):
+def run(config_path: str, out_dir: str, seed_override):
     """Execute a config and write the CSV report plus its JSON mirror."""
     try:
         config = load_config(config_path)
-        rows, code = run_config(config, seed_override=seed_override, threads=threads)
+        rows, code = run_config(config, seed_override=seed_override)
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(1)

@@ -33,6 +33,20 @@ def parse_rational(value: Any, field_path: str) -> Fraction:
     raise ConfigError(field_path, f"expected a rational string, got {type(value).__name__}")
 
 
+def parse_checked(value: Any, field_path: str, kind: type = int, minimum: Optional[int] = None):
+    """A JSON integer (or, with kind=bool, a JSON boolean) taken exactly as given.
+
+    Strings, floats and bool-for-int are refused rather than coerced, so
+    "1e3", 2000.7 and "false" cannot silently become 1000, 2000 and True.
+    """
+    if type(value) is not kind:
+        expected = "an integer" if kind is int else "true or false"
+        raise ConfigError(field_path, f"expected {expected}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(field_path, f"must be >= {minimum}, got {value}")
+    return value
+
+
 def _require(mapping: dict, key: str, path: str) -> Any:
     if key not in mapping:
         raise ConfigError(f"{path}.{key}", "missing required field")
@@ -114,9 +128,8 @@ def parse_point(spec: Any, sft: Sft, path: str):
             raise ConfigError(path, str(err))
     if kind == "sampled":
         return {
-            "lo": int(_require(spec, "lo", path)),
-            "hi": int(_require(spec, "hi", path)),
-            "seed": int(_require(spec, "seed", path)),
+            key: parse_checked(_require(spec, key, path), f"{path}.{key}")
+            for key in ("lo", "hi", "seed")
         }
     raise ConfigError(f"{path}.kind", f"unknown point kind {kind!r}")
 

@@ -19,12 +19,12 @@ from .measures import MarkovMeasure, measure_of, measure_of_constraints, mix_see
 from .symbolic import (
     _EMPTY,
     _FULL,
+    ConstraintAutomaton,
     CylinderUnion,
     PointRep,
     SetLike,
     Sft,
     _atoms_of,
-    _merge_cluster,
     cylinder,
     resolve_constraints,
     whole_space,
@@ -169,7 +169,7 @@ def _join_profile(
         elif b is _FULL:
             members = words
         else:
-            members = _merge_cluster(sft, b, lo, lo + width - 1)
+            members = ConstraintAutomaton(sft, b, lo, lo + width - 1).words()
         table = []
         for u in members:
             i = index[u]

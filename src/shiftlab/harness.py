@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
-from .config import Experiment, RunConfig, parse_point, parse_rational, parse_set
+from .config import Experiment, RunConfig, parse_checked, parse_point, parse_rational, parse_set
 from .entropy import Partition, generator_partition, sequence_entropy_profile
 from .errors import ConfigError, EntryTimeNotFoundError
 from .folner import FolnerWindows, birkhoff_average, density, membership_predicate
@@ -81,9 +80,11 @@ def _run_independence(exp: Experiment, seed_override: Optional[int]) -> list[Rep
     sysb = exp.system
     a1 = parse_set(exp.params.get("a1", "full"), sysb.sft, f"{exp.experiment_id}.params.a1")
     a2 = parse_set(exp.params.get("a2", "full"), sysb.sft, f"{exp.experiment_id}.params.a2")
+    path = f"{exp.experiment_id}.params.n_list"
     n_list = exp.params.get("n_list")
     if not isinstance(n_list, list) or not n_list:
-        raise ConfigError(f"{exp.experiment_id}.params.n_list", "expected a nonempty list")
+        raise ConfigError(path, "expected a nonempty list")
+    n_list = [parse_checked(n, f"{path}[{i}]", minimum=1) for i, n in enumerate(n_list)]
     if a1.is_empty or a2.is_empty:
         raise InfeasibleExperiment(f"{exp.experiment_id}: empty target cylinder")
     t0 = time.perf_counter()
@@ -121,9 +122,10 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
     seeds = exp.params.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError(f"{path}.seeds", "expected a nonempty list of integers")
+    seeds = [parse_checked(seed, f"{path}.seeds[{i}]") for i, seed in enumerate(seeds)]
     if seed_override is not None:
         seeds = [seed_override + i for i in range(len(seeds))]
-    horizon = int(exp.params.get("horizon", 100_000))
+    horizon = parse_checked(exp.params.get("horizon", 100_000), f"{path}.horizon", minimum=1)
     if measure_of(sysb.measure, a) == 0:
         raise InfeasibleExperiment(f"{exp.experiment_id}: zero-measure cell A")
     if ux.is_empty or uy.is_empty:
@@ -135,7 +137,7 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
         t0 = time.perf_counter()
         try:
             verdict = find_sensitivity_witnesses(
-                sysb.sft, sysb.measure, a, ux, uy, eps, int(seed), params
+                sysb.sft, sysb.measure, a, ux, uy, eps, seed, params
             )
         except EntryTimeNotFoundError as err:
             inconclusive = True
@@ -144,7 +146,7 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
                     experiment_id=exp.experiment_id,
                     system_id=sysb.id,
                     operation=f"find_sensitivity_witnesses[seed{seed}]",
-                    inputs={"seed": int(seed), "eps": eps, "horizon": horizon},
+                    inputs={"seed": seed, "eps": eps, "horizon": horizon},
                     outputs={},
                     verdict=INCONCLUSIVE,
                     witness_summary=str(err),
@@ -170,7 +172,7 @@ def _run_sensitivity(exp: Experiment, seed_override: Optional[int]) -> tuple[lis
                 experiment_id=exp.experiment_id,
                 system_id=sysb.id,
                 operation=f"find_sensitivity_witnesses[seed{seed}]",
-                inputs={"seed": int(seed), "eps": eps, "horizon": horizon},
+                inputs={"seed": seed, "eps": eps, "horizon": horizon},
                 outputs=outputs,
                 verdict=verdict.classification,
                 witness_summary=summary,
@@ -186,7 +188,7 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
     path = f"{exp.experiment_id}.params"
     target = parse_set(exp.params.get("set"), sysb.sft, f"{path}.set")
     point_spec = parse_point(exp.params.get("point"), sysb.sft, f"{path}.point")
-    n_max = int(exp.params.get("n_max", 10_000))
+    n_max = parse_checked(exp.params.get("n_max", 10_000), f"{path}.n_max", minimum=1)
     windows = FolnerWindows.canonical_windows()
     if isinstance(point_spec, dict):
         seed = point_spec["seed"] if seed_override is None else seed_override
@@ -198,8 +200,8 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
                     f"{path}.point",
                     f"window [{lo}, {hi}] cannot cover n_max={n_max} orbit reads",
                 )
-        point = sample_point(sysb.measure, lo, hi, int(seed))
-        point_desc = {"kind": "sampled", "seed": int(seed)}
+        point = sample_point(sysb.measure, lo, hi, seed)
+        point_desc = {"kind": "sampled", "seed": seed}
     else:
         point = point_spec
         point_desc = {"kind": "periodic"}
@@ -224,11 +226,12 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
 
 
 def _run_crosscheck(exp: Experiment, seed_override: Optional[int]) -> list[ReportRow]:
-    pair_count = int(exp.params.get("pairs", 10))
-    depth = int(exp.params.get("depth", 1))
-    extra = int(exp.params.get("extra_table_e", 0))
-    include_kush = bool(exp.params.get("include_kush", True))
-    eps = parse_rational(exp.params.get("table_e_eps", "1/50"), f"{exp.experiment_id}.params.table_e_eps")
+    path = f"{exp.experiment_id}.params"
+    pair_count = parse_checked(exp.params.get("pairs", 10), f"{path}.pairs", minimum=1)
+    depth = parse_checked(exp.params.get("depth", 1), f"{path}.depth", minimum=0)
+    extra = parse_checked(exp.params.get("extra_table_e", 0), f"{path}.extra_table_e", minimum=0)
+    include_kush = parse_checked(exp.params.get("include_kush", True), f"{path}.include_kush", bool)
+    eps = parse_rational(exp.params.get("table_e_eps", "1/50"), f"{path}.table_e_eps")
     systems = panel_systems()
     pairs = panel_pairs(pair_count)
     rows = []
@@ -293,19 +296,13 @@ def run_experiment(exp: Experiment, seed_override: Optional[int] = None) -> tupl
 
 
 def run_config(
-    config: RunConfig, seed_override: Optional[int] = None, threads: int = 1
+    config: RunConfig, seed_override: Optional[int] = None
 ) -> tuple[list[ReportRow], int]:
     """All rows for a config plus the process exit code."""
     outcome_rows: list[ReportRow] = []
     inconclusive = False
-    if threads > 1 and len(config.experiments) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda e: run_experiment(e, seed_override), config.experiments)
-            )
-    else:
-        results = [run_experiment(e, seed_override) for e in config.experiments]
-    for rows, flag in results:
+    for exp in config.experiments:
+        rows, flag = run_experiment(exp, seed_override)
         outcome_rows.extend(rows)
         inconclusive = inconclusive or flag
     return outcome_rows, (3 if inconclusive else 0)

@@ -25,6 +25,7 @@ from .errors import CapExceededError
 from .measures import MarkovMeasure, measure_of
 from .symbolic import (
     BridgedBlocks,
+    ConstraintAutomaton,
     Cylinder,
     CylinderUnion,
     PointRep,
@@ -188,10 +189,11 @@ def _universal_feasible(sft, shifts, target_words, atoms, memo=None) -> bool:
 
     Constrained intervals (candidate pin placements plus E atoms) are split
     into connected segments separated by free coordinates. Per segment and
-    per local assignment the realizable (first, last) symbol pairs are
-    enumerated; a subset-tracking DP over segments then decides whether any
-    global assignment chain dies. Polynomial in |I| for bounded alphabets
-    and segment sizes.
+    per local assignment the constraint automaton reads out the realizable
+    (first, last) symbol pairs, memoized up to translation; a
+    subset-tracking DP over segments then decides whether any global
+    assignment chain dies. Polynomial in |I| for bounded alphabets and
+    segment sizes.
     """
     (o1, word1), (o2, word2) = target_words
     placements = []
@@ -234,22 +236,23 @@ def _universal_feasible(sft, shifts, target_words, atoms, memo=None) -> bool:
         if n_combos > SEGMENT_COMBO_CAP:
             # Long consistent-overlap chains: enumerate nothing, sweep instead.
             return _universal_sweep(sft, placements, atoms)
+        # The SFT is shift-invariant, so a segment's relation depends only on
+        # its constraints relative to its first coordinate: pins become
+        # single-word atoms and the memo key is translation-relative.
+        seg_lo = seg["lo"]
+        span = seg["hi"] - seg_lo
+        rel_atoms = tuple((start - seg_lo, words) for start, words in seg_atoms)
         relations = []
         for combo in itertools.product(*local_options):
-            key = (
-                seg["lo"],
-                seg["hi"],
-                combo,
-                tuple((s, ws) for s, ws in seg_atoms),
-            )
+            key = (span, tuple((start - seg_lo, (word,)) for start, word in combo), rel_atoms)
             rel = memo.get(key)
             if rel is None:
-                rel = _segment_relation(sft, seg["lo"], seg["hi"], combo, seg_atoms)
+                rel = ConstraintAutomaton(sft, key[1] + rel_atoms, 0, span).relation()
                 memo[key] = rel
             if not rel:
                 return False
             relations.append(rel)
-        gap_steps = None if prev_hi is None else seg["lo"] - prev_hi
+        gap_steps = None if prev_hi is None else seg_lo - prev_hi
         nxt: set[frozenset[int]] = set()
         for state in current:
             for rel in relations:
@@ -273,10 +276,12 @@ def _universal_sweep(sft, placements, atoms) -> bool:
     """Coordinate-granular universal feasibility; exact for any overlap pattern.
 
     Beliefs pair the assignment history that still matters (open chosen
-    words) with the set of feasible frontier configurations (previous
-    symbol, per-open-atom matched prefix). Assignment choices split beliefs
-    at each placement's first coordinate; existential symbol choices evolve
-    configurations. Fails exactly when some assignment path empties.
+    words) with the set of feasible frontier configurations of the E atoms'
+    constraint automaton (previous symbol, per-atom matched prefix).
+    Assignment choices split beliefs at each placement's first coordinate;
+    existential symbol choices evolve configurations along the automaton's
+    moves, kept to the symbol the open words force. Fails exactly when some
+    assignment path empties.
     """
     lo = min(p[0] for p in placements)
     hi = max(p[1] for p in placements)
@@ -284,23 +289,15 @@ def _universal_sweep(sft, placements, atoms) -> bool:
         lo = min(lo, min(start for start, _ in atoms))
         hi = max(hi, max(start + len(ws[0]) - 1 for start, ws in atoms))
 
-    atom_prefix_sets = []
-    for start, words in atoms:
-        width = len(words[0])
-        by_len = [set() for _ in range(width + 1)]
-        for w in words:
-            for i in range(width + 1):
-                by_len[i].add(w[:i])
-        atom_prefix_sets.append((start, width, by_len))
+    automaton = ConstraintAutomaton(sft, atoms, lo, hi)
 
     starts_at: dict[int, list[int]] = {}
     for i, (p_lo, _p_hi, _options) in enumerate(placements):
         starts_at.setdefault(p_lo, []).append(i)
 
     # A belief: (open chosen words, frozenset of (prev symbol, atom prefixes)).
-    # Open words are (start, word) pairs; atom prefixes align with atoms order.
-    initial_prefixes = tuple(() for _ in atoms)
-    beliefs: set = {((), frozenset({(None, initial_prefixes)}))}
+    # Open words are (start, word) pairs; configurations are the automaton's.
+    beliefs: set = {((), frozenset({(None, automaton.initial)}))}
     for c in range(lo, hi + 1):
         # Adversary choices for placements opening at c.
         for i in starts_at.get(c, ()):
@@ -327,91 +324,17 @@ def _universal_sweep(sft, placements, atoms) -> bool:
                         break
             if conflict:
                 return False
-            new_configs = set()
-            for prev, prefixes in configs:
-                candidates = (
-                    range(sft.alphabet_size) if prev is None else sft.successors(prev)
-                )
-                for sym in candidates:
-                    if forced is not None and sym != forced:
-                        continue
-                    new_prefixes = []
-                    ok = True
-                    for (start, width, by_len), prefix in zip(
-                        atom_prefix_sets, prefixes
-                    ):
-                        if start <= c < start + width:
-                            ext = prefix + (sym,)
-                            if ext not in by_len[len(ext)]:
-                                ok = False
-                                break
-                            new_prefixes.append(ext if len(ext) < width else ())
-                        else:
-                            new_prefixes.append(prefix if start > c else ())
-                    if ok:
-                        new_configs.add((sym, tuple(new_prefixes)))
+            new_configs = {
+                move
+                for prev, prefixes in configs
+                for move in automaton.moves(c - lo, prev, prefixes)
+                if forced is None or move[0] == forced
+            }
             if not new_configs:
                 return False
             nxt.add((live_words, frozenset(new_configs)))
         beliefs = nxt
     return True
-
-
-def _segment_relation(sft, lo, hi, pinned, atoms) -> frozenset[tuple[int, int]]:
-    """Realizable (first, last) symbol pairs of legal words over [lo, hi]
-    matching the pinned words and every atom's word set."""
-    pin_at: dict[int, int] = {}
-    for start, word in pinned:
-        for j, sym in enumerate(word):
-            pos = start + j
-            if pos in pin_at and pin_at[pos] != sym:
-                return frozenset()
-            pin_at[pos] = sym
-
-    atom_prefixes = []
-    for start, words in atoms:
-        width = len(words[0])
-        by_len = [set() for _ in range(width + 1)]
-        for w in words:
-            for i in range(width + 1):
-                by_len[i].add(w[:i])
-        atom_prefixes.append((start, width, by_len))
-
-    found: set[tuple[int, int]] = set()
-    limit = sft.alphabet_size**2
-
-    def step(pos: int, word: list[int]):
-        if len(found) >= limit:
-            return
-        if pos > hi:
-            found.add((word[0], word[-1]))
-            return
-        pinned_sym = pin_at.get(pos)
-        if word:
-            candidates = [
-                b for b in sft.successors(word[-1]) if pinned_sym in (None, b)
-            ]
-        else:
-            candidates = (
-                [pinned_sym]
-                if pinned_sym is not None
-                else list(range(sft.alphabet_size))
-            )
-        for sym in candidates:
-            word.append(sym)
-            ok = True
-            for start, width, by_len in atom_prefixes:
-                if start <= pos < start + width:
-                    took = pos - start + 1
-                    if tuple(word[start - lo : start - lo + took]) not in by_len[took]:
-                        ok = False
-                        break
-            if ok:
-                step(pos + 1, word)
-            word.pop()
-
-    step(lo, [])
-    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -792,13 +715,12 @@ def classify_in_pair(
                 adversaries.append(bad_constant_e(m, s, t, ux, uy))
         adversaries.extend(params.extra_e_maps)
 
+        # An adversary's smallest E-measure does not depend on eps.
+        e_mins = [e_min_measure(e, m, range(max_shift)) for e in adversaries]
         level_eps = None
         for eps in sorted(params.eps_grid):
             eps_frac = Fraction(eps)
-            qualifying = [
-                e for e in adversaries
-                if e_min_measure(e, m, range(max_shift)) >= 1 - eps_frac
-            ]
+            qualifying = [e for e, low in zip(adversaries, e_mins) if low >= 1 - eps_frac]
             family_ok = all(
                 ratio_meets(
                     sft, ux, uy, range(n), e, c_min,

@@ -26,6 +26,7 @@ from .symbolic import (
     Word,
     constraint_atoms,
     _cluster_constraints,
+    _graph_covers,
     _EMPTY,
 )
 
@@ -59,17 +60,8 @@ def stationary_vector(transition: Sequence[Sequence[Rational]]) -> tuple[Fractio
         if any(v < 0 for v in row):
             raise ValueError(f"transition row {i} has a negative entry")
     succ = [[j for j in range(k) if P[i][j] > 0] for i in range(k)]
-    for start in range(k):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != k:
-            raise ValueError("reducible chain: stationary vector is not unique")
+    if not _graph_covers(succ, k):
+        raise ValueError("reducible chain: stationary vector is not unique")
 
     # Solve (P^T - I) pi = 0 with sum(pi) = 1 by Gaussian elimination.
     rows = [[P[j][i] - (1 if i == j else 0) for j in range(k)] + [Fraction(0)] for i in range(k)]

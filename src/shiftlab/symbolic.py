@@ -16,6 +16,7 @@ an exact block form with symbolic gaps.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -149,7 +150,7 @@ class Sft:
 
 
 def _graph_covers(adj, k: int) -> bool:
-    """Every vertex reaches every vertex along `adj` (checked from vertex 0 plus symmetry)."""
+    """Every vertex reaches every vertex along `adj`: strong connectivity, by one DFS per vertex."""
     for start in range(k):
         seen = {start}
         stack = [start]
@@ -702,41 +703,87 @@ def constraint_atoms(constraints: ShiftedConstraintSet, sft: Sft):
     return atoms
 
 
-def _merge_cluster(sft: Sft, atoms, lo: int, hi: int) -> tuple[Word, ...]:
-    """Legal words over [lo, hi] consistent with every atom (DFS with pruning)."""
-    prefix_sets = []
-    for start, words in atoms:
-        by_len = [set() for _ in range(len(words[0]) + 1)]
-        for w in words:
-            for i in range(len(w) + 1):
-                by_len[i].add(w[:i])
-        prefix_sets.append((start, len(words[0]), by_len))
+class ConstraintAutomaton:
+    """The product automaton of the SFT and a list of constraint atoms over [lo, hi].
 
-    out: list[Word] = []
+    Each atom (start, words) is compiled once into a prefix table at its
+    offset from lo: its words in sorted order, where the words sharing a
+    prefix form one run, so a single bisection tests a prefix. A
+    configuration is (last symbol, per-atom matched prefix); an atom's
+    prefix resets to () once its window is complete, so equal futures give
+    equal configurations. `moves` is the one transition rule; `words` and
+    `relation` read out one pruned depth-first walk over the coordinates.
+    """
 
-    def step(pos: int, word: list[int]):
-        if pos > hi:
-            out.append(tuple(word))
-            return
-        if word:
-            candidates = sft.successors(word[-1])
-        else:
-            candidates = range(sft.alphabet_size)
-        for sym in candidates:
-            word.append(sym)
-            ok = True
-            for start, width, by_len in prefix_sets:
-                if start <= pos < start + width:
-                    took = pos - start + 1
-                    if tuple(word[start - lo : start - lo + took]) not in by_len[took]:
-                        ok = False
+    def __init__(self, sft: Sft, atoms, lo: int, hi: int):
+        self.sft = sft
+        self.length = hi - lo + 1
+        self.tables = [(start - lo, len(words[0]), sorted(words)) for start, words in atoms]
+        self.initial = tuple(() for _ in self.tables)
+
+    def moves(self, p: int, prev, prefixes) -> list:
+        """(symbol, prefixes) steps at offset p from a configuration; prev is None at offset 0."""
+        sft = self.sft
+        out = []
+        for sym in range(sft.alphabet_size) if prev is None else sft.successors(prev):
+            nxt = []
+            for (offset, width, words), prefix in zip(self.tables, prefixes):
+                if offset <= p < offset + width:
+                    prefix += (sym,)
+                    # The first word not below the prefix extends it, if any word does.
+                    i = bisect_left(words, prefix)
+                    if i == len(words) or words[i][: len(prefix)] != prefix:
                         break
-            if ok:
-                step(pos + 1, word)
-            word.pop()
+                    if len(prefix) == width:
+                        prefix = ()
+                nxt.append(prefix)
+            else:
+                out.append((sym, tuple(nxt)))
+        return out
 
-    step(lo, [])
-    return tuple(out)
+    def _walk(self, emit, seen=None) -> None:
+        """Depth-first over the legal words; emit(word) returning True stops the walk.
+
+        With `seen`, a configuration already expanded under the same first
+        symbol is not expanded again (sound for readouts of (first, last)).
+        """
+        word: list[int] = []
+
+        def step(p: int, prefixes) -> bool:
+            if p == self.length:
+                return emit(word)
+            for sym, nxt in self.moves(p, word[-1] if word else None, prefixes):
+                if seen is not None:
+                    key = (p, word[0] if word else sym, sym, nxt)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                word.append(sym)
+                stop = step(p + 1, nxt)
+                word.pop()
+                if stop:
+                    return True
+            return False
+
+        step(0, self.initial)
+
+    def words(self) -> tuple[Word, ...]:
+        """Every legal word over [lo, hi] matching every atom, in sorted order."""
+        out: list[Word] = []
+        self._walk(lambda word: out.append(tuple(word)))
+        return tuple(out)
+
+    def relation(self) -> frozenset[tuple[int, int]]:
+        """The realizable (first, last) symbol pairs of those words."""
+        found: set[tuple[int, int]] = set()
+        limit = self.sft.alphabet_size ** 2
+
+        def emit(word) -> bool:
+            found.add((word[0], word[-1]))
+            return len(found) >= limit
+
+        self._walk(emit, seen=set())
+        return frozenset(found)
 
 
 def _cluster_constraints(sft: Sft, atoms):
@@ -767,7 +814,7 @@ def _cluster_constraints(sft: Sft, atoms):
         if len(group) == 1:
             merged = group[0][1]
         else:
-            merged = _merge_cluster(sft, group, g_lo, g_hi)
+            merged = ConstraintAutomaton(sft, group, g_lo, g_hi).words()
         if not merged:
             return EmptyIntersection(
                 f"contradictory or illegal constraints over [{g_lo}, {g_hi}]"
@@ -851,7 +898,7 @@ def resolve_constraints(
     if all(g <= gap_cap for g in gaps) and estimate <= word_budget:
         lo = blocks[0][0]
         hi = blocks[-1][0] + len(blocks[-1][1][0]) - 1
-        words = _merge_cluster(sft, blocks, lo, hi)
+        words = ConstraintAutomaton(sft, blocks, lo, hi).words()
         if not words:
             return EmptyIntersection("no legal word over the full span")
         return CylinderUnion._from_normal(sft, lo, words)

@@ -14,12 +14,14 @@ from shiftlab.measures import MarkovMeasure
 from shiftlab.symbolic import Sft
 
 
-def legal_words(sft: Sft, lo: int, hi: int):
-    """All legal words over [lo, hi] by direct product filtering."""
+def legal_words(sft: Sft, lo: int, hi: int) -> list:
+    """All legal words over [lo, hi] in sorted order, grown one symbol at a time
+    along the raw transition matrix, so the cost follows the number of legal words."""
     k = sft.alphabet_size
-    for word in itertools.product(range(k), repeat=hi - lo + 1):
-        if all(sft.allowed[a][b] for a, b in zip(word, word[1:])):
-            yield word
+    words = [(a,) for a in range(k)]
+    for _ in range(hi - lo):
+        words = [w + (b,) for w in words for b in range(k) if sft.allowed[w[-1]][b]]
+    return words
 
 
 def word_weight(m: MarkovMeasure, word) -> Fraction:

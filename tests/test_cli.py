@@ -114,20 +114,6 @@ def test_seed_override_changes_samples(runner, tmp_path):
     assert a != b
 
 
-def test_threads_flag_deterministic(runner, tmp_path):
-    config = bundled_config_path("acceptance_panel")
-    r1 = runner.invoke(
-        main, ["run", str(config), "--out-dir", str(tmp_path / "t1"), "--threads", "1"]
-    )
-    r4 = runner.invoke(
-        main, ["run", str(config), "--out-dir", str(tmp_path / "t4"), "--threads", "4"]
-    )
-    assert r1.exit_code == 0 and r4.exit_code == 0
-    assert (tmp_path / "t1" / "acceptance_panel.csv").read_bytes() == (
-        tmp_path / "t4" / "acceptance_panel.csv"
-    ).read_bytes()
-
-
 def test_json_mirror_carries_witness_data(runner, tmp_path):
     config = bundled_config_path("acceptance_panel")
     result = runner.invoke(main, ["run", str(config), "--out-dir", str(tmp_path)])
@@ -151,6 +137,49 @@ def test_load_config_errors_name_fields(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config({"experiment_id": "x", "kind": "wat", "system": "bernoulli"})
     assert "kind" in str(err.value)
+
+
+_SENSITIVITY = {
+    "experiment_id": "s",
+    "kind": "sensitivity",
+    "system": "bernoulli",
+    "params": {
+        "ux": {"start": 0, "word": "0"},
+        "uy": {"start": 0, "word": "1"},
+        "seeds": [1],
+        "horizon": 2000,
+    },
+}
+_INDEPENDENCE = {
+    "experiment_id": "i",
+    "kind": "independence",
+    "system": "golden_mean",
+    "params": {"a1": {"start": 0, "word": "0"}, "a2": {"start": 0, "word": "1"}, "n_list": [2, 3]},
+}
+_CROSSCHECK = {"experiment_id": "c", "kind": "crosscheck", "params": {"pairs": 1, "depth": 1}}
+
+
+@pytest.mark.parametrize(
+    "base, key, value, field",
+    [
+        (_SENSITIVITY, "horizon", "1e3", "s.params.horizon"),
+        (_SENSITIVITY, "horizon", 2000.7, "s.params.horizon"),
+        (_SENSITIVITY, "seeds", [1, "2"], "s.params.seeds[1]"),
+        (_INDEPENDENCE, "n_list", [2, 3.5], "i.params.n_list[1]"),
+        (_CROSSCHECK, "include_kush", "false", "c.params.include_kush"),
+    ],
+    ids=["horizon-string", "horizon-float", "seed-string", "n-float", "include-kush-string"],
+)
+def test_bad_config_scalars_exit_1(runner, tmp_path, base, key, value, field):
+    config = json.loads(json.dumps(base))
+    config["params"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"config error: {field}:" in result.output
+    assert "Traceback" not in result.output
 
 
 def test_run_config_in_process():

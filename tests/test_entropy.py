@@ -165,7 +165,7 @@ def join_cases(draw):
         words = list(sft.legal_words(draw(st.integers(1, 3))))
         word = draw(st.sampled_from(words))
         p = two_set_partition(cylinder(sft, draw(st.integers(-2, 2)), word))
-    # The oracle enumerates k^span words: keep the span within 2^10 words.
+    # k^span bounds the legal words the oracle enumerates: keep it within 2^10.
     k = sft.alphabet_size
     lo, hi = constraint_span([(0, a) for a in p.atoms])
     room = max(n for n in range(1, 11) if k**n <= 1 << 10) - (hi - lo + 1)

@@ -133,6 +133,36 @@ def test_sweep_path_matches_word_oracle(systems, monkeypatch):
         assert got == want, (system.id, a1, a2, i_set, e.describe())
 
 
+def test_shared_memo_matches_oracle_under_translation(systems):
+    """One memo serves shift sets and their translates under one TableE.
+
+    E's sets enter unshifted, so translating I moves the pins but not E's
+    atoms; a memo key that lost the atoms' offsets relative to the segment
+    would hand a translate the relation of a different segment.
+    """
+    rng = random.Random(23)
+    for system in systems:
+        sft = system.sft
+        words = [w for length in (1, 2) for w in sft.legal_words(length)]
+        for _ in range(12):
+            default = _random_union(rng, sft).complement()
+            overrides = tuple(
+                (s, _random_union(rng, sft).complement()) for s in sorted(rng.sample(range(8), 2))
+            )
+            if default.is_empty or any(v.is_empty for _s, v in overrides):
+                continue
+            e = TableE(default=default, overrides=overrides)
+            a1 = cylinder(sft, 0, rng.choice(words))
+            a2 = cylinder(sft, rng.randrange(-1, 2), rng.choice(words))
+            memo: dict = {}
+            base = sorted(rng.sample(range(4), rng.randrange(1, 4)))
+            for t in range(-3, 5):
+                i_set = [s + t for s in base]
+                got = is_independence_set(sft, a1, a2, i_set, e, _memo=memo)
+                want = independence_oracle(sft, a1, a2, i_set, e)
+                assert got == want, (system.id, a1, a2, i_set, e.describe())
+
+
 def test_long_chain_sweep(bernoulli):
     """Consistent-overlap chains too long to enumerate stay exact."""
     sft = bernoulli.sft

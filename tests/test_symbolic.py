@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.panel import panel_systems
 from shiftlab.symbolic import (
     BridgedBlocks,
+    ConstraintAutomaton,
     Cylinder,
     CylinderUnion,
     EventuallyPeriodic,
@@ -227,6 +229,56 @@ def test_resolve_matches_enumeration_oracle():
                 if satisfies((0, resolved), w, lo)
             }
             assert got == expected
+
+
+KERNEL_SFTS = tuple(system.sft for system in panel_systems()) + (full_shift(3),)
+
+
+@st.composite
+def automaton_cases(draw):
+    """Atoms from unions, complements and single-word pins, inside a random window."""
+    sft = draw(st.sampled_from(KERNEL_SFTS))
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("pin", "union", "complement")))
+        if kind == "pin":
+            words = list(sft.legal_words(draw(st.integers(1, 3))))
+            atoms.append((draw(st.integers(-2, 2)), (draw(st.sampled_from(words)),)))
+            continue
+        symbols = st.integers(0, sft.alphabet_size - 1)
+        pieces = draw(
+            st.lists(
+                st.tuples(st.integers(-1, 1), st.lists(symbols, min_size=1, max_size=2)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        u = CylinderUnion(sft, [Cylinder(sft, start, word) for start, word in pieces])
+        if kind == "complement":
+            u = u.complement()
+        if u.is_empty or u.is_full:
+            continue
+        # The kernel must not rely on the sorted order of normal forms.
+        atoms += [(start, tuple(draw(st.permutations(words)))) for start, words in u.blocks()]
+    if not atoms:
+        atoms = [(0, ((0,),))]
+    lo = min(start for start, _ in atoms) - draw(st.integers(0, 1))
+    hi = max(start + len(words[0]) - 1 for start, words in atoms) + draw(st.integers(0, 1))
+    return sft, atoms, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(automaton_cases())
+def test_automaton_readouts_match_word_oracle(case):
+    sft, atoms, lo, hi = case
+    expected = [
+        w
+        for w in legal_words(sft, lo, hi)
+        if all(w[start - lo : start - lo + len(words[0])] in words for start, words in atoms)
+    ]
+    automaton = ConstraintAutomaton(sft, atoms, lo, hi)
+    assert automaton.words() == tuple(expected)
+    assert automaton.relation() == {(w[0], w[-1]) for w in expected}
 
 
 def test_resolve_bridged_blocks_far_apart():
