@@ -127,10 +127,13 @@ def parse_point(spec: Any, sft: Sft, path: str):
         except ValueError as err:
             raise ConfigError(path, str(err))
     if kind == "sampled":
-        return {
+        point = {
             key: parse_checked(_require(spec, key, path), f"{path}.{key}")
             for key in ("lo", "hi", "seed")
         }
+        if point["lo"] > point["hi"]:
+            raise ConfigError(f"{path}.hi", f"must be >= lo ({point['lo']}), got {point['hi']}")
+        return point
     raise ConfigError(f"{path}.kind", f"unknown point kind {kind!r}")
 
 

@@ -13,6 +13,8 @@ import random
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import ShiftLabError
 from .symbolic import (
     BridgedBlocks,
@@ -186,6 +188,9 @@ def measure_of(m: MarkovMeasure, s: SetLike) -> Fraction:
             return Fraction(0)
         if s.is_full:
             return Fraction(1)
+        original = getattr(s, "_complement_of", None)
+        if original is not None and len(original.words) < len(s.words):
+            return 1 - measure_of(m, original)
         return sum((m.word_weight(w) for w in s.words), Fraction(0))
     if isinstance(s, BridgedBlocks):
         return _chain_measure(m, s.blocks())
@@ -264,17 +269,50 @@ def _draw_bounds(weights: Sequence[Fraction]) -> list[int]:
     return bounds
 
 
-def _draw_from_bounds(rng: random.Random, bounds: Sequence[int]) -> int:
-    r = rng.getrandbits(64)
-    for i, b in enumerate(bounds):
-        if r < b:
-            return i
-    return len(bounds) - 1
+# Uniforms per getrandbits call in a walk: bounds the draw buffers and the
+# next-symbol table (alphabet size times this many entries) of one chunk.
+_WALK_CHUNK = 1 << 14
+
+
+def _uniforms(rng: random.Random, n: int) -> np.ndarray:
+    """n 64-bit uniforms from one getrandbits call: the little-endian words of
+    getrandbits(64 * n) are exactly the values of n getrandbits(64) calls."""
+    return np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+
+
+def _pick(bounds: Sequence[int], r: np.ndarray) -> np.ndarray:
+    """For each uniform, the first index i with r < bounds[i], else the last.
+
+    A bound of 2^64 exceeds every uniform; dropping those keeps the rest in
+    uint64 and leaves the first of them as the index searchsorted returns.
+    """
+    below = np.array([b for b in bounds if b < 1 << 64], dtype=np.uint64)
+    return np.minimum(np.searchsorted(below, r, side="right"), len(bounds) - 1)
 
 
 def _draw(rng: random.Random, weights: Sequence[Fraction]) -> int:
     """Exact categorical draw via a 64-bit uniform against Fraction cumsums."""
-    return _draw_from_bounds(rng, _draw_bounds(weights))
+    return int(_pick(_draw_bounds(weights), _uniforms(rng, 1))[0])
+
+
+def _walk(rng: random.Random, rows: Sequence[Sequence[int]], s: int, n: int) -> np.ndarray:
+    """Symbol s and n chain steps after it, the successor of b drawn by bounds rows[b].
+
+    Each chunk of uniforms becomes a next-symbol table (table[b][i] is the
+    successor of b at step i), so the walk is one lookup per symbol. Symbols
+    are stored as bytes whenever the alphabet fits in one.
+    """
+    narrow = len(rows) <= 256
+    out = bytearray([s]) if narrow else [s]
+    append = out.append
+    for done in range(0, n, _WALK_CHUNK):
+        r = _uniforms(rng, min(_WALK_CHUNK, n - done))
+        table = [_pick(bounds, r) for bounds in rows]
+        table = [t.astype(np.uint8).tobytes() if narrow else t.tolist() for t in table]
+        for i in range(len(r)):
+            s = table[s][i]
+            append(s)
+    return np.frombuffer(out, dtype=np.uint8) if narrow else np.array(out, dtype=np.int64)
 
 
 def sample_point(m: MarkovMeasure, lo: int, hi: int, seed: int) -> SampledWindow:
@@ -287,11 +325,9 @@ def sample_point(m: MarkovMeasure, lo: int, hi: int, seed: int) -> SampledWindow
     if lo > hi:
         raise ValueError("lo must be <= hi")
     rng = random.Random(seed)
-    row_bounds = [_draw_bounds(row) for row in m.transition]
-    symbols = [_draw(rng, m.stationary)]
-    for _ in range(hi - lo):
-        symbols.append(_draw_from_bounds(rng, row_bounds[symbols[-1]]))
-    return SampledWindow(m.sft, lo, hi, symbols, seed)
+    first = _draw(rng, m.stationary)
+    rows = [_draw_bounds(row) for row in m.transition]
+    return SampledWindow(m.sft, lo, hi, _walk(rng, rows, first, hi - lo), seed)
 
 
 def sample_point_in(
@@ -316,23 +352,19 @@ def sample_point_in(
     if total == 0:
         raise ValueError("cell has measure zero")
     rng = random.Random(seed)
-    idx = _draw(rng, [w / total for w in weights])
-    word = list(cell.words[idx])
+    word = cell.words[_draw(rng, [w / total for w in weights])]
 
-    row_bounds = [_draw_bounds(row) for row in m.transition]
-    for _ in range(hi - c_hi):
-        word.append(_draw_from_bounds(rng, row_bounds[word[-1]]))
+    k = m.sft.alphabet_size
     pi = m.stationary
-    reverse_bounds = {}
-    prefix: list[int] = []
-    for _ in range(c_lo - lo):
-        b = word[0] if not prefix else prefix[-1]
-        if b not in reverse_bounds:
-            reverse = [
-                (pi[a] * m.transition[a][b] / pi[b]) if pi[b] > 0 else Fraction(0)
-                for a in range(m.sft.alphabet_size)
-            ]
-            reverse_bounds[b] = _draw_bounds(reverse)
-        prefix.append(_draw_from_bounds(rng, reverse_bounds[b]))
-    word = list(reversed(prefix)) + word
-    return SampledWindow(m.sft, lo, hi, word, seed)
+    forward = _walk(rng, [_draw_bounds(row) for row in m.transition], word[-1], hi - c_hi)
+    reverse = [
+        _draw_bounds(
+            [(pi[a] * m.transition[a][b] / pi[b]) if pi[b] > 0 else Fraction(0) for a in range(k)]
+        )
+        for b in range(k)
+    ]
+    backward = _walk(rng, reverse, word[0], c_lo - lo)
+    symbols = np.concatenate(
+        [backward[:0:-1], np.array(word, dtype=forward.dtype), forward[1:]]
+    )
+    return SampledWindow(m.sft, lo, hi, symbols, seed)

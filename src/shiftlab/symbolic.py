@@ -258,18 +258,31 @@ class EventuallyPeriodic:
 
 
 class SampledWindow:
-    """A point known only on a finite coordinate window; evaluation outside raises."""
+    """A point known only on a finite coordinate window; evaluation outside raises.
+
+    `symbols` is a word spec (see parse_word) or an integer numpy array. The
+    window keeps only a read-only array (one byte a symbol from the sampler);
+    `.symbols` builds the tuple of ints on demand.
+    """
 
     def __init__(self, sft: Sft, lo: int, hi: int, symbols, seed: int, offset: int = 0):
-        word = parse_word(symbols)
-        if hi - lo + 1 != len(word):
+        if isinstance(symbols, np.ndarray):
+            if symbols.dtype.kind not in "iu":
+                raise ValueError(f"window symbols must be integers, got {symbols.dtype}")
+            window = symbols.copy()
+        else:
+            window = np.array(parse_word(symbols), dtype=np.int64)
+        if hi - lo + 1 != len(window):
             raise ValueError("window length does not match [lo, hi]")
-        if word and not sft.word_allowed(word):
+        if len(window) and (window.min() < 0 or window.max() >= sft.alphabet_size):
+            raise ValueError("window symbol out of range")
+        if not np.array(sft.allowed, dtype=bool)[window[:-1], window[1:]].all():
             raise ValueError("window violates the transition matrix")
+        window.flags.writeable = False
         self.sft = sft
         self.lo = lo
         self.hi = hi
-        self.symbols = word
+        self.window = window
         self.seed = seed
         self.offset = offset
 
@@ -279,17 +292,21 @@ class SampledWindow:
             raise WindowExceededError(
                 f"coordinate {n} (absolute {m}) outside sampled window [{self.lo}, {self.hi}]"
             )
-        return self.symbols[m - self.lo]
+        return self.window.item(m - self.lo)
 
     def shifted(self, k: int) -> "SampledWindow":
         p = SampledWindow.__new__(SampledWindow)
         p.sft = self.sft
         p.lo = self.lo
         p.hi = self.hi
-        p.symbols = self.symbols
+        p.window = self.window
         p.seed = self.seed
         p.offset = self.offset + k
         return p
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return tuple(self.window.tolist())
 
     def evaluable(self) -> tuple[int, int]:
         """Coordinate range on which eval() is defined, in shifted coordinates."""
@@ -318,7 +335,7 @@ def point_window(p: PointRep, lo: int, hi: int) -> np.ndarray:
                 f"requested [{lo}, {hi}] outside evaluable [{a}, {b}]"
             )
         start = lo + p.offset - p.lo
-        return np.asarray(p.symbols[start : start + (hi - lo + 1)], dtype=np.int16)
+        return p.window[start : start + (hi - lo + 1)]
     return np.asarray([p.eval(n) for n in range(lo, hi + 1)], dtype=np.int16)
 
 
@@ -341,7 +358,7 @@ def points_provably_equal(x: PointRep, y: PointRep) -> bool:
         return (
             x.sft == y.sft
             and x.evaluable() == y.evaluable()
-            and x.symbols == y.symbols
+            and np.array_equal(x.window, y.window)
         )
     return False
 
@@ -493,7 +510,9 @@ class CylinderUnion:
         width = self.width
         mine = set(self.words)
         rest = [w for w in self.sft.legal_words(width) if w not in mine]
-        return CylinderUnion._from_normal(self.sft, self.start, rest)
+        u = CylinderUnion._from_normal(self.sft, self.start, rest)
+        u._complement_of = self  # measure_of may then take 1 - mu(self) instead of summing u
+        return u
 
     def union(self, other: "CylinderUnion") -> "CylinderUnion":
         if self.sft != other.sft:

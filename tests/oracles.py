@@ -8,6 +8,8 @@ is used to check.
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 from shiftlab.measures import MarkovMeasure
@@ -132,3 +134,63 @@ def orbit_density_oracle(point, setlike, n: int) -> Fraction:
         if setlike.contains_point(point, s):
             count += 1
     return Fraction(count, n)
+
+
+# Reference sampler: the per-draw chain sampler, one rng.getrandbits(64) per
+# symbol, that the bulk table-walk sampler in shiftlab.measures must match
+# symbol for symbol.
+
+
+def reference_bounds(weights) -> list:
+    bounds = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        bounds.append(math.ceil(acc * (1 << 64)))
+    return bounds
+
+
+def reference_index(bounds, r: int) -> int:
+    """The first index i with r < bounds[i], else the last index."""
+    for i, b in enumerate(bounds):
+        if r < b:
+            return i
+    return len(bounds) - 1
+
+
+def reference_draw(rng: random.Random, bounds) -> int:
+    return reference_index(bounds, rng.getrandbits(64))
+
+
+def sample_point_reference(m: MarkovMeasure, lo: int, hi: int, seed: int) -> tuple:
+    """Symbols of measures.sample_point(m, lo, hi, seed), drawn one at a time."""
+    rng = random.Random(seed)
+    row_bounds = [reference_bounds(row) for row in m.transition]
+    symbols = [reference_draw(rng, reference_bounds(m.stationary))]
+    for _ in range(hi - lo):
+        symbols.append(reference_draw(rng, row_bounds[symbols[-1]]))
+    return tuple(symbols)
+
+
+def sample_point_in_reference(m: MarkovMeasure, cell, lo: int, hi: int, seed: int) -> tuple:
+    """Symbols of measures.sample_point_in(m, cell, lo, hi, seed), drawn one at a time."""
+    if cell.is_full:
+        return sample_point_reference(m, lo, hi, seed)
+    c_lo, c_hi = cell.support
+    weights = [word_weight(m, w) for w in cell.words]
+    total = sum(weights, Fraction(0))
+    rng = random.Random(seed)
+    word = list(cell.words[reference_draw(rng, reference_bounds([w / total for w in weights]))])
+    row_bounds = [reference_bounds(row) for row in m.transition]
+    for _ in range(hi - c_hi):
+        word.append(reference_draw(rng, row_bounds[word[-1]]))
+    pi = m.stationary
+    prefix: list = []
+    for _ in range(c_lo - lo):
+        b = word[0] if not prefix else prefix[-1]
+        reverse = [
+            (pi[a] * m.transition[a][b] / pi[b]) if pi[b] > 0 else Fraction(0)
+            for a in range(m.sft.alphabet_size)
+        ]
+        prefix.append(reference_draw(rng, reference_bounds(reverse)))
+    return tuple(reversed(prefix)) + tuple(word)

@@ -157,6 +157,16 @@ _INDEPENDENCE = {
     "params": {"a1": {"start": 0, "word": "0"}, "a2": {"start": 0, "word": "1"}, "n_list": [2, 3]},
 }
 _CROSSCHECK = {"experiment_id": "c", "kind": "crosscheck", "params": {"pairs": 1, "depth": 1}}
+_DENSITY_EMPTY = {
+    "experiment_id": "d",
+    "kind": "density",
+    "system": "golden_mean",
+    "params": {
+        "point": {"kind": "sampled", "lo": 0, "hi": 10, "seed": 1},
+        "set": {"start": 0, "word": "11"},
+        "n_max": 5,
+    },
+}
 
 
 @pytest.mark.parametrize(
@@ -167,8 +177,21 @@ _CROSSCHECK = {"experiment_id": "c", "kind": "crosscheck", "params": {"pairs": 1
         (_SENSITIVITY, "seeds", [1, "2"], "s.params.seeds[1]"),
         (_INDEPENDENCE, "n_list", [2, 3.5], "i.params.n_list[1]"),
         (_CROSSCHECK, "include_kush", "false", "c.params.include_kush"),
+        (
+            _DENSITY_EMPTY,
+            "point",
+            {"kind": "sampled", "lo": 5, "hi": 0, "seed": 1},
+            "d.params.point.hi",
+        ),
     ],
-    ids=["horizon-string", "horizon-float", "seed-string", "n-float", "include-kush-string"],
+    ids=[
+        "horizon-string",
+        "horizon-float",
+        "seed-string",
+        "n-float",
+        "include-kush-string",
+        "sampled-lo-above-hi",
+    ],
 )
 def test_bad_config_scalars_exit_1(runner, tmp_path, base, key, value, field):
     config = json.loads(json.dumps(base))

@@ -1,10 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from shiftlab.measures import (
+    _WALK_CHUNK,
     MarkovMeasure,
+    _draw_bounds,
+    _pick,
+    _walk,
     l2_distance_sq,
     measure_of,
     measure_of_constraints,
@@ -12,15 +19,33 @@ from shiftlab.measures import (
     sample_point_in,
     stationary_vector,
 )
+from shiftlab.panel import panel_systems
 from shiftlab.symbolic import (
     Cylinder,
+    CylinderUnion,
     Sft,
     cylinder,
+    full_shift,
     point_in_set,
     resolve_constraints,
 )
 
-from .oracles import constraint_measure_oracle
+from .oracles import (
+    constraint_measure_oracle,
+    reference_bounds,
+    reference_draw,
+    reference_index,
+    sample_point_in_reference,
+    sample_point_reference,
+    word_weight,
+)
+
+# The panel systems, a 3-symbol chain with zero entries at the start, middle
+# and end of its rows, and the 1-symbol alphabet.
+SAMPLER_MEASURES = tuple(s.measure for s in panel_systems()) + (
+    MarkovMeasure(full_shift(3), [["1/2", "1/3", "1/6"], ["0", "1/4", "3/4"], ["1", "0", "0"]]),
+    MarkovMeasure(Sft(1, [[True]]), [["1"]]),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +208,26 @@ def test_bridged_measure_far_apart(bernoulli):
     assert measure_of(bernoulli.measure, resolved) == Fraction(1, 4)
 
 
+def _random_union(data, m: MarkovMeasure) -> CylinderUnion:
+    cylinders = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        width = data.draw(st.integers(1, 3))
+        word = data.draw(st.sampled_from(list(m.sft.legal_words(width))))
+        cylinders.append(Cylinder(m.sft, data.draw(st.integers(-3, 3)), word))
+    return CylinderUnion(m.sft, cylinders)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_complement_measure_is_one_minus(data):
+    m = data.draw(st.sampled_from(SAMPLER_MEASURES))
+    u = _random_union(data, m)
+    c = u.complement()
+    assert measure_of(m, c) == 1 - measure_of(m, u)
+    assert measure_of(m, c) == sum((word_weight(m, w) for w in c.words), Fraction(0))
+    assert measure_of(m, c.complement()) == measure_of(m, u)
+
+
 # ---------------------------------------------------------------------------
 # l2 distance
 # ---------------------------------------------------------------------------
@@ -249,3 +294,82 @@ def test_sample_point_in_conditional_law(golden):
         total += 1
         hits += p.eval(2) == 0
     assert abs(hits / total - 0.5) < 0.08
+
+
+# ---------------------------------------------------------------------------
+# bulk sampler against the per-draw reference
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    nums=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    scale=st.sampled_from([1, 2]),
+    which=st.integers(0, (1 << 64) - 1),
+    edge=st.booleans(),
+)
+@example(nums=[1, 0], scale=1, which=1, edge=True)  # r = 2^64 - 1, golden-mean row 1
+@example(nums=[0, 0], scale=1, which=0, edge=True)  # no bound above r: the last index
+def test_pick_matches_per_draw_rule(nums, scale, which, edge):
+    # Weights summing to 1, 1/2 or 0, so some rows leave every bound <= r.
+    weights = [Fraction(x, scale * max(sum(nums), 1)) for x in nums]
+    bounds = _draw_bounds(weights)
+    assert bounds == reference_bounds(weights)
+    edges = [0, (1 << 64) - 1] + [b + d for b in bounds for d in (-1, 0) if 0 <= b + d < 1 << 64]
+    r = edges[which % len(edges)] if edge else which
+    assert int(_pick(bounds, np.array([r], dtype=np.uint64))[0]) == reference_index(bounds, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.sampled_from(SAMPLER_MEASURES),
+    lo=st.integers(-50, 50),
+    length=st.integers(0, 400),
+    seed=st.integers(0, 1 << 70),
+)
+def test_sample_point_bit_identical_to_per_draw(m, lo, length, seed):
+    assert sample_point(m, lo, lo + length, seed).symbols == sample_point_reference(
+        m, lo, lo + length, seed
+    )
+
+
+@pytest.mark.parametrize("length", [_WALK_CHUNK - 1, _WALK_CHUNK, 2 * _WALK_CHUNK + 3])
+def test_sample_point_bit_identical_across_chunks(length):
+    for seed, m in enumerate(SAMPLER_MEASURES):
+        assert sample_point(m, -7, length - 7, seed).symbols == sample_point_reference(
+            m, -7, length - 7, seed
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sample_point_in_bit_identical_to_per_draw(data):
+    m = data.draw(st.sampled_from(SAMPLER_MEASURES))
+    cell = _random_union(data, m)
+    assume(not cell.is_empty and measure_of(m, cell) > 0)
+    seed = data.draw(st.integers(0, 1 << 70))
+    # Margins of 0 put the cell flush with that edge of the window.
+    left, right = (data.draw(st.sampled_from([0, 1, 2, 25, 60])) for _ in range(2))
+    c_lo, c_hi = cell.support if not cell.is_full else (0, 0)
+    lo, hi = c_lo - left, c_hi + right
+    assert sample_point_in(m, cell, lo, hi, seed).symbols == sample_point_in_reference(
+        m, cell, lo, hi, seed
+    )
+
+
+def test_walk_wide_alphabet_matches_per_draw():
+    # 300 symbols do not fit in a byte: the table and the walk fall back to ints.
+    k = 300
+    rows = [
+        _draw_bounds(
+            [Fraction(1, 2) if j in ((b + 1) % k, (7 * b + 3) % k) else Fraction(0) for j in range(k)]
+        )
+        for b in range(k)
+    ]
+    rng, ref_rng = random.Random(3), random.Random(3)
+    walk = _walk(rng, rows, 0, 3000).tolist()
+    expected = [0]
+    for _ in range(3000):
+        expected.append(reference_draw(ref_rng, rows[expected[-1]]))
+    assert walk == expected and max(walk) >= 256
+    assert rng.getrandbits(64) == ref_rng.getrandbits(64)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,28 @@ def test_sampled_window_errors_outside():
         p.eval(4)
     with pytest.raises(WindowExceededError):
         shift_point(p, 2).eval(2)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["word", "array"])
+def test_sampled_window_rejects_bad_windows(as_array):
+    sft = golden_sft()
+
+    def window(lo, hi, symbols):
+        return SampledWindow(sft, lo, hi, np.array(symbols) if as_array else symbols, seed=0)
+
+    with pytest.raises(ValueError, match="transition"):
+        window(0, 3, [0, 1, 1, 0])  # golden mean forbids "11"
+    with pytest.raises(ValueError, match="out of range"):
+        window(0, 2, [0, 2, 0])
+    with pytest.raises(ValueError, match="out of range"):
+        window(0, 2, [0, -1, 0])
+    with pytest.raises(ValueError, match="length"):
+        window(0, 4, [0, 1, 0])
+    with pytest.raises(ValueError, match="length"):
+        window(-2, 0, [0, 1])
+    assert window(-1, 1, [1, 0, 1]).symbols == (1, 0, 1)
+    with pytest.raises(ValueError, match="transition"):
+        SampledWindow(sft, 0, 1, "11", seed=0)
 
 
 def test_point_membership_examples():
