@@ -14,7 +14,14 @@ from typing import Optional
 from .config import Experiment, RunConfig, parse_checked, parse_point, parse_rational, parse_set
 from .entropy import Partition, generator_partition, sequence_entropy_profile
 from .errors import ConfigError, EntryTimeNotFoundError
-from .folner import FolnerWindows, birkhoff_average, density, membership_predicate
+from .folner import (
+    FolnerWindows,
+    birkhoff_average,
+    density,
+    density_from_indicator,
+    membership_predicate,
+    orbit_indicator,
+)
 from .independence import full_e, independence_density_profile, random_table_e
 from .measures import measure_of, sample_point
 from .panel import panel_pairs, panel_systems
@@ -188,7 +195,7 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
     path = f"{exp.experiment_id}.params"
     target = parse_set(exp.params.get("set"), sysb.sft, f"{path}.set")
     point_spec = parse_point(exp.params.get("point"), sysb.sft, f"{path}.point")
-    n_max = parse_checked(exp.params.get("n_max", 10_000), f"{path}.n_max", minimum=1)
+    n_max = parse_checked(exp.params.get("n_max", 10_000), f"{path}.n_max", minimum=10)
     windows = FolnerWindows.canonical_windows()
     if isinstance(point_spec, dict):
         seed = point_spec["seed"] if seed_override is None else seed_override
@@ -202,11 +209,12 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
                 )
         point = sample_point(sysb.measure, lo, hi, seed)
         point_desc = {"kind": "sampled", "seed": seed}
+        est = density_from_indicator(orbit_indicator(point, target, 0, n_max))
     else:
         point = point_spec
         point_desc = {"kind": "periodic"}
+        est = density(membership_predicate(point, target), windows, n_max=n_max)
     avg = birkhoff_average(point, target, windows, n_max)
-    est = density(membership_predicate(point, target), windows, n_max=n_max)
     mu = measure_of(sysb.measure, target)
     return [
         ReportRow(

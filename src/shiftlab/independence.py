@@ -6,32 +6,37 @@ for every assignment sigma: I -> {1, 2} the intersection of E(s) and the
 shifted targets T^{-s} A_{sigma(s)} over s in I is nonempty. E(s) enters the
 intersection unshifted, exactly as the definition displays it.
 
-Two checkers implement that test: a reference enumeration over all 2^|I|
-assignments, and an exact segment decomposition (valid because the SFT is a
-topological Markov chain: feasibility factors through symbol states at the
-boundaries of constrained segments) that stays polynomial for single-word
-targets. They are interchangeable and property-tested against each other.
+One exact checker implements that test for every target: a segment
+decomposition, valid because the SFT is a topological Markov chain, so
+feasibility factors through symbol states at the boundaries of constrained
+segments. A target enters as its constraint atoms, shifted per element of I;
+a whole-space target imposes nothing and drops out. Clusters too large to
+enumerate locally go through a coordinate sweep over the same constraint
+automaton. The checker is property-tested against the 2^|I| word-enumeration
+oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import CapExceededError
 from .measures import MarkovMeasure, measure_of
 from .symbolic import (
+    _EMPTY,
+    _FULL,
     BridgedBlocks,
     ConstraintAutomaton,
-    Cylinder,
     CylinderUnion,
     PointRep,
     SetLike,
     Sft,
     Word,
+    _atoms_of,
     cylinder,
     resolve_constraints,
     whole_space,
@@ -110,13 +115,12 @@ def e_min_measure(e: EMap, m: MarkovMeasure, shifts: Sequence[int]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _target_word(target: SetLike) -> Optional[tuple[int, Word]]:
-    """(start, word) when the target is a single cylinder, else None."""
-    if isinstance(target, Cylinder):
-        return None if target.is_empty else (target.start, target.word)
-    if isinstance(target, CylinderUnion) and len(target.words) == 1:
-        return (target.start, target.words[0])
-    return None
+def _target_atoms(target: SetLike) -> Optional[tuple[tuple[int, tuple[Word, ...]], ...]]:
+    """The target's constraint atoms (start, words): () for the whole space, None if empty."""
+    atoms = _atoms_of(target)
+    if atoms is _EMPTY:
+        return None
+    return () if atoms is _FULL else tuple(atoms)
 
 
 def _e_atoms(sft: Sft, e: EMap, shifts: Sequence[int]):
@@ -125,17 +129,14 @@ def _e_atoms(sft: Sft, e: EMap, shifts: Sequence[int]):
     Returns None when some E(s) is empty (every assignment then fails).
     """
     atoms: list[tuple[int, tuple[Word, ...]]] = []
-    seen: set[int] = set()
+    seen: set[CylinderUnion] = set()
     for s in shifts:
         value = e.at(s)
         if value.is_empty:
             return None
-        if value.is_full:
+        if value.is_full or value in seen:
             continue
-        key = id(value) if not isinstance(value, CylinderUnion) else hash(value)
-        if key in seen:
-            continue
-        seen.add(key)
+        seen.add(value)
         atoms.extend(value.blocks())
     return atoms
 
@@ -147,63 +148,49 @@ def is_independence_set(
     i_set: Sequence[int],
     e: EMap,
     *,
-    sigma_cap: int = 20,
     _memo: Optional[dict] = None,
 ) -> bool:
-    """True iff every assignment over i_set resolves nonempty (exact).
+    """True iff every assignment over i_set resolves nonempty (exact)."""
+    return _independent(sft, (_target_atoms(a1), _target_atoms(a2)), i_set, e, _memo)
 
-    Single-word targets go through the polynomial segment checker; general
-    unions fall back to enumerating the 2^|I| assignments (capped).
-    """
+
+def _independent(sft, targets, i_set, e, memo) -> bool:
+    """is_independence_set for targets already reduced by _target_atoms."""
     shifts = sorted(set(int(s) for s in i_set))
     if not shifts:
         return True
-    if a1.is_empty or a2.is_empty:
+    if None in targets:
         return False
     atoms = _e_atoms(sft, e, shifts)
     if atoms is None:
         return False
-    w1 = _target_word(a1)
-    w2 = _target_word(a2)
-    if w1 is not None and w2 is not None:
-        return _universal_feasible(sft, shifts, (w1, w2), atoms, memo=_memo)
-    return _enumerated_independence(sft, a1, a2, shifts, e, sigma_cap)
+    return _universal_feasible(sft, shifts, targets, atoms, memo=memo)
 
 
-def _enumerated_independence(sft, a1, a2, shifts, e, sigma_cap) -> bool:
-    if len(shifts) > sigma_cap:
-        raise CapExceededError(
-            f"|I| = {len(shifts)} exceeds the assignment cap {sigma_cap}"
-        )
-    e_constraints = [(0, e.at(s)) for s in shifts]
-    targets = (a1, a2)
-    for sigma in itertools.product((0, 1), repeat=len(shifts)):
-        constraints = [(s, targets[c]) for s, c in zip(shifts, sigma)]
-        if resolve_constraints(constraints + e_constraints, sft).is_empty:
-            return False
-    return True
-
-
-def _universal_feasible(sft, shifts, target_words, atoms, memo=None) -> bool:
+def _universal_feasible(sft, shifts, targets, atoms, memo=None) -> bool:
     """Exact for-all-assignments feasibility via segment decomposition.
 
-    Constrained intervals (candidate pin placements plus E atoms) are split
-    into connected segments separated by free coordinates. Per segment and
-    per local assignment the constraint automaton reads out the realizable
-    (first, last) symbol pairs, memoized up to translation; a
-    subset-tracking DP over segments then decides whether any global
-    assignment chain dies. Polynomial in |I| for bounded alphabets and
-    segment sizes.
+    Each shift s is a placement whose options are the targets' atoms shifted
+    by s. A whole-space target imposes nothing, so the other target is always
+    the harder choice and the whole-space option is dropped; when both
+    targets are the whole space only E is checked. Constrained intervals
+    (placements plus E atoms) are split into connected segments separated by
+    free coordinates. Per segment and per local assignment the constraint
+    automaton reads out the realizable (first, last) symbol pairs, memoized
+    up to translation; a subset-tracking DP over segments then decides
+    whether any global assignment chain dies. Polynomial in |I| for bounded
+    alphabets and segment sizes.
     """
-    (o1, word1), (o2, word2) = target_words
+    t1, t2 = targets
+    choices = [t for t in ((t1,) if t1 == t2 else (t1, t2)) if t]
     placements = []
-    for s in shifts:
-        p1 = (s + o1, word1)
-        p2 = (s + o2, word2)
-        options = (p1,) if p1 == p2 else (p1, p2)
-        lo = min(start for start, _ in options)
-        hi = max(start + len(w) - 1 for start, w in options)
-        placements.append((lo, hi, options))
+    if choices:
+        lo = min(start for t in choices for start, _ in t)
+        hi = max(start + len(words[0]) - 1 for t in choices for start, words in t)
+        placements = [
+            (s + lo, s + hi, [tuple([(start + s, words) for start, words in t]) for t in choices])
+            for s in shifts
+        ]
 
     intervals = [(lo, hi, ("pin", i)) for i, (lo, hi, _) in enumerate(placements)]
     intervals += [
@@ -237,17 +224,18 @@ def _universal_feasible(sft, shifts, target_words, atoms, memo=None) -> bool:
             # Long consistent-overlap chains: enumerate nothing, sweep instead.
             return _universal_sweep(sft, placements, atoms)
         # The SFT is shift-invariant, so a segment's relation depends only on
-        # its constraints relative to its first coordinate: pins become
-        # single-word atoms and the memo key is translation-relative.
+        # its constraints relative to its first coordinate: the memo key holds
+        # the chosen target atoms and the E atoms, both relative to it.
         seg_lo = seg["lo"]
         span = seg["hi"] - seg_lo
         rel_atoms = tuple((start - seg_lo, words) for start, words in seg_atoms)
         relations = []
         for combo in itertools.product(*local_options):
-            key = (span, tuple((start - seg_lo, (word,)) for start, word in combo), rel_atoms)
+            chosen = tuple([(start - seg_lo, words) for option in combo for start, words in option])
+            key = (span, chosen, rel_atoms)
             rel = memo.get(key)
             if rel is None:
-                rel = ConstraintAutomaton(sft, key[1] + rel_atoms, 0, span).relation()
+                rel = ConstraintAutomaton(sft, chosen + rel_atoms, 0, span).relation()
                 memo[key] = rel
             if not rel:
                 return False
@@ -275,66 +263,83 @@ def _universal_feasible(sft, shifts, target_words, atoms, memo=None) -> bool:
 def _universal_sweep(sft, placements, atoms) -> bool:
     """Coordinate-granular universal feasibility; exact for any overlap pattern.
 
-    Beliefs pair the assignment history that still matters (open chosen
-    words) with the set of feasible frontier configurations of the E atoms'
-    constraint automaton (previous symbol, per-atom matched prefix).
+    A belief pairs the target atoms the assignment has opened and not yet
+    passed (in placement order) with the set of feasible frontier
+    configurations: previous symbol, the E atoms' automaton prefixes, and the
+    matched prefix of every open target atom with more than one word.
     Assignment choices split beliefs at each placement's first coordinate;
     existential symbol choices evolve configurations along the automaton's
-    moves, kept to the symbol the open words force. Fails exactly when some
-    assignment path empties.
+    moves, kept to the symbols in every open atom's column at that
+    coordinate and, for atoms with several words, to prefixes that some word
+    still extends (the same sorted-words bisection as
+    `ConstraintAutomaton.moves`); a one-word atom is decided by its column.
+    Fails exactly when some assignment path empties.
     """
-    lo = min(p[0] for p in placements)
-    hi = max(p[1] for p in placements)
-    if atoms:
-        lo = min(lo, min(start for start, _ in atoms))
-        hi = max(hi, max(start + len(ws[0]) - 1 for start, ws in atoms))
-
+    spans = [(p_lo, p_hi) for p_lo, p_hi, _ in placements]
+    spans += [(start, start + len(ws[0]) - 1) for start, ws in atoms]
+    lo = min(p_lo for p_lo, _ in spans)
+    hi = max(p_hi for _, p_hi in spans)
     automaton = ConstraintAutomaton(sft, atoms, lo, hi)
+    alphabet = range(sft.alphabet_size)
 
-    starts_at: dict[int, list[int]] = {}
-    for i, (p_lo, _p_hi, _options) in enumerate(placements):
-        starts_at.setdefault(p_lo, []).append(i)
+    starts_at: dict[int, list] = {}
+    for p_lo, _p_hi, options in placements:
+        starts_at.setdefault(p_lo, []).append(
+            [(option, ((),) * sum(len(words) > 1 for _, words in option)) for option in options]
+        )
 
-    # A belief: (open chosen words, frozenset of (prev symbol, atom prefixes)).
-    # Open words are (start, word) pairs; configurations are the automaton's.
-    beliefs: set = {((), frozenset({(None, automaton.initial)}))}
+    # A belief: (open target atoms, frozenset of (prev symbol, E prefixes,
+    # prefixes of the open atoms with several words)).
+    beliefs: set = {((), frozenset({(None, automaton.initial, ())}))}
     for c in range(lo, hi + 1):
         # Adversary choices for placements opening at c.
-        for i in starts_at.get(c, ()):
-            options = placements[i][2]
-            split: set = set()
-            for open_words, configs in beliefs:
-                for opt in options:
-                    split.add((tuple(sorted(set(open_words) | {opt})), configs))
-            beliefs = split
-        nxt: set = set()
-        for open_words, configs in beliefs:
-            live_words = tuple(
-                (s, w) for s, w in open_words if s + len(w) - 1 >= c
-            )
-            forced = None
-            conflict = False
-            for s, w in live_words:
-                if s <= c:
-                    sym = w[c - s]
-                    if forced is None:
-                        forced = sym
-                    elif forced != sym:
-                        conflict = True
-                        break
-            if conflict:
-                return False
-            new_configs = {
-                move
-                for prev, prefixes in configs
-                for move in automaton.moves(c - lo, prev, prefixes)
-                if forced is None or move[0] == forced
+        for options in starts_at.get(c, ()):
+            beliefs = {
+                (
+                    opened + option,
+                    frozenset([(prev, pre, tail + blank) for prev, pre, tail in configs]),
+                )
+                for opened, configs in beliefs
+                for option, blank in options
             }
+        nxt: set = set()
+        for opened, configs in beliefs:
+            column = set(alphabet)
+            for start, words in opened:
+                if start <= c:
+                    column.intersection_update([w[c - start] for w in words])
+            tracked = [(start, words) for start, words in opened if len(words) > 1]
+            new_configs = set()
+            for prev, prefixes, tail in configs:
+                for sym, moved in automaton.moves(c - lo, prev, prefixes):
+                    if sym in column:
+                        kept = _open_step(tracked, tail, c, sym) if tracked else ()
+                        if kept is not None:
+                            new_configs.add((sym, moved, kept))
             if not new_configs:
                 return False
-            nxt.add((live_words, frozenset(new_configs)))
+            still_open = tuple([atom for atom in opened if c < atom[0] + len(atom[1][0]) - 1])
+            nxt.add((still_open, frozenset(new_configs)))
         beliefs = nxt
     return True
+
+
+def _open_step(tracked, tail, c, sym):
+    """Prefixes of the tracked atoms after reading sym at c, or None if one dies.
+
+    Atoms that end at c are dropped from the result.
+    """
+    kept = []
+    for (start, words), prefix in zip(tracked, tail):
+        if start <= c:
+            prefix += (sym,)
+            i = bisect_left(words, prefix)
+            if i == len(words) or words[i][: len(prefix)] != prefix:
+                return None
+            if len(prefix) == len(words[0]):
+                continue
+        kept.append(prefix)
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -365,28 +370,31 @@ def _e_trivial_on(e: EMap, window: Sequence[int]) -> bool:
     return all(e.at(s).is_full for s in window)
 
 
-def _pin_span(target_words) -> int:
-    (o1, w1), (o2, w2) = target_words
-    lo = min(o1, o2)
-    hi = max(o1 + len(w1) - 1, o2 + len(w2) - 1)
-    return hi - lo + 1
+def _pin_span(targets) -> int:
+    """Coordinates one placement covers: the span of both targets' atoms (0 if none)."""
+    ends = [(start, start + len(words[0]) - 1) for t in targets for start, words in t]
+    if not ends:
+        return 0
+    return max(hi for _lo, hi in ends) - min(lo for lo, _hi in ends) + 1
 
 
-def _gap_dp_max(sft, f_sorted, target_words, memo) -> Optional[tuple[int, ...]]:
+def _gap_dp_max(sft, f_sorted, targets, memo) -> Optional[tuple[int, ...]]:
     """Exact maximum via pairwise-gap DP when placements cannot overlap.
 
-    Valid when every gap smaller than the placement span is incompatible:
-    any independence set then has all its placements disjoint, and joint
-    realizability of every assignment factors through consecutive pairs
-    (Markov chaining across determined words). Returns None when the
+    Valid for single-word targets when every gap smaller than the placement
+    span is incompatible: any independence set then has all its placements
+    disjoint, and joint realizability of every assignment factors through
+    consecutive pairs (Markov chaining across determined words). With union
+    targets pairwise-compatible pairs can need different words at a shared
+    placement, so callers keep unions out. Returns None when the
     precondition fails.
     """
-    span = _pin_span(target_words)
+    span = _pin_span(targets)
 
     def compatible(g: int) -> bool:
-        return _universal_feasible(sft, [0, g], target_words, [], memo=memo)
+        return _universal_feasible(sft, [0, g], targets, [], memo=memo)
 
-    if not _universal_feasible(sft, [0], target_words, [], memo=memo):
+    if not _universal_feasible(sft, [0], targets, [], memo=memo):
         return ()
     if any(compatible(g) for g in range(1, span)):
         return None
@@ -422,7 +430,6 @@ def max_independence_subset(
     window: Sequence[int],
     e: EMap,
     *,
-    sigma_cap: int = 20,
     node_budget: int = 500_000,
 ) -> IndependenceReport:
     """Largest independence subset of the window.
@@ -438,36 +445,34 @@ def max_independence_subset(
     if not f_sorted:
         raise ValueError("window must be nonempty")
     memo: dict = {}
+    targets = (_target_atoms(a1), _target_atoms(a2))
 
     def check(candidate: list[int]) -> bool:
-        return is_independence_set(
-            sft, a1, a2, candidate, e, sigma_cap=sigma_cap, _memo=memo
-        )
+        return _independent(sft, targets, candidate, e, memo)
 
-    if a1.is_empty or a2.is_empty:
+    if None in targets:
         return IndependenceReport(f_sorted, (), Fraction(0), e.describe(), True)
 
-    w1 = _target_word(a1)
-    w2 = _target_word(a2)
+    single_word = all(len(t) == 1 and len(t[0][1]) == 1 for t in targets)
+    if single_word and _e_trivial_on(e, f_sorted):
+        dp_best = _gap_dp_max(sft, f_sorted, targets, memo)
+        if dp_best is not None:
+            return IndependenceReport(
+                f_sorted,
+                dp_best,
+                Fraction(len(dp_best), len(f_sorted)),
+                e.describe(),
+                True,
+            )
+    # Smallest assignment-universally feasible gap ignoring E: every gap
+    # inside any independence set is at least gamma, since subsets of
+    # independence sets are independence sets, E only shrinks, and with E
+    # ignored the check on {a, a + g} does not depend on a.
     gamma: Optional[int] = None
-    if w1 is not None and w2 is not None:
-        if _e_trivial_on(e, f_sorted):
-            dp_best = _gap_dp_max(sft, f_sorted, (w1, w2), memo)
-            if dp_best is not None:
-                return IndependenceReport(
-                    f_sorted,
-                    dp_best,
-                    Fraction(len(dp_best), len(f_sorted)),
-                    e.describe(),
-                    True,
-                )
-        # Smallest assignment-universally feasible gap ignoring E: every gap
-        # inside any independence set is at least gamma (E only shrinks).
-        span = _pin_span((w1, w2))
-        for g in range(1, span + 4 * sft.alphabet_size + 1):
-            if _universal_feasible(sft, [0, g], (w1, w2), [], memo=memo):
-                gamma = g
-                break
+    for g in range(1, _pin_span(targets) + 4 * sft.alphabet_size + 1):
+        if _universal_feasible(sft, [0, g], targets, [], memo=memo):
+            gamma = g
+            break
 
     if len(f_sorted) > EXHAUSTIVE_WINDOW_CAP:
         best = _greedy_subset(f_sorted, check)
@@ -527,7 +532,6 @@ def ratio_meets(
     e: EMap,
     threshold: Fraction,
     *,
-    sigma_cap: int = 20,
     node_budget: int = 500_000,
 ) -> bool:
     """Decide best-ratio >= threshold without always paying for the exact max.
@@ -540,18 +544,15 @@ def ratio_meets(
     if a1.is_empty or a2.is_empty:
         return Fraction(0) >= threshold
     memo: dict = {}
+    targets = (_target_atoms(a1), _target_atoms(a2))
 
     def check(candidate: list[int]) -> bool:
-        return is_independence_set(
-            sft, a1, a2, candidate, e, sigma_cap=sigma_cap, _memo=memo
-        )
+        return _independent(sft, targets, candidate, e, memo)
 
     greedy = _greedy_subset(f_sorted, check)
     if Fraction(len(greedy), len(f_sorted)) >= threshold:
         return True
-    report = max_independence_subset(
-        sft, a1, a2, f_sorted, e, sigma_cap=sigma_cap, node_budget=node_budget
-    )
+    report = max_independence_subset(sft, a1, a2, f_sorted, e, node_budget=node_budget)
     return report.ratio >= threshold
 
 
@@ -571,7 +572,6 @@ def independence_density_profile(
     n_list: Sequence[int],
     e_family: Sequence[EMap],
     *,
-    sigma_cap: int = 20,
     node_budget: int = 500_000,
 ) -> list[IndependenceReport]:
     """Per window size N, the worst-case (over the E family) best ratio on {0..N-1}.
@@ -586,9 +586,7 @@ def independence_density_profile(
         window = range(n)
         worst: Optional[IndependenceReport] = None
         for e in e_family:
-            rep = max_independence_subset(
-                sft, a1, a2, window, e, sigma_cap=sigma_cap, node_budget=node_budget
-            )
+            rep = max_independence_subset(sft, a1, a2, window, e, node_budget=node_budget)
             if worst is None or rep.ratio < worst.ratio:
                 worst = rep
         reports.append(worst)
@@ -695,8 +693,7 @@ def classify_in_pair(
         ux = point_neighborhood(x, d)
         uy = point_neighborhood(y, d)
         base_profile = independence_density_profile(
-            sft, m, ux, uy, params.n_list, [full_e(sft)],
-            sigma_cap=params.sigma_cap, node_budget=params.node_budget,
+            sft, m, ux, uy, params.n_list, [full_e(sft)], node_budget=params.node_budget
         )
         base_floor = min(rep.ratio for rep in base_profile)
         if base_floor < c_min:
@@ -722,10 +719,7 @@ def classify_in_pair(
             eps_frac = Fraction(eps)
             qualifying = [e for e, low in zip(adversaries, e_mins) if low >= 1 - eps_frac]
             family_ok = all(
-                ratio_meets(
-                    sft, ux, uy, range(n), e, c_min,
-                    sigma_cap=params.sigma_cap, node_budget=params.node_budget,
-                )
+                ratio_meets(sft, ux, uy, range(n), e, c_min, node_budget=params.node_budget)
                 for e in qualifying
                 for n in params.n_list
             )

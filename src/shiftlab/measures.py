@@ -30,6 +30,7 @@ from .symbolic import (
     _cluster_constraints,
     _graph_covers,
     _EMPTY,
+    _cached_power,
 )
 
 Rational = Union[Fraction, int, str]
@@ -115,45 +116,26 @@ class MarkovMeasure:
         self.sft = sft
         self.transition = P
         self.stationary = stationary_vector(P)
-        self._pow_cache: dict[int, tuple[tuple[Fraction, ...], ...]] = {}
+        identity = tuple(tuple(Fraction(int(a == b)) for b in range(k)) for a in range(k))
+        self._pow_cache: dict[int, tuple[tuple[Fraction, ...], ...]] = {0: identity, 1: P}
 
     def matrix_power(self, steps: int) -> tuple[tuple[Fraction, ...], ...]:
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        cached = self._pow_cache.get(steps)
-        if cached is not None:
-            return cached
-        k = self.sft.alphabet_size
-        if steps == 0:
-            result = tuple(
-                tuple(Fraction(1 if a == b else 0) for b in range(k)) for a in range(k)
-            )
-        elif steps == 1:
-            result = self.transition
-        else:
-            half = self.matrix_power(steps // 2)
-            result = _mat_mul(half, half)
-            if steps % 2:
-                result = _mat_mul(result, self.transition)
-        self._pow_cache[steps] = result
-        return result
+        return _cached_power(self._pow_cache, _mat_mul, steps)
 
     def word_weight(self, word: Word) -> Fraction:
         """pi at the first symbol times the transition products along the word."""
-        weight = self.stationary[word[0]]
-        for a, b in zip(word, word[1:]):
-            weight *= self.transition[a][b]
-            if weight == 0:
-                return Fraction(0)
-        return weight
+        return self.stationary[word[0]] * self._inner_weight(word)
 
     def _inner_weight(self, word: Word) -> Fraction:
-        weight = Fraction(1)
+        """The transition products along the word, reduced once at the end."""
+        num = den = 1
         for a, b in zip(word, word[1:]):
-            weight *= self.transition[a][b]
-            if weight == 0:
-                break
-        return weight
+            p = self.transition[a][b]
+            if not p:
+                return Fraction(0)
+            num *= p.numerator
+            den *= p.denominator
+        return Fraction(num, den)
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,7 +185,7 @@ def _chain_measure(m: MarkovMeasure, blocks) -> Fraction:
     first_start, first_words = blocks[0]
     vec = [Fraction(0)] * k
     for w in first_words:
-        vec[w[-1]] += m.stationary[w[0]] * m._inner_weight(w)
+        vec[w[-1]] += m.word_weight(w)
     prev_end = first_start + len(first_words[0]) - 1
     for start, words in blocks[1:]:
         power = m.matrix_power(start - prev_end)

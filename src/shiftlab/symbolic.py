@@ -67,7 +67,8 @@ class Sft:
                 raise ValueError(f"symbol {a} has no allowed successor")
             if not self._pred[a]:
                 raise ValueError(f"symbol {a} has no allowed predecessor")
-        self._bool_pow_cache: dict[int, tuple[tuple[bool, ...], ...]] = {}
+        identity = tuple(tuple(a == b for b in range(k)) for a in range(k))
+        self._bool_pow_cache: dict[int, tuple[tuple[bool, ...], ...]] = {0: identity, 1: mat}
 
     # -- basic structure -------------------------------------------------
 
@@ -102,23 +103,7 @@ class Sft:
 
     def _bool_power(self, steps: int) -> tuple[tuple[bool, ...], ...]:
         """Boolean matrix power: entry [a][b] iff a path a -> b of exactly `steps` edges."""
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        cached = self._bool_pow_cache.get(steps)
-        if cached is not None:
-            return cached
-        k = self.alphabet_size
-        if steps == 0:
-            result = tuple(tuple(a == b for b in range(k)) for a in range(k))
-        elif steps == 1:
-            result = self.allowed
-        else:
-            half = self._bool_power(steps // 2)
-            result = _bool_matmul(half, half)
-            if steps % 2:
-                result = _bool_matmul(result, self.allowed)
-        self._bool_pow_cache[steps] = result
-        return result
+        return _cached_power(self._bool_pow_cache, _bool_matmul, steps)
 
     def reachable(self, a: int, b: int, steps: int) -> bool:
         return self._bool_power(steps)[a][b]
@@ -163,6 +148,23 @@ def _graph_covers(adj, k: int) -> bool:
         if len(seen) != k:
             return False
     return True
+
+
+def _cached_power(cache: dict, mul, steps: int):
+    """M^steps by square-and-multiply under `mul`.
+
+    `cache` starts as {0: identity, 1: M} and keeps every power computed.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    result = cache.get(steps)
+    if result is None:
+        half = _cached_power(cache, mul, steps // 2)
+        result = mul(half, half)
+        if steps % 2:
+            result = mul(result, cache[1])
+        cache[steps] = result
+    return result
 
 
 def _bool_matmul(x, y):

@@ -71,7 +71,6 @@ class InPairParams:
     c_min: float = 0.05
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID
     ra_bound: int = 5
-    sigma_cap: int = 20
     node_budget: int = 500_000
     extra_e_maps: tuple = ()
 

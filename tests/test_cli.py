@@ -183,6 +183,7 @@ _DENSITY_EMPTY = {
             {"kind": "sampled", "lo": 5, "hi": 0, "seed": 1},
             "d.params.point.hi",
         ),
+        (_DENSITY_EMPTY, "n_max", 5, "d.params.n_max"),
     ],
     ids=[
         "horizon-string",
@@ -191,6 +192,7 @@ _DENSITY_EMPTY = {
         "n-float",
         "include-kush-string",
         "sampled-lo-above-hi",
+        "density-n-max-below-10",
     ],
 )
 def test_bad_config_scalars_exit_1(runner, tmp_path, base, key, value, field):

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.errors import CapExceededError
 from shiftlab.independence import (
     ConstantE,
     TableE,
@@ -20,7 +19,7 @@ from shiftlab.independence import (
 )
 from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import periodic_point
-from shiftlab.symbolic import CylinderUnion, Cylinder, cylinder, whole_space
+from shiftlab.symbolic import CylinderUnion, Cylinder, cylinder, resolve_constraints, whole_space
 
 from .oracles import independence_oracle
 
@@ -32,6 +31,19 @@ def _random_union(rng, sft, max_len=2):
         for _ in range(rng.randrange(1, 3))
     ]
     return CylinderUnion(sft, picks)
+
+
+def _wide_target(rng, sft):
+    """A union up to width 3, the whole space, or a two-block bridged set."""
+    roll = rng.random()
+    if roll < 0.2:
+        return whole_space(sft)
+    if roll < 0.4:
+        gap = rng.randrange(2, 4)
+        return resolve_constraints(
+            [(0, _random_union(rng, sft, 1)), (gap, _random_union(rng, sft, 1))], sft, gap_cap=0
+        )
+    return _random_union(rng, sft, max_len=3)
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +74,21 @@ def test_empty_set_and_empty_target(golden):
     assert not is_independence_set(sft, empty, a0, [0], full_e(sft))
 
 
-def test_sigma_cap_enforced(bernoulli):
+def test_union_targets_past_assignment_enumeration(bernoulli):
+    """2^21 assignments of union targets, decided without enumerating them."""
     sft = bernoulli.sft
-    # Union targets force the enumeration path, which refuses past the cap.
     u = cylinder(sft, 0, "00").union(cylinder(sft, 0, "11"))
     v = cylinder(sft, 0, "01").union(cylinder(sft, 0, "10"))
-    with pytest.raises(CapExceededError):
-        is_independence_set(sft, u, v, range(21), full_e(sft), sigma_cap=20)
+    assert is_independence_set(sft, u, v, range(21), full_e(sft))
+    assert not is_independence_set(sft, u, v, range(21), ConstantE(u))
+
+
+def test_whole_space_target_imposes_nothing(golden):
+    """Against the whole space only the other target (and E) constrains."""
+    sft = golden.sft
+    one = cylinder(sft, 0, "1")
+    assert is_independence_set(sft, whole_space(sft), one, range(0, 41, 2), full_e(sft))
+    assert not is_independence_set(sft, whole_space(sft), one, [0, 1], full_e(sft))
 
 
 def test_checker_matches_word_oracle(systems):
@@ -109,18 +129,39 @@ def test_checker_matches_oracle_with_table_e(golden):
         )
 
 
+def test_e_sets_differing_only_in_start_both_count(cycle4):
+    """E sets at starts -1 and -2 share a hash (hash(-1) == hash(-2)); both constrain."""
+    sft = cycle4.sft
+
+    def even(start):
+        return cylinder(sft, start, [0]).union(cylinder(sft, start, [2]))
+
+    e = TableE(default=whole_space(sft), overrides=((0, even(-2)), (4, even(-1))))
+    two = cylinder(sft, 0, [2])
+    assert not is_independence_set(sft, two, two, [0, 4], e)
+    assert not independence_oracle(sft, two, two, [0, 4], e)
+
+
 def test_sweep_path_matches_word_oracle(systems, monkeypatch):
-    """Force every segment through the coordinate sweep and re-verify."""
+    """Force every segment through the coordinate sweep and re-verify.
+
+    The first 150 cases pin single words; the rest draw union, whole-space
+    and bridged targets.
+    """
     import shiftlab.independence as ind
 
     monkeypatch.setattr(ind, "SEGMENT_COMBO_CAP", 0)
     rng = random.Random(63)
-    for _ in range(150):
+    for case in range(300):
         system = systems[rng.randrange(3)]
         sft = system.sft
         words = [w for length in (1, 2, 3) for w in sft.legal_words(length)]
-        a1 = cylinder(sft, rng.randrange(-2, 2), words[rng.randrange(len(words))])
-        a2 = cylinder(sft, rng.randrange(-2, 2), words[rng.randrange(len(words))])
+        if case < 150:
+            a1 = cylinder(sft, rng.randrange(-2, 2), words[rng.randrange(len(words))])
+            a2 = cylinder(sft, rng.randrange(-2, 2), words[rng.randrange(len(words))])
+        else:
+            a1 = _wide_target(rng, sft)
+            a2 = _wide_target(rng, sft)
         i_set = sorted(rng.sample(range(8), rng.randrange(1, 5)))
         if rng.random() < 0.5:
             e = full_e(sft)
@@ -138,13 +179,15 @@ def test_shared_memo_matches_oracle_under_translation(systems):
 
     E's sets enter unshifted, so translating I moves the pins but not E's
     atoms; a memo key that lost the atoms' offsets relative to the segment
-    would hand a translate the relation of a different segment.
+    would hand a translate the relation of a different segment. The first 12
+    draws per system pin single words; the rest draw union, whole-space and
+    bridged targets.
     """
     rng = random.Random(23)
     for system in systems:
         sft = system.sft
         words = [w for length in (1, 2) for w in sft.legal_words(length)]
-        for _ in range(12):
+        for case in range(24):
             default = _random_union(rng, sft).complement()
             overrides = tuple(
                 (s, _random_union(rng, sft).complement()) for s in sorted(rng.sample(range(8), 2))
@@ -152,8 +195,12 @@ def test_shared_memo_matches_oracle_under_translation(systems):
             if default.is_empty or any(v.is_empty for _s, v in overrides):
                 continue
             e = TableE(default=default, overrides=overrides)
-            a1 = cylinder(sft, 0, rng.choice(words))
-            a2 = cylinder(sft, rng.randrange(-1, 2), rng.choice(words))
+            if case < 12:
+                a1 = cylinder(sft, 0, rng.choice(words))
+                a2 = cylinder(sft, rng.randrange(-1, 2), rng.choice(words))
+            else:
+                a1 = _wide_target(rng, sft)
+                a2 = _wide_target(rng, sft)
             memo: dict = {}
             base = sorted(rng.sample(range(4), rng.randrange(1, 4)))
             for t in range(-3, 5):
