@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from fractions import Fraction
 from typing import Optional
 
 from .config import Experiment, RunConfig, parse_checked, parse_point, parse_rational, parse_set
@@ -209,12 +210,15 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
                 )
         point = sample_point(sysb.measure, lo, hi, seed)
         point_desc = {"kind": "sampled", "seed": seed}
-        est = density_from_indicator(orbit_indicator(point, target, 0, n_max))
+        # One window read serves the density estimate and the Birkhoff average.
+        hits = orbit_indicator(point, target, 0, n_max)
+        est = density_from_indicator(hits)
+        avg = Fraction(int(hits.sum()), n_max)
     else:
         point = point_spec
         point_desc = {"kind": "periodic"}
         est = density(membership_predicate(point, target), windows, n_max=n_max)
-    avg = birkhoff_average(point, target, windows, n_max)
+        avg = birkhoff_average(point, target, windows, n_max)
     mu = measure_of(sysb.measure, target)
     return [
         ReportRow(

@@ -12,8 +12,10 @@ feasibility factors through symbol states at the boundaries of constrained
 segments. A target enters as its constraint atoms, shifted per element of I;
 a whole-space target imposes nothing and drops out. Clusters too large to
 enumerate locally go through a coordinate sweep over the same constraint
-automaton. The checker is property-tested against the 2^|I| word-enumeration
-oracle in the test suite.
+automaton. The checker is incremental over sorted prefixes: searches extend
+saved states, and each search (a pair classification, a density profile)
+shares one memo of relations and greedy chains. It is property-tested
+against the 2^|I| word-enumeration oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .measures import MarkovMeasure, measure_of
 from .symbolic import (
@@ -123,24 +125,6 @@ def _target_atoms(target: SetLike) -> Optional[tuple[tuple[int, tuple[Word, ...]
     return () if atoms is _FULL else tuple(atoms)
 
 
-def _e_atoms(sft: Sft, e: EMap, shifts: Sequence[int]):
-    """Unshifted constraint atoms contributed by E over the given shifts.
-
-    Returns None when some E(s) is empty (every assignment then fails).
-    """
-    atoms: list[tuple[int, tuple[Word, ...]]] = []
-    seen: set[CylinderUnion] = set()
-    for s in shifts:
-        value = e.at(s)
-        if value.is_empty:
-            return None
-        if value.is_full or value in seen:
-            continue
-        seen.add(value)
-        atoms.extend(value.blocks())
-    return atoms
-
-
 def is_independence_set(
     sft: Sft,
     a1: SetLike,
@@ -151,113 +135,149 @@ def is_independence_set(
     _memo: Optional[dict] = None,
 ) -> bool:
     """True iff every assignment over i_set resolves nonempty (exact)."""
-    return _independent(sft, (_target_atoms(a1), _target_atoms(a2)), i_set, e, _memo)
-
-
-def _independent(sft, targets, i_set, e, memo) -> bool:
-    """is_independence_set for targets already reduced by _target_atoms."""
     shifts = sorted(set(int(s) for s in i_set))
-    if not shifts:
-        return True
-    if None in targets:
-        return False
-    atoms = _e_atoms(sft, e, shifts)
-    if atoms is None:
-        return False
-    return _universal_feasible(sft, shifts, targets, atoms, memo=memo)
+    checker = _Checker(sft, (_target_atoms(a1), _target_atoms(a2)), e, _memo)
+    return checker.extend(checker.empty, *shifts) is not None
 
 
-def _universal_feasible(sft, shifts, targets, atoms, memo=None) -> bool:
-    """Exact for-all-assignments feasibility via segment decomposition.
+class _Prefix(NamedTuple):
+    """Checker state of a sorted shift prefix; never mutated, so searches backtrack freely.
+
+    `frontier`: the segment DP over the closed segments, the last ending at
+    `prev_hi`; None once a segment outgrew SEGMENT_COMBO_CAP (sweep mode).
+    `open`: the last segment (lo, hi, shifts, E atoms); `tip`: the frontier with
+    it folded in, once solved. `e_atoms`: the distinct atoms of the E values
+    reached, sorted by start; the first `merged` are folded.
+    """
+
+    shifts: tuple
+    e_atoms: tuple
+    merged: int
+    frontier: Optional[frozenset]
+    prev_hi: Optional[int]
+    open: Optional[tuple]
+    tip: Optional[frozenset]
+
+
+class _Checker:
+    """Exact for-all-assignments feasibility, incremental over sorted shift prefixes.
 
     Each shift s is a placement whose options are the targets' atoms shifted
-    by s. A whole-space target imposes nothing, so the other target is always
-    the harder choice and the whole-space option is dropped; when both
-    targets are the whole space only E is checked. Constrained intervals
-    (placements plus E atoms) are split into connected segments separated by
-    free coordinates. Per segment and per local assignment the constraint
-    automaton reads out the realizable (first, last) symbol pairs, memoized
-    up to translation; a subset-tracking DP over segments then decides
-    whether any global assignment chain dies. Polynomial in |I| for bounded
-    alphabets and segment sizes.
+    by s; the whole-space option is dropped, since the other target is always
+    the harder choice. Constrained intervals (placements plus E atoms) split
+    into connected segments separated by free coordinates. Per segment and
+    local assignment the constraint automaton reads out the realizable
+    (first, last) symbol pairs, memoized up to translation; a subset-tracking
+    DP over segments decides whether any global assignment chain dies.
     """
-    t1, t2 = targets
-    choices = [t for t in ((t1,) if t1 == t2 else (t1, t2)) if t]
-    placements = []
-    if choices:
-        lo = min(start for t in choices for start, _ in t)
-        hi = max(start + len(words[0]) - 1 for t in choices for start, words in t)
-        placements = [
-            (s + lo, s + hi, [tuple([(start + s, words) for start, words in t]) for t in choices])
-            for s in shifts
-        ]
 
-    intervals = [(lo, hi, ("pin", i)) for i, (lo, hi, _) in enumerate(placements)]
-    intervals += [
-        (start, start + len(words[0]) - 1, ("atom", j))
-        for j, (start, words) in enumerate(atoms)
-    ]
-    intervals.sort()
+    def __init__(self, sft: Sft, targets, e: EMap, memo: Optional[dict]):
+        self.sft, self.e = sft, e
+        self.memo = {} if memo is None else memo
+        self.dead = None in targets
+        t1, t2 = targets
+        self.choices = [] if self.dead else [t for t in ((t1,) if t1 == t2 else (t1, t2)) if t]
+        self.lo = min((start for t in self.choices for start, _ in t), default=0)
+        self.hi = max((start + len(ws[0]) - 1 for t in self.choices for start, ws in t), default=0)
+        self.alphabet = frozenset(range(sft.alphabet_size))
+        self.empty = _Prefix((), (), 0, frozenset({self.alphabet}), None, None, None)
 
-    segments: list[dict] = []
-    for lo, hi, tag in intervals:
-        if segments and lo <= segments[-1]["hi"]:
-            seg = segments[-1]
-            seg["hi"] = max(seg["hi"], hi)
-            seg["members"].append(tag)
+    def extend(self, state: _Prefix, *new: int) -> Optional[_Prefix]:
+        """The prefix's state plus the sorted shifts `new` above it, or None if not independent."""
+        values = [self.e.at(s) for s in new]
+        if (self.dead and new) or any(v.is_empty for v in values):
+            return None
+        fresh = {b for v in values if not v.is_full for b in v.blocks() if b not in state.e_atoms}
+        shifts = new
+        if fresh:  # E enters unshifted: its new atoms may land in closed segments, so refold
+            shifts = state.shifts + shifts
+            state = self.empty._replace(e_atoms=tuple(sorted([*state.e_atoms, *fresh])))
+        for shift in shifts:
+            state = state and self._place(state, shift)
+        return state and self._settle(state)
+
+    def _place(self, state: _Prefix, s: int) -> Optional[_Prefix]:
+        """Append placement s after the E atoms that start before it; None if a segment dies."""
+        state = self._merge(state._replace(shifts=state.shifts + (s,)), s + self.lo)
+        if state is None or state.frontier is None or not self.choices:
+            return state
+        return self._add(state, s + self.lo, s + self.hi, s)
+
+    def _merge(self, state: _Prefix, until: float) -> Optional[_Prefix]:
+        """Fold the unmerged E atoms that start before `until`."""
+        while state and state.frontier is not None and state.merged < len(state.e_atoms):
+            start, words = state.e_atoms[state.merged]
+            if start >= until:
+                break
+            state = self._add(state, start, start + len(words[0]) - 1, None)
+        return state
+
+    def _settle(self, state: _Prefix) -> Optional[_Prefix]:
+        """The state, its open segment solved, if the prefix is independent; else None."""
+        tail = self._merge(state, float("inf"))  # on a copy: later placements may join these atoms
+        if tail is not None and tail.frontier is None:
+            placements = [
+                (s + self.lo, s + self.hi, [tuple((a + s, w) for a, w in t) for t in self.choices])
+                for s in tail.shifts
+            ]
+            return state if _universal_sweep(self.sft, placements, list(tail.e_atoms)) else None
+        tip = tail and self._tip(tail)
+        if tip is None:
+            return None
+        return state._replace(tip=tip) if tail is state else state
+
+    def _add(self, state: _Prefix, lo: int, hi: int, pin: Optional[int]) -> Optional[_Prefix]:
+        """Fold in [lo, hi]: the placement of shift `pin`, or if pin is None the next E atom."""
+        frontier, prev_hi = state.frontier, state.prev_hi
+        if state.open is not None and lo <= state.open[1]:
+            seg_lo, seg_hi, pins, atoms = state.open
+            seg_hi = max(seg_hi, hi)
         else:
-            segments.append({"lo": lo, "hi": hi, "members": [tag]})
+            if state.open is not None:
+                frontier, prev_hi = self._tip(state), state.open[1]
+                if frontier is None:
+                    return None
+            seg_lo, seg_hi, pins, atoms = lo, hi, (), ()
+        merged = state.merged
+        if pin is not None:
+            pins += (pin,)
+            if len(self.choices) ** len(pins) > SEGMENT_COMBO_CAP:
+                return state._replace(frontier=None)
+        else:
+            atoms += (state.e_atoms[merged],)
+            merged += 1
+        seg = (seg_lo, seg_hi, pins, atoms)
+        return state._replace(merged=merged, frontier=frontier, prev_hi=prev_hi, open=seg, tip=None)
 
-    if memo is None:
-        memo = {}
-    alphabet = frozenset(range(sft.alphabet_size))
-    current: set[frozenset[int]] = {alphabet}
-    prev_hi: Optional[int] = None
-    for seg in segments:
-        pins = [m[1] for m in seg["members"] if m[0] == "pin"]
-        seg_atoms = [atoms[m[1]] for m in seg["members"] if m[0] == "atom"]
-        local_options = [placements[i][2] for i in pins]
-        n_combos = 1
-        for options in local_options:
-            n_combos *= len(options)
-        if n_combos > SEGMENT_COMBO_CAP:
-            # Long consistent-overlap chains: enumerate nothing, sweep instead.
-            return _universal_sweep(sft, placements, atoms)
+    def _tip(self, state: _Prefix) -> Optional[frozenset]:
+        """The frontier with the open segment folded in, or None if an assignment dies."""
+        if state.open is None or state.tip is not None:
+            return state.tip or state.frontier
+        seg_lo, seg_hi, pins, atoms = state.open
+        gap = 0 if state.prev_hi is None else seg_lo - state.prev_hi  # first segment: any symbol
+        reach = [
+            frozenset(b for b in self.alphabet if any(self.sft.reachable(a, b, gap) for a in lasts))
+            for lasts in state.frontier
+        ]
         # The SFT is shift-invariant, so a segment's relation depends only on
         # its constraints relative to its first coordinate: the memo key holds
         # the chosen target atoms and the E atoms, both relative to it.
-        seg_lo = seg["lo"]
-        span = seg["hi"] - seg_lo
-        rel_atoms = tuple((start - seg_lo, words) for start, words in seg_atoms)
-        relations = []
-        for combo in itertools.product(*local_options):
-            chosen = tuple([(start - seg_lo, words) for option in combo for start, words in option])
+        span = seg_hi - seg_lo
+        rel_atoms = tuple([(start - seg_lo, words) for start, words in atoms])
+        tip = set()
+        for combo in itertools.product(self.choices, repeat=len(pins)):
+            chosen = tuple([(p + a - seg_lo, w) for p, t in zip(pins, combo) for a, w in t])
             key = (span, chosen, rel_atoms)
-            rel = memo.get(key)
+            rel = self.memo.get(key)
             if rel is None:
-                rel = ConstraintAutomaton(sft, chosen + rel_atoms, 0, span).relation()
-                memo[key] = rel
-            if not rel:
-                return False
-            relations.append(rel)
-        gap_steps = None if prev_hi is None else seg_lo - prev_hi
-        nxt: set[frozenset[int]] = set()
-        for state in current:
-            for rel in relations:
-                if gap_steps is None:
-                    ends = frozenset(last for _first, last in rel)
-                else:
-                    ends = frozenset(
-                        last
-                        for first, last in rel
-                        if any(sft.reachable(a, first, gap_steps) for a in state)
-                    )
+                rel = ConstraintAutomaton(self.sft, chosen + rel_atoms, 0, span).relation()
+                self.memo[key] = rel
+            for firsts in reach:
+                ends = frozenset([last for first, last in rel if first in firsts])
                 if not ends:
-                    return False
-                nxt.add(ends)
-        current = nxt
-        prev_hi = seg["hi"]
-    return True
+                    return None
+                tip.add(ends)
+        return frozenset(tip)
 
 
 def _universal_sweep(sft, placements, atoms) -> bool:
@@ -365,20 +385,7 @@ class IndependenceReport:
 EXHAUSTIVE_WINDOW_CAP = 24
 
 
-def _e_trivial_on(e: EMap, window: Sequence[int]) -> bool:
-    """True iff E contributes no constraint anywhere on the window."""
-    return all(e.at(s).is_full for s in window)
-
-
-def _pin_span(targets) -> int:
-    """Coordinates one placement covers: the span of both targets' atoms (0 if none)."""
-    ends = [(start, start + len(words[0]) - 1) for t in targets for start, words in t]
-    if not ends:
-        return 0
-    return max(hi for _lo, hi in ends) - min(lo for lo, _hi in ends) + 1
-
-
-def _gap_dp_max(sft, f_sorted, targets, memo) -> Optional[tuple[int, ...]]:
+def _gap_dp_max(free: _Checker, first: _Prefix, f_sorted) -> tuple[int, ...]:
     """Exact maximum via pairwise-gap DP when placements cannot overlap.
 
     Valid for single-word targets when every gap smaller than the placement
@@ -386,20 +393,11 @@ def _gap_dp_max(sft, f_sorted, targets, memo) -> Optional[tuple[int, ...]]:
     disjoint, and joint realizability of every assignment factors through
     consecutive pairs (Markov chaining across determined words). With union
     targets pairwise-compatible pairs can need different words at a shared
-    placement, so callers keep unions out. Returns None when the
-    precondition fails.
+    placement, so callers keep unions out and check the precondition.
+    `free` is a checker with E ignored and `first` its state of {0}.
     """
-    span = _pin_span(targets)
-
-    def compatible(g: int) -> bool:
-        return _universal_feasible(sft, [0, g], targets, [], memo=memo)
-
-    if not _universal_feasible(sft, [0], targets, [], memo=memo):
-        return ()
-    if any(compatible(g) for g in range(1, span)):
-        return None
     gaps = sorted({b - a for a in f_sorted for b in f_sorted if b > a})
-    compat = {g: compatible(g) for g in gaps}
+    compat = {g: free.extend(first, g) is not None for g in gaps}
     n = len(f_sorted)
     # best[i] = largest subset size starting at position i and going right.
     best = [1] * n
@@ -431,6 +429,7 @@ def max_independence_subset(
     e: EMap,
     *,
     node_budget: int = 500_000,
+    _memo: Optional[dict] = None,
 ) -> IndependenceReport:
     """Largest independence subset of the window.
 
@@ -444,45 +443,36 @@ def max_independence_subset(
     f_sorted = tuple(sorted(set(int(s) for s in window)))
     if not f_sorted:
         raise ValueError("window must be nonempty")
-    memo: dict = {}
+
+    def report(best: tuple[int, ...], exhaustive: bool) -> IndependenceReport:
+        return IndependenceReport(
+            f_sorted, best, Fraction(len(best), len(f_sorted)), e.describe(), exhaustive
+        )
+
     targets = (_target_atoms(a1), _target_atoms(a2))
-
-    def check(candidate: list[int]) -> bool:
-        return _independent(sft, targets, candidate, e, memo)
-
     if None in targets:
-        return IndependenceReport(f_sorted, (), Fraction(0), e.describe(), True)
+        return report((), True)
+    checker = _Checker(sft, targets, e, _memo)
+    # With E ignored a single placement of nonempty targets always holds.
+    free = _Checker(sft, targets, full_e(sft), checker.memo)
+    first = free.extend(free.empty, 0)
 
+    span = free.hi - free.lo + 1
     single_word = all(len(t) == 1 and len(t[0][1]) == 1 for t in targets)
-    if single_word and _e_trivial_on(e, f_sorted):
-        dp_best = _gap_dp_max(sft, f_sorted, targets, memo)
-        if dp_best is not None:
-            return IndependenceReport(
-                f_sorted,
-                dp_best,
-                Fraction(len(dp_best), len(f_sorted)),
-                e.describe(),
-                True,
-            )
+    if single_word and all(e.at(s).is_full for s in f_sorted):
+        if not any(free.extend(first, g) is not None for g in range(1, span)):
+            return report(_gap_dp_max(free, first, f_sorted), True)
     # Smallest assignment-universally feasible gap ignoring E: every gap
     # inside any independence set is at least gamma, since subsets of
     # independence sets are independence sets, E only shrinks, and with E
     # ignored the check on {a, a + g} does not depend on a.
-    gamma: Optional[int] = None
-    for g in range(1, _pin_span(targets) + 4 * sft.alphabet_size + 1):
-        if _universal_feasible(sft, [0, g], targets, [], memo=memo):
-            gamma = g
-            break
+    gaps = range(1, span + 4 * sft.alphabet_size + 1)
+    gamma = next((g for g in gaps if free.extend(first, g) is not None), None)
 
     if len(f_sorted) > EXHAUSTIVE_WINDOW_CAP:
-        best = _greedy_subset(f_sorted, check)
-        return IndependenceReport(
-            f_sorted, best, Fraction(len(best), len(f_sorted)), e.describe(), False
-        )
+        return report(_greedy_subset(f_sorted, checker, []), False)
 
-    best: list[int] = []
-    nodes = 0
-    exhausted = False
+    best, nodes, exhausted = (), 0, False
 
     def remaining_cap(idx: int) -> int:
         count = len(f_sorted) - idx
@@ -490,38 +480,29 @@ def max_independence_subset(
             count = min(count, (f_sorted[-1] - f_sorted[idx]) // gamma + 1)
         return count
 
-    def dfs(idx: int, current: list[int]):
+    def dfs(idx: int, state: _Prefix):
         nonlocal best, nodes, exhausted
         if exhausted:
             return
-        if len(current) > len(best):
-            best = current.copy()
+        if len(state.shifts) > len(best):
+            best = state.shifts
         if idx == len(f_sorted):
             return
-        if len(current) + remaining_cap(idx) <= len(best):
+        if len(state.shifts) + remaining_cap(idx) <= len(best):
             return
         nodes += 1
         if nodes > node_budget:
             exhausted = True
             return
-        s = f_sorted[idx]
-        if check(current + [s]):
-            current.append(s)
-            dfs(idx + 1, current)
-            current.pop()
-        dfs(idx + 1, current)
+        child = checker.extend(state, f_sorted[idx])
+        if child is not None:
+            dfs(idx + 1, child)
+        dfs(idx + 1, state)
 
-    dfs(0, [])
-    if exhausted:
-        greedy = _greedy_subset(f_sorted, check)
-        if len(greedy) > len(best):
-            best = list(greedy)
-        return IndependenceReport(
-            f_sorted, tuple(best), Fraction(len(best), len(f_sorted)), e.describe(), False
-        )
-    return IndependenceReport(
-        f_sorted, tuple(best), Fraction(len(best), len(f_sorted)), e.describe(), True
-    )
+    dfs(0, checker.empty)
+    if exhausted:  # ties keep the search's subset
+        best = max(best, _greedy_subset(f_sorted, checker, []), key=len)
+    return report(best, not exhausted)
 
 
 def ratio_meets(
@@ -533,6 +514,7 @@ def ratio_meets(
     threshold: Fraction,
     *,
     node_budget: int = 500_000,
+    _memo: Optional[dict] = None,
 ) -> bool:
     """Decide best-ratio >= threshold without always paying for the exact max.
 
@@ -541,27 +523,30 @@ def ratio_meets(
     search settles it.
     """
     f_sorted = tuple(sorted(set(int(s) for s in window)))
-    if a1.is_empty or a2.is_empty:
-        return Fraction(0) >= threshold
-    memo: dict = {}
     targets = (_target_atoms(a1), _target_atoms(a2))
-
-    def check(candidate: list[int]) -> bool:
-        return _independent(sft, targets, candidate, e, memo)
-
-    greedy = _greedy_subset(f_sorted, check)
-    if Fraction(len(greedy), len(f_sorted)) >= threshold:
+    checker = _Checker(sft, targets, e, _memo)
+    # The search's memo keeps the greedy chain per (targets, E) for the next window.
+    chain = checker.memo.setdefault(("greedy", targets, e), [])
+    if Fraction(len(_greedy_subset(f_sorted, checker, chain)), len(f_sorted)) >= threshold:
         return True
-    report = max_independence_subset(sft, a1, a2, f_sorted, e, node_budget=node_budget)
+    report = max_independence_subset(
+        sft, a1, a2, f_sorted, e, node_budget=node_budget, _memo=checker.memo
+    )
     return report.ratio >= threshold
 
 
-def _greedy_subset(f_sorted, check) -> tuple[int, ...]:
-    chosen: list[int] = []
-    for s in f_sorted:
-        if check(chosen + [s]):
-            chosen.append(s)
-    return tuple(chosen)
+def _greedy_subset(f_sorted, checker: _Checker, chain: list) -> tuple[int, ...]:
+    """Greedy over f_sorted. Resumes the steps of `chain`, a list of (shift, state),
+    where they agree with f_sorted, and leaves the new chain in it."""
+    i = 0
+    while i < min(len(chain), len(f_sorted)) and chain[i][0] == f_sorted[i]:
+        i += 1
+    del chain[i:]
+    state = chain[-1][1] if chain else checker.empty
+    for s in f_sorted[i:]:
+        state = checker.extend(state, s) or state
+        chain.append((s, state))
+    return state.shifts
 
 
 def independence_density_profile(
@@ -573,6 +558,7 @@ def independence_density_profile(
     e_family: Sequence[EMap],
     *,
     node_budget: int = 500_000,
+    _memo: Optional[dict] = None,
 ) -> list[IndependenceReport]:
     """Per window size N, the worst-case (over the E family) best ratio on {0..N-1}.
 
@@ -581,15 +567,14 @@ def independence_density_profile(
     """
     if not e_family:
         raise ValueError("e_family must be nonempty")
+    memo = {} if _memo is None else _memo
     reports = []
     for n in n_list:
-        window = range(n)
-        worst: Optional[IndependenceReport] = None
-        for e in e_family:
-            rep = max_independence_subset(sft, a1, a2, window, e, node_budget=node_budget)
-            if worst is None or rep.ratio < worst.ratio:
-                worst = rep
-        reports.append(worst)
+        reps = [
+            max_independence_subset(sft, a1, a2, range(n), e, node_budget=node_budget, _memo=memo)
+            for e in e_family
+        ]
+        reports.append(min(reps, key=lambda rep: rep.ratio))  # the first worst
     return reports
 
 
@@ -634,7 +619,7 @@ def random_table_e(
 
     def thin_complement() -> CylinderUnion:
         for length in range(1, 13):
-            words = [w for w in sft.legal_words(length) if 0 < m.word_weight(w) <= eps]
+            words = m.thin_words(length, eps)
             if words:
                 word = words[rng.randrange(len(words))]
                 start = rng.randrange(-4, 5)
@@ -686,14 +671,14 @@ def classify_in_pair(
     if separating_depth(x, y, depth) is None:
         raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
     c_min = Fraction(str(params.c_min))
-    max_shift = max(params.n_list)
+    memo: dict = {}  # one translation-relative relation memo for every search of the pair
     level_witnesses = []
     certified_epses = []
     for d in range(depth + 1):
         ux = point_neighborhood(x, d)
         uy = point_neighborhood(y, d)
         base_profile = independence_density_profile(
-            sft, m, ux, uy, params.n_list, [full_e(sft)], node_budget=params.node_budget
+            sft, m, ux, uy, params.n_list, [full_e(sft)], node_budget=params.node_budget, _memo=memo
         )
         base_floor = min(rep.ratio for rep in base_profile)
         if base_floor < c_min:
@@ -713,13 +698,15 @@ def classify_in_pair(
         adversaries.extend(params.extra_e_maps)
 
         # An adversary's smallest E-measure does not depend on eps.
-        e_mins = [e_min_measure(e, m, range(max_shift)) for e in adversaries]
+        e_mins = [e_min_measure(e, m, range(max(params.n_list))) for e in adversaries]
         level_eps = None
         for eps in sorted(params.eps_grid):
             eps_frac = Fraction(eps)
             qualifying = [e for e, low in zip(adversaries, e_mins) if low >= 1 - eps_frac]
             family_ok = all(
-                ratio_meets(sft, ux, uy, range(n), e, c_min, node_budget=params.node_budget)
+                ratio_meets(
+                    sft, ux, uy, range(n), e, c_min, node_budget=params.node_budget, _memo=memo
+                )
                 for e in qualifying
                 for n in params.n_list
             )

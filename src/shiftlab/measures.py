@@ -118,9 +118,18 @@ class MarkovMeasure:
         self.stationary = stationary_vector(P)
         identity = tuple(tuple(Fraction(int(a == b)) for b in range(k)) for a in range(k))
         self._pow_cache: dict[int, tuple[tuple[Fraction, ...], ...]] = {0: identity, 1: P}
+        self._thin_cache: dict[tuple[int, Fraction], tuple[Word, ...]] = {}
 
     def matrix_power(self, steps: int) -> tuple[tuple[Fraction, ...], ...]:
         return _cached_power(self._pow_cache, _mat_mul, steps)
+
+    def thin_words(self, length: int, eps: Fraction) -> tuple[Word, ...]:
+        """Legal words of the length with 0 < weight <= eps, in `legal_words` order."""
+        if (length, eps) not in self._thin_cache:
+            self._thin_cache[length, eps] = tuple(
+                w for w in self.sft.legal_words(length) if 0 < self.word_weight(w) <= eps
+            )
+        return self._thin_cache[length, eps]
 
     def word_weight(self, word: Word) -> Fraction:
         """pi at the first symbol times the transition products along the word."""

@@ -175,7 +175,8 @@ def test_sweep_path_matches_word_oracle(systems, monkeypatch):
 
 
 def test_shared_memo_matches_oracle_under_translation(systems):
-    """One memo serves shift sets and their translates under one TableE.
+    """One memo serves every case of a system: shift sets and their
+    translates, across targets and TableEs.
 
     E's sets enter unshifted, so translating I moves the pins but not E's
     atoms; a memo key that lost the atoms' offsets relative to the segment
@@ -187,6 +188,7 @@ def test_shared_memo_matches_oracle_under_translation(systems):
     for system in systems:
         sft = system.sft
         words = [w for length in (1, 2) for w in sft.legal_words(length)]
+        memo: dict = {}
         for case in range(24):
             default = _random_union(rng, sft).complement()
             overrides = tuple(
@@ -201,13 +203,75 @@ def test_shared_memo_matches_oracle_under_translation(systems):
             else:
                 a1 = _wide_target(rng, sft)
                 a2 = _wide_target(rng, sft)
-            memo: dict = {}
             base = sorted(rng.sample(range(4), rng.randrange(1, 4)))
             for t in range(-3, 5):
                 i_set = [s + t for s in base]
                 got = is_independence_set(sft, a1, a2, i_set, e, _memo=memo)
                 want = independence_oracle(sft, a1, a2, i_set, e)
                 assert got == want, (system.id, a1, a2, i_set, e.describe())
+
+
+def _oracle_greedy(sft, a1, a2, window, e) -> tuple[int, ...]:
+    chosen: list[int] = []
+    for s in window:
+        if independence_oracle(sft, a1, a2, chosen + [s], e):
+            chosen.append(s)
+    return tuple(chosen)
+
+
+def test_incremental_chains_match_word_oracle(systems, monkeypatch):
+    """Extend random sorted chains state by state and check every step.
+
+    E is the whole space, a constant set, or a table whose overrides the
+    chain reaches midway, so a new E value arrives after placements (and
+    possibly closed segments) to its right. Each accepted state is also
+    extended by a sibling shift from its parent state, which must still
+    answer for the parent's prefix. Greedy chains over two windows, the
+    second resuming the first, match greedy chains built on the oracle.
+    Every other case forces every segment through the coordinate sweep.
+    Targets are single words, unions, the whole space or bridged sets; one
+    memo serves all cases of a system.
+    """
+    import shiftlab.independence as ind
+
+    rng = random.Random(41)
+    memos: dict = {system.id: {} for system in systems}
+    for case in range(120):
+        monkeypatch.setattr(ind, "SEGMENT_COMBO_CAP", 0 if case % 2 else 64)
+        system = systems[rng.randrange(3)]
+        sft = system.sft
+        a1, a2 = _wide_target(rng, sft), _wide_target(rng, sft)
+        roll = rng.random()
+        if roll < 0.2:
+            e = full_e(sft)
+        elif roll < 0.4:
+            e = ConstantE(_random_union(rng, sft).complement())
+        else:
+            overrides = tuple(
+                (s, _random_union(rng, sft).complement())
+                for s in sorted(rng.sample(range(1, 6), rng.randrange(1, 3)))
+            )
+            e = TableE(default=whole_space(sft), overrides=overrides)
+        if any(v.is_empty for v in e.referenced(range(7))):
+            continue
+        checker = ind._Checker(
+            sft, (ind._target_atoms(a1), ind._target_atoms(a2)), e, memos[system.id]
+        )
+        state, chosen = checker.empty, []
+        for s in sorted(rng.sample(range(6), rng.randrange(2, 5))):
+            nxt = checker.extend(state, s)
+            want = independence_oracle(sft, a1, a2, chosen + [s], e)
+            assert (nxt is not None) == want, (system.id, a1, a2, chosen + [s], e)
+            if nxt is None:
+                continue
+            sibling = s + rng.randrange(1, 3)
+            got = checker.extend(state, sibling) is not None
+            assert got == independence_oracle(sft, a1, a2, chosen + [sibling], e)
+            state, chosen = nxt, chosen + [s]
+        chain: list = []  # the second window resumes the first one's chain where they agree
+        for window in (range(rng.randrange(0, 2), 4), range(6)):
+            got = ind._greedy_subset(window, checker, chain)
+            assert got == _oracle_greedy(sft, a1, a2, window, e)
 
 
 def test_long_chain_sweep(bernoulli):
