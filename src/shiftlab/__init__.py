@@ -45,7 +45,6 @@ from .entropy import (
     crosscheck_hms_hap,
     df_estimate,
     generator_partition,
-    join_under_sequence,
     ms_function_test,
     separation_count,
     sequence_entropy_profile,

@@ -11,11 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import CapExceededError
 from .folner import FolnerWindows, density_from_indicator, orbit_indicator
-from .measures import MarkovMeasure, measure_of, measure_of_constraints, mix_seed, sample_point_in
+from .measures import MarkovMeasure, measure_of, mix_seed, sample_point_in
+from .measures import _carry, _collapse, _exact_sum, _gap_measures, _spread
 from .symbolic import (
     _EMPTY,
     _FULL,
@@ -88,6 +89,8 @@ def validate_sequence(s: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("sequence entries must be nonnegative")
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError("sequence must be strictly increasing")
+    if not seq:
+        raise ValueError("sequence must be nonempty")
     return seq
 
 
@@ -102,32 +105,6 @@ def entropy_from_measures(measures: Sequence[Fraction]) -> float:
 
 def shannon_entropy(m: MarkovMeasure, p: Partition) -> float:
     return entropy_from_measures([measure_of(m, a) for a in p.atoms])
-
-
-def join_under_sequence(m: MarkovMeasure, p: Partition, s: Sequence[int]) -> Partition:
-    """The common refinement of T^{-s_i} p over the sequence prefix.
-
-    Assignments are grown incrementally and empty combinations dropped as
-    they appear, so the cap binds the number of live atoms (2^14, i.e.
-    sequence length 14 for a two-atom partition of a full shift), not the
-    raw product of assignments. Past the cap the operation refuses rather
-    than approximates.
-    """
-    seq = validate_sequence(s)
-    live: list[tuple] = [()]
-    for t in seq:
-        nxt = []
-        for constraints in live:
-            for atom in p.atoms:
-                extended = constraints + ((t, atom),)
-                if not resolve_constraints(extended, m.sft).is_empty:
-                    nxt.append(extended)
-        if len(nxt) > JOIN_ASSIGNMENT_CAP:
-            raise CapExceededError(
-                f"join refinement exceeds {JOIN_ASSIGNMENT_CAP} live atoms"
-            )
-        live = nxt
-    return Partition([resolve_constraints(cs, m.sft) for cs in live])
 
 
 def _join_profile(
@@ -184,20 +161,12 @@ def _join_profile(
         [(index[u[1:] + (b,)], P[u[-1]][b]) for b in sft.successors(u[-1]) if P[u[-1]][b]]
         for u in words
     ]
-    k = sft.alphabet_size
-
-    def spread(entry: Sequence[Fraction]) -> list[dict[int, Fraction]]:
-        # entry[a]: mass arriving at the window's first coordinate in symbol a.
-        return [
-            {i: entry[a] if wt is None else entry[a] * wt for i, a, wt in atom if entry[a]}
-            for atom in atoms
-        ]
 
     profile: list[list[Fraction]] = []
     live: list[dict[int, Fraction]] = []
     for n, t in enumerate(seq):
         if n == 0:
-            nxt = spread(m.stationary)
+            nxt = [_spread(m.stationary, atom) for atom in atoms]
         else:
             gap = t - seq[n - 1]
             if gap >= width:
@@ -205,15 +174,8 @@ def _join_profile(
             nxt = []
             for v in live:
                 if gap >= width:
-                    ends: dict[int, Fraction] = {}
-                    for i, x in v.items():
-                        c = last[i]
-                        ends[c] = ends[c] + x if c in ends else x
-                    entry = [
-                        _exact_sum(x * power[c][a] for c, x in ends.items() if power[c][a])
-                        for a in range(k)
-                    ]
-                    nxt.extend(spread(entry))
+                    entry = _carry(_collapse(v, last), power)
+                    nxt.extend(_spread(entry, atom) for atom in atoms)
                 else:
                     for _ in range(gap):
                         moved: dict[int, Fraction] = {}
@@ -234,25 +196,11 @@ def _join_profile(
     return profile
 
 
-def _exact_sum(values: Iterable[Fraction]) -> Union[Fraction, int]:
-    """Exact sum without a zero seed, which would cost one more normalization; 0 if empty."""
-    it = iter(values)
-    total = next(it, 0)
-    for x in it:
-        total += x
-    return total
-
-
 @dataclass(frozen=True)
 class EntropyProfile:
     """(n, H_n, H_n / n) rows along the prefixes of a sequence."""
 
     rows: tuple[tuple[int, float, float], ...]
-    exact_measures: bool = True
-
-    @property
-    def final_rate(self) -> float:
-        return self.rows[-1][2]
 
     @property
     def final_increment(self) -> float:
@@ -266,8 +214,6 @@ def sequence_entropy_profile(
 ) -> EntropyProfile:
     """H_n of the join along each prefix of s (in nats), plus H_n / n."""
     seq = validate_sequence(s)
-    if not seq:
-        raise ValueError("sequence must be nonempty")
     rows = []
     for n, measures in enumerate(_join_profile(m, p, seq), start=1):
         h = entropy_from_measures(measures)
@@ -299,21 +245,10 @@ def separation_count(
             raise ValueError("eps must be positive")
         eps_sq = Fraction(eps) ** 2
     mu_base = measure_of(m, base)
+    separated = [2 * mu_base - 2 * mu > eps_sq for mu in _gap_measures(m, base, base, horizon)]
     reps: list[int] = []
-    by_gap: dict[int, Fraction] = {}
     for s in range(horizon):
-        separated = True
-        for r in reps:
-            gap = s - r
-            d2 = by_gap.get(gap)
-            if d2 is None:
-                joint = measure_of_constraints(m, [(0, base), (gap, base)])
-                d2 = 2 * mu_base - 2 * joint
-                by_gap[gap] = d2
-            if d2 <= eps_sq:
-                separated = False
-                break
-        if separated:
+        if all(separated[s - r] for r in reps):
             reps.append(s)
     return len(reps)
 
@@ -428,6 +363,8 @@ def greedy_entropy_sequence(
 
     Ties go to the first (smallest) candidate shift.
     """
+    if length > horizon:
+        raise ValueError(f"cannot choose {length} distinct shifts below horizon {horizon}")
     chosen: list[int] = []
     for _ in range(length):
         best_s, best_h = None, None
@@ -466,12 +403,7 @@ def crosscheck_hms_hap(
 
     mu_b = measure_of(m, b)
     eps_sq = mu_b * (1 - mu_b)
-    if eps_sq == 0:
-        counts = tuple(1 for _ in params.separation_horizons)
-    else:
-        counts = tuple(
-            separation_count(m, b, h, eps_sq=eps_sq) for h in params.separation_horizons
-        )
+    counts = tuple(separation_count(m, b, h, eps_sq=eps_sq) for h in params.separation_horizons)
     separation_growing = counts[-1] > counts[0] and counts[-1] > counts[-2]
 
     partition = two_set_partition(b)

@@ -61,9 +61,15 @@ def _run_entropy(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
             raise ConfigError(path, str(err))
     else:
         raise ConfigError(path, "expected 'generators' or a list of atom sets")
+    path = f"{exp.experiment_id}.params.sequences"
     sequences = exp.params.get("sequences")
     if not isinstance(sequences, list) or not sequences:
-        raise ConfigError(f"{exp.experiment_id}.params.sequences", "expected a nonempty list")
+        raise ConfigError(path, "expected a nonempty list")
+    for si, seq in enumerate(sequences):
+        if not isinstance(seq, list) or not seq:
+            raise ConfigError(f"{path}[{si}]", "expected a nonempty list")
+        for j, t in enumerate(seq):  # nonnegative and strictly increasing
+            parse_checked(t, f"{path}[{si}][{j}]", minimum=seq[j - 1] + 1 if j else 0)
     rows = []
     for si, seq in enumerate(sequences):
         t0 = time.perf_counter()

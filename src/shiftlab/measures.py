@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -184,29 +184,86 @@ def measure_of(m: MarkovMeasure, s: SetLike) -> Fraction:
             return 1 - measure_of(m, original)
         return sum((m.word_weight(w) for w in s.words), Fraction(0))
     if isinstance(s, BridgedBlocks):
-        return _chain_measure(m, s.blocks())
+        return _exact_sum(_chain(m, s.blocks(), m.stationary).values())
     raise TypeError(f"not a measurable set representation: {s!r}")
 
 
-def _chain_measure(m: MarkovMeasure, blocks) -> Fraction:
-    """Chain formula over disjoint blocks with matrix powers across gaps."""
-    k = m.sft.alphabet_size
-    first_start, first_words = blocks[0]
-    vec = [Fraction(0)] * k
-    for w in first_words:
-        vec[w[-1]] += m.word_weight(w)
-    prev_end = first_start + len(first_words[0]) - 1
-    for start, words in blocks[1:]:
-        power = m.matrix_power(start - prev_end)
-        carried = [
-            sum((vec[c] * power[c][d] for c in range(k)), Fraction(0)) for d in range(k)
-        ]
-        nxt = [Fraction(0)] * k
-        for w in words:
-            nxt[w[-1]] += carried[w[0]] * m._inner_weight(w)
-        vec = nxt
+# The forward engine. A vector maps word keys to exact masses: `_spread`
+# enters words from the symbol masses at their first coordinate, `_collapse`
+# keeps the last symbols, `_carry` crosses free coordinates by a power of P,
+# and `_chain` runs the three through disjoint blocks.
+
+_ZERO = Fraction(0)
+
+
+def _exact_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum without a zero seed, which would cost one more normalization; 0 if empty."""
+    it = iter(values)
+    total = next(it, _ZERO)
+    for x in it:
+        total += x
+    return total
+
+
+def _spread(entry: Sequence[Fraction], table) -> dict[int, Fraction]:
+    """entry[first] times the inner weight (None stands for 1) of each (key, first, weight)."""
+    return {i: entry[a] if wt is None else entry[a] * wt for i, a, wt in table if entry[a]}
+
+
+def _collapse(v: dict[int, Fraction], last: Sequence[int]) -> dict[int, Fraction]:
+    """The mass of a vector per last symbol of its words."""
+    ends: dict[int, Fraction] = {}
+    for i, x in v.items():
+        c = last[i]
+        ends[c] = ends[c] + x if c in ends else x
+    return ends
+
+
+def _carry(ends: dict[int, Fraction], power) -> list[Fraction]:
+    """Symbol masses after crossing free coordinates: last-symbol masses times P^g."""
+    return [
+        _exact_sum(x * power[c][a] for c, x in ends.items() if power[c][a])
+        for a in range(len(power))
+    ]
+
+
+def _chain(m: MarkovMeasure, blocks, entry: Sequence[Fraction]) -> dict[int, Fraction]:
+    """Last-symbol masses after disjoint (start, words) blocks sorted by start,
+    entering the first block with the symbol masses `entry`."""
+    prev_end = None
+    for start, words in blocks:
+        if prev_end is not None:
+            entry = _carry(ends, m.matrix_power(start - prev_end))
+        table = [(n, w[0], m._inner_weight(w)) for n, w in enumerate(words)]
+        ends = _collapse(_spread(entry, table), [w[-1] for w in words])
         prev_end = start + len(words[0]) - 1
-    return sum(vec, Fraction(0))
+    return ends
+
+
+def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[Fraction]:
+    """[mu(a ∩ T^{-g} b) for 0 <= g < horizon] from one pass over the gaps.
+
+    While the shifted b starts inside a's span the two cluster into one block
+    chain; past it, a's last-symbol masses (one chain) are carried to b's
+    first coordinate and chained through b's blocks.
+    """
+    atoms_a, atoms_b = (constraint_atoms([(0, s)], m.sft) for s in (a, b))
+    if atoms_a is _EMPTY or atoms_b is _EMPTY or not atoms_a or not atoms_b:
+        # One side is empty or the whole space, so one set contains the other.
+        return [min(measure_of(m, a), measure_of(m, b))] * horizon
+    blocks_a, blocks_b = (_cluster_constraints(m.sft, atoms) for atoms in (atoms_a, atoms_b))
+    ends_a = _chain(m, blocks_a, m.stationary)
+    a_end = blocks_a[-1][0] + len(blocks_a[-1][1][0]) - 1
+    out = []
+    for g in range(horizon):
+        steps = g + blocks_b[0][0] - a_end
+        if steps > 0:
+            ends = _chain(m, blocks_b, _carry(ends_a, m.matrix_power(steps)))
+        else:
+            blocks = _cluster_constraints(m.sft, atoms_a + [(s + g, w) for s, w in atoms_b])
+            ends = {} if isinstance(blocks, EmptyIntersection) else _chain(m, blocks, m.stationary)
+        out.append(_exact_sum(ends.values()))
+    return out
 
 
 def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) -> Fraction:
@@ -223,7 +280,7 @@ def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) 
     blocks = _cluster_constraints(m.sft, atoms)
     if isinstance(blocks, EmptyIntersection):
         return Fraction(0)
-    return _chain_measure(m, blocks)
+    return _exact_sum(_chain(m, blocks, m.stationary).values())
 
 
 def l2_distance_sq(

@@ -40,8 +40,8 @@ from .independence import (
 )
 from .measures import (
     MarkovMeasure,
+    _gap_measures,
     measure_of,
-    measure_of_constraints,
     mix_seed,
     sample_point,
 )
@@ -157,13 +157,30 @@ def ra_search(m: MarkovMeasure, a: SetLike, bound: int) -> list[RAPair]:
     """All 0 <= s < t <= bound with mu(s^{-1}A ∩ t^{-1}A) > 0, sorted by (s, t)."""
     if measure_of(m, a) == 0:
         raise ValueError("A must have positive measure")
-    pairs = []
-    for s in range(bound + 1):
-        for t in range(s + 1, bound + 1):
-            mu = measure_of_constraints(m, [(s, a), (t, a)])
-            if mu > 0:
-                pairs.append(RAPair(s, t, mu))
-    return pairs
+    # By shift invariance mu(s^{-1}A ∩ t^{-1}A) = mu(A ∩ T^{-(t-s)}A).
+    by_gap = _gap_measures(m, a, a, bound + 1)
+    return [
+        RAPair(s, t, by_gap[t - s])
+        for s in range(bound + 1)
+        for t in range(s + 1, bound + 1)
+        if by_gap[t - s] > 0
+    ]
+
+
+def _best_gap(
+    m: MarkovMeasure, a: SetLike, ux: SetLike, uy: SetLike, bound: int
+) -> Optional[tuple[int, Fraction]]:
+    """The first gap 0 < g <= bound with mu(A ∩ T^{-g}A) > 0 maximizing
+    mu(Ux ∩ T^{-g}Uy), with that measure, or None. By shift invariance the
+    measures of (s, t) depend on t - s only, so (0, g) is the first best pair
+    of the search over 0 <= s < t <= bound in (s, t) order."""
+    admissible = _gap_measures(m, a, a, bound + 1)
+    targets = _gap_measures(m, ux, uy, bound + 1)
+    best = None
+    for g in range(1, bound + 1):
+        if admissible[g] and (best is None or targets[g] > best[1]):
+            best = (g, targets[g])
+    return best
 
 
 @dataclass(frozen=True)
@@ -201,15 +218,8 @@ def find_sensitivity_witnesses(
         raise ValueError("neighbourhoods must be nonempty")
     eps_frac = Fraction(eps)
 
-    best: Optional[tuple[int, int, Fraction]] = None
-    for s in range(params.pair_bound + 1):
-        for t in range(s + 1, params.pair_bound + 1):
-            if measure_of_constraints(m, [(s, a), (t, a)]) == 0:
-                continue
-            target = measure_of_constraints(m, [(s, ux), (t, uy)])
-            if target >= eps_frac and (best is None or target > best[2]):
-                best = (s, t, target)
-    if best is None:
+    best = _best_gap(m, a, ux, uy, params.pair_bound)
+    if best is None or best[1] < eps_frac:
         return Verdict(
             NEGATIVE,
             note=(
@@ -217,7 +227,7 @@ def find_sensitivity_witnesses(
                 f"mu(s^-1 Ux ∩ t^-1 Uy) >= {eps_frac}"
             ),
         )
-    s, t, target = best
+    t, target = best
 
     spans = [blk for setlike in (a, ux, uy) for blk in setlike.blocks()]
     lo_margin = min([start for start, _ in spans] + [0]) - 1
@@ -230,13 +240,13 @@ def find_sensitivity_witnesses(
 
     entry_scan = params.entry_horizon + t + 1
     in_a = orbit_indicator(z, a, 0, entry_scan)
-    hits = np.nonzero(in_a[s : s + params.entry_horizon] & in_a[t : t + params.entry_horizon])[0]
+    hits = np.nonzero(in_a[: params.entry_horizon] & in_a[t : t + params.entry_horizon])[0]
     if len(hits) == 0:
         raise EntryTimeNotFoundError(
             f"no entry into s^-1 A ∩ t^-1 A within {params.entry_horizon} steps"
         )
     e = int(hits[0])
-    p = shift_point(z, s + e)
+    p = shift_point(z, e)
     q = shift_point(z, t + e)
 
     visits = orbit_indicator(p, ux, 0, params.density_horizon) & orbit_indicator(
@@ -244,7 +254,7 @@ def find_sensitivity_witnesses(
     )
     est = density_from_indicator(visits, tail_fraction=params.tail_fraction)
     witness = SensitivityWitness(
-        s=s, t=t, entry_time=e, target=target, empirical_upper=est.upper, p=p, q=q
+        s=0, t=t, entry_time=e, target=target, empirical_upper=est.upper, p=p, q=q
     )
     if est.upper >= float(eps_frac) - params.tolerance:
         return Verdict(
@@ -295,14 +305,8 @@ def classify_ms_pair(
         uy = point_neighborhood(y, d)
         cell_epses: list[float] = []
         for idx, cell in enumerate(cell_family):
-            best_target = Fraction(0)
-            for s in range(params.witness.pair_bound + 1):
-                for t in range(s + 1, params.witness.pair_bound + 1):
-                    if measure_of_constraints(m, [(s, cell), (t, cell)]) == 0:
-                        continue
-                    target = measure_of_constraints(m, [(s, ux), (t, uy)])
-                    if target > best_target:
-                        best_target = target
+            best = _best_gap(m, cell, ux, uy, params.witness.pair_bound)
+            best_target = Fraction(0) if best is None else best[1]
             if best_target == 0:
                 return Verdict(
                     NEGATIVE,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -156,6 +157,12 @@ _INDEPENDENCE = {
     "system": "golden_mean",
     "params": {"a1": {"start": 0, "word": "0"}, "a2": {"start": 0, "word": "1"}, "n_list": [2, 3]},
 }
+_ENTROPY = {
+    "experiment_id": "e",
+    "kind": "entropy",
+    "system": "bernoulli",
+    "params": {"sequences": [[0, 1]]},
+}
 _CROSSCHECK = {"experiment_id": "c", "kind": "crosscheck", "params": {"pairs": 1, "depth": 1}}
 _DENSITY_EMPTY = {
     "experiment_id": "d",
@@ -184,6 +191,12 @@ _DENSITY_EMPTY = {
             "d.params.point.hi",
         ),
         (_DENSITY_EMPTY, "n_max", 5, "d.params.n_max"),
+        (_ENTROPY, "sequences", [[0, 3, 1]], "e.params.sequences[0][2]"),
+        (_ENTROPY, "sequences", [["a"]], "e.params.sequences[0][0]"),
+        (_ENTROPY, "sequences", [[[1]]], "e.params.sequences[0][0]"),
+        (_ENTROPY, "sequences", [[-1, 2]], "e.params.sequences[0][0]"),
+        (_ENTROPY, "sequences", [[]], "e.params.sequences[0]"),
+        (_ENTROPY, "sequences", [[0.5, 2]], "e.params.sequences[0][0]"),
     ],
     ids=[
         "horizon-string",
@@ -193,6 +206,12 @@ _DENSITY_EMPTY = {
         "include-kush-string",
         "sampled-lo-above-hi",
         "density-n-max-below-10",
+        "sequence-decreasing",
+        "sequence-string",
+        "sequence-nested",
+        "sequence-negative",
+        "sequence-empty",
+        "sequence-float",
     ],
 )
 def test_bad_config_scalars_exit_1(runner, tmp_path, base, key, value, field):
@@ -205,6 +224,22 @@ def test_bad_config_scalars_exit_1(runner, tmp_path, base, key, value, field):
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"config error: {field}:" in result.output
     assert "Traceback" not in result.output
+
+
+# The CSV digests of the bundled configs, as recorded in perfbench/reference/bundled.json.
+BUNDLED_CSV_SHA256 = {
+    "acceptance_panel": "90d97a2db20f079e3d337596d6ad572fd32ba700c888d735860ac447290dc8ea",
+    "bernoulli_entropy": "382c72eb9fba47967fc0c0786df9cfda5cde6eb944187a0f505a33fb698961fb",
+    "goldenmean_independence": "52e381224daad23ff4912da4300845059d93e056c162b11d86b53f893154c5d2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_CSV_SHA256))
+def test_bundled_csv_bytes_pinned(runner, tmp_path, name):
+    result = runner.invoke(main, ["run", str(bundled_config_path(name)), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    (csv_path,) = tmp_path.glob("*.csv")
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256[name]
 
 
 def test_run_config_in_process():

@@ -15,7 +15,6 @@ from shiftlab.entropy import (
     df_estimate,
     generator_partition,
     greedy_entropy_sequence,
-    join_under_sequence,
     ms_function_test,
     separation_count,
     sequence_entropy_profile,
@@ -69,23 +68,11 @@ def test_partition_validation(bernoulli, golden):
 
 def test_join_examples(bernoulli, golden):
     p = generator_partition(bernoulli.sft)
-    single = join_under_sequence(bernoulli.measure, p, [0])
-    assert len(single.atoms) == 2
-    square = join_under_sequence(bernoulli.measure, p, [0, 1])
-    assert len(square.atoms) == 4
-    assert all(measure_of(bernoulli.measure, a) == Fraction(1, 4) for a in square.atoms)
-    gm = join_under_sequence(golden.measure, generator_partition(golden.sft), [0, 1])
-    assert len(gm.atoms) == 3
-
-
-def test_join_cap_refuses():
-    from shiftlab.panel import bernoulli_system
-
-    b = bernoulli_system()
-    p = generator_partition(b.sft)
-    with pytest.raises(CapExceededError):
-        join_under_sequence(b.measure, p, list(range(15)))
-    assert 2**14 == JOIN_ASSIGNMENT_CAP
+    assert _join_profile(bernoulli.measure, p, [0]) == [[Fraction(1, 2)] * 2]
+    square = _join_profile(bernoulli.measure, p, [0, 1])[-1]
+    assert square == [Fraction(1, 4)] * 4
+    gm = _join_profile(golden.measure, generator_partition(golden.sft), [0, 1])[-1]
+    assert sorted(gm) == [Fraction(1, 3)] * 3
 
 
 def test_profile_monotone(golden):
@@ -190,6 +177,7 @@ def test_join_profile_matches_word_oracle(case):
 
 
 def test_profile_cap_refuses(bernoulli):
+    assert JOIN_ASSIGNMENT_CAP == 2**14
     with pytest.raises(CapExceededError):
         sequence_entropy_profile(
             bernoulli.measure, generator_partition(bernoulli.sft), range(15)
@@ -301,7 +289,14 @@ def test_crosscheck_agreement(bernoulli, golden, cycle4):
     assert trivially.agree and not trivially.sensitive
 
 
-def test_join_singleton_sequence_is_partition_itself(bernoulli):
-    p = generator_partition(bernoulli.sft)
-    joined = join_under_sequence(bernoulli.measure, p, [0])
-    assert set(joined.atoms) == set(p.atoms)
+def test_join_singleton_sequence_is_partition_itself(bernoulli, golden):
+    for m, p in (
+        (bernoulli.measure, generator_partition(bernoulli.sft)),
+        (golden.measure, two_set_partition(cylinder(golden.sft, -1, "01"))),
+    ):
+        assert sorted(_join_profile(m, p, [0])[0]) == sorted(measure_of(m, a) for a in p.atoms)
+
+
+def test_greedy_length_above_horizon_refuses(bernoulli):
+    with pytest.raises(ValueError):
+        greedy_entropy_sequence(bernoulli.measure, generator_partition(bernoulli.sft), 4, 3)

@@ -10,6 +10,7 @@ from shiftlab.measures import (
     _WALK_CHUNK,
     MarkovMeasure,
     _draw_bounds,
+    _gap_measures,
     _pick,
     _walk,
     l2_distance_sq,
@@ -28,10 +29,12 @@ from shiftlab.symbolic import (
     full_shift,
     point_in_set,
     resolve_constraints,
+    whole_space,
 )
 
 from .oracles import (
     constraint_measure_oracle,
+    constraint_span,
     reference_bounds,
     reference_draw,
     reference_index,
@@ -226,6 +229,31 @@ def test_complement_measure_is_one_minus(data):
     assert measure_of(m, c) == 1 - measure_of(m, u)
     assert measure_of(m, c) == sum((word_weight(m, w) for w in c.words), Fraction(0))
     assert measure_of(m, c.complement()) == measure_of(m, u)
+
+
+def _gap_set(data, m: MarkovMeasure) -> CylinderUnion:
+    """A union of up to two cylinders of width <= 2 at starts -1 and 0 (none: the empty
+    set), or the whole space."""
+    if data.draw(st.booleans()):
+        return whole_space(m.sft) if data.draw(st.booleans()) else CylinderUnion(m.sft, [])
+    cylinders = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        word = data.draw(st.sampled_from(list(m.sft.legal_words(data.draw(st.integers(1, 2))))))
+        cylinders.append(Cylinder(m.sft, data.draw(st.integers(-1, 0)), word))
+    return CylinderUnion(m.sft, cylinders)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_gap_measures_match_oracle(data):
+    # The panel systems and a 3-symbol chain with zero transitions; the gaps
+    # run from 0 to past the common window of a and b.
+    m = data.draw(st.sampled_from(SAMPLER_MEASURES[:4]))
+    a, b = _gap_set(data, m), _gap_set(data, m)
+    lo, hi = constraint_span([(0, a), (0, b)])
+    horizon = hi - lo + 1 + data.draw(st.integers(0, 2))
+    expected = [constraint_measure_oracle(m, [(0, a), (g, b)]) for g in range(horizon)]
+    assert _gap_measures(m, a, b, horizon) == expected
 
 
 # ---------------------------------------------------------------------------

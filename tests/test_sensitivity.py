@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.folner import FolnerWindows
-from shiftlab.measures import measure_of_constraints
+from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.sensitivity import (
     RAPair,
+    _best_gap,
     _visit_predicate,
     classify_diam_pair,
     classify_ms_pair,
@@ -85,6 +86,47 @@ def test_ra_search_golden_excludes_adjacent(golden):
     assert (0, 1) not in [(p.s, p.t) for p in pairs]
     p02 = next(p for p in pairs if (p.s, p.t) == (0, 2))
     assert p02.intersection_measure == Fraction(1, 6)
+
+
+def _shift_pair_sets(system) -> list:
+    """Whole space, positive-measure cylinders at starts -1 and 0, and their pairwise unions."""
+    sft, m = system.sft, system.measure
+    cylinders = [
+        cylinder(sft, start, w) for start in (-1, 0) for n in (1, 2) for w in sft.legal_words(n)
+    ]
+    cylinders = [c for c in cylinders if measure_of(m, c) > 0]
+    return [whole_space(sft)] + cylinders + [c.union(d) for c, d in zip(cylinders, cylinders[3:])]
+
+
+def _per_pair(m, a, ux, uy, bound):
+    """The (s, t) double loop the gap readouts replace: admissible pairs with their targets."""
+    for s in range(bound + 1):
+        for t in range(s + 1, bound + 1):
+            admissible = measure_of_constraints(m, [(s, a), (t, a)])
+            if admissible > 0:
+                yield s, t, admissible, measure_of_constraints(m, [(s, ux), (t, uy)])
+
+
+def test_ra_search_matches_per_pair_measures(systems):
+    for system in systems:
+        for a in _shift_pair_sets(system):
+            expected = [RAPair(s, t, mu) for s, t, mu, _ in _per_pair(system.measure, a, a, a, 5)]
+            assert ra_search(system.measure, a, 5) == expected
+
+
+def test_best_gap_is_first_best_shift_pair(systems):
+    rng = random.Random(23)
+    for _ in range(120):
+        system = systems[rng.randrange(3)]
+        sets = _shift_pair_sets(system)
+        a, ux, uy = (rng.choice(sets) for _ in range(3))
+        bound = rng.randrange(0, 7)
+        best = None
+        for s, t, _admissible, target in _per_pair(system.measure, a, ux, uy, bound):
+            if best is None or target > best[2]:
+                best = (s, t, target)
+        got = _best_gap(system.measure, a, ux, uy, bound)
+        assert best == (None if got is None else (0, *got))
 
 
 def test_ra_pair_requires_positive_measure():
