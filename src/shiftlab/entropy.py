@@ -9,6 +9,7 @@ the caller.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -16,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .errors import CapExceededError
 from .folner import FolnerWindows, density_from_indicator, orbit_indicator
 from .measures import MarkovMeasure, measure_of, mix_seed, sample_point_in
-from .measures import _carry, _collapse, _exact_sum, _gap_measures, _spread
+from .measures import _carry, _collapse, _gap_measures, _spread
 from .symbolic import (
     _EMPTY,
     _FULL,
@@ -94,106 +95,128 @@ def validate_sequence(s: Sequence[int]) -> tuple[int, ...]:
     return seq
 
 
-def _log(fr: Fraction) -> float:
-    return math.log(fr.numerator) - math.log(fr.denominator)
+def _entropy(pairs) -> float:
+    """-sum (n/d) log(n/d) in nats over reduced (n, d) pairs of positive measures."""
+    return -math.fsum((n / d) * (math.log(n) - math.log(d)) for n, d in pairs)
 
 
 def entropy_from_measures(measures: Sequence[Fraction]) -> float:
     """H = -sum mu log mu in nats, with 0 log 0 = 0."""
-    return -math.fsum(float(mu) * _log(mu) for mu in measures if mu > 0)
+    return _entropy((mu.numerator, mu.denominator) for mu in measures if mu > 0)
+
+
+def _mass_entropy(masses: Sequence[int], den: int) -> float:
+    """entropy_from_measures of the measures mass / den, each reduced once."""
+    pairs = []
+    for x in masses:
+        g = math.gcd(x, den)
+        pairs.append((x // g, den // g))
+    return _entropy(pairs)
 
 
 def shannon_entropy(m: MarkovMeasure, p: Partition) -> float:
     return entropy_from_measures([measure_of(m, a) for a in p.atoms])
 
 
-def _join_profile(
-    m: MarkovMeasure, p: Partition, seq: Sequence[int]
-) -> list[list[Fraction]]:
-    """Positive measures of the join atoms after every prefix of seq, in one pass.
+class _Join:
+    """The join of a partition's shifts as a forward pass, recoded once.
 
     Higher-block recoding (Lind & Marcus, §1.4 and §2.3): every atom becomes
     a set of legal words over the partition's common support [lo, hi] (width
     w; whole-space atoms do not widen it), and each live assignment carries
-    one exact vector v with v[u] = mu(assignment and word u on [t+lo, t+hi])
-    at the last sequence coordinate t. The window at t holds every
-    coordinate a later window shares with earlier ones, so extending by a
-    gap g never revisits the constraints: for g >= w the vector collapses to
-    its last symbol and crosses the free coordinates by P^(g-w+1); for g < w
-    it steps the overlapping window g symbols forward. Restricting to an
-    atom keeps its words, and zero-measure assignments are dropped.
+    one integer vector v with v[u] / den = mu(assignment and word u on
+    [t+lo, t+hi]) at the last sequence coordinate t. The window at t holds
+    every coordinate a later window shares with earlier ones, so extending
+    by a gap g never revisits the constraints: for g >= w the vector
+    collapses to its last symbol and crosses the free coordinates by
+    P^(g-w+1); for g < w it steps the overlapping window g symbols forward.
+    Restricting to an atom keeps its words, and zero-measure assignments are
+    dropped. A pass along seq crosses w - 1 + (seq[-1] - seq[0]) transitions,
+    whatever its gaps, so all live vectors share one denominator.
     """
-    sft = m.sft
-    blocks = [_atoms_of(atom) for atom in p.atoms]
-    spans = [
-        (start, start + len(words[0]) - 1)
-        for b in blocks
-        if isinstance(b, list)
-        for start, words in b
-    ]
-    lo = min((s for s, _ in spans), default=0)
-    width = max((e for _, e in spans), default=0) - lo + 1
-    words = tuple(sft.legal_words(width))
-    index = {u: i for i, u in enumerate(words)}
-    inner = [m._inner_weight(u) for u in words]
-    # Per atom, the (index, first symbol, inner weight) of its words that can
-    # carry mass; an empty atom has none and never goes live. A weight of
-    # None stands for 1 (every width-1 word), saving a Fraction product.
-    atoms = []
-    for b in blocks:
-        if b is _EMPTY:
-            members = ()
-        elif b is _FULL:
-            members = words
-        else:
-            members = ConstraintAutomaton(sft, b, lo, lo + width - 1).words()
-        table = []
-        for u in members:
-            i = index[u]
-            if inner[i]:
-                table.append((i, u[0], None if inner[i] == 1 else inner[i]))
-        atoms.append(table)
-    member_sets = [frozenset(i for i, _a, _wt in atom) for atom in atoms]
-    last = [u[-1] for u in words]
-    P = m.transition
-    # One-symbol moves of the window: (index of the shifted word, P entry).
-    step = [
-        [(index[u[1:] + (b,)], P[u[-1]][b]) for b in sft.successors(u[-1]) if P[u[-1]][b]]
-        for u in words
-    ]
 
-    profile: list[list[Fraction]] = []
-    live: list[dict[int, Fraction]] = []
-    for n, t in enumerate(seq):
-        if n == 0:
-            nxt = [_spread(m.stationary, atom) for atom in atoms]
-        else:
-            gap = t - seq[n - 1]
-            if gap >= width:
-                power = m.matrix_power(gap - width + 1)
-            nxt = []
+    def __init__(self, m: MarkovMeasure, p: Partition):
+        sft = m.sft
+        blocks = [_atoms_of(atom) for atom in p.atoms]
+        spans = [
+            (start, start + len(words[0]) - 1)
+            for b in blocks
+            if isinstance(b, list)
+            for start, words in b
+        ]
+        lo = min((s for s, _ in spans), default=0)
+        width = max((e for _, e in spans), default=0) - lo + 1
+        words = tuple(sft.legal_words(width))
+        index = {u: i for i, u in enumerate(words)}
+        inner = [m.inner_num(u) for u in words]
+        # Per atom, the (index, first symbol, inner numerator) of its words
+        # that can carry mass; an empty atom has none and never goes live.
+        self.atoms = []
+        for b in blocks:
+            if b is _EMPTY:
+                members = ()
+            elif b is _FULL:
+                members = words
+            else:
+                members = ConstraintAutomaton(sft, b, lo, lo + width - 1).words()
+            table = [(index[u], u[0]) for u in members]
+            self.atoms.append([(i, a, inner[i]) for i, a in table if inner[i]])
+        self.member_sets = [frozenset(i for i, _a, _wt in atom) for atom in self.atoms]
+        self.last = [u[-1] for u in words]
+        P_num = m.power_num(1)
+        # One-symbol moves of the window: (index of the shifted word, P numerator).
+        self.step = [
+            [(index[u[1:] + (b,)], P_num[u[-1]][b]) for b in sft.successors(u[-1]) if P_num[u[-1]][b]]
+            for u in words
+        ]
+        self.m = m
+        self.width = width
+
+    def run(self, seq: Sequence[int], live: list[dict[int, int]], start: int):
+        """The live vectors after each of seq[start:], resuming from the live
+        vectors after seq[:start] (ignored when start is 0)."""
+        for n in range(start, len(seq)):
+            if n == 0:
+                nxt = [_spread(self.m.pi_num, atom) for atom in self.atoms]
+            else:
+                nxt = self._advance(live, seq[n] - seq[n - 1])
+            live = [v for v in nxt if v]
+            if len(live) > JOIN_ASSIGNMENT_CAP:
+                raise CapExceededError(
+                    f"join refinement exceeds {JOIN_ASSIGNMENT_CAP} live atoms"
+                )
+            yield live
+
+    def _advance(self, live: list[dict[int, int]], gap: int) -> list[dict[int, int]]:
+        nxt = []
+        if gap >= self.width:
+            power = self.m.power_num(gap - self.width + 1)
             for v in live:
-                if gap >= width:
-                    entry = _carry(_collapse(v, last), power)
-                    nxt.extend(_spread(entry, atom) for atom in atoms)
-                else:
-                    for _ in range(gap):
-                        moved: dict[int, Fraction] = {}
-                        for i, x in v.items():
-                            for j, pr in step[i]:
-                                y = x * pr
-                                moved[j] = moved[j] + y if j in moved else y
-                        v = moved
-                    nxt.extend(
-                        {i: x for i, x in v.items() if i in members} for members in member_sets
-                    )
-        live = [v for v in nxt if v]
-        if len(live) > JOIN_ASSIGNMENT_CAP:
-            raise CapExceededError(
-                f"join refinement exceeds {JOIN_ASSIGNMENT_CAP} live atoms"
-            )
-        profile.append([_exact_sum(v.values()) for v in live])
-    return profile
+                entry = _carry(_collapse(v, self.last), power)
+                nxt.extend(_spread(entry, atom) for atom in self.atoms)
+            return nxt
+        step = self.step
+        for v in live:
+            for _ in range(gap):
+                moved: dict[int, int] = {}
+                for i, x in v.items():
+                    for j, pr in step[i]:
+                        moved[j] = moved.get(j, 0) + x * pr
+                v = moved
+            nxt.extend({i: x for i, x in v.items() if i in members} for members in self.member_sets)
+        return nxt
+
+    def den(self, seq: Sequence[int]) -> int:
+        """The common denominator of the live vectors after all of seq."""
+        return self.m.den(self.width - 1 + seq[-1] - seq[0])
+
+
+def _join_profile(m: MarkovMeasure, p: Partition, seq: Sequence[int]):
+    """(masses, denominator) of the positive join atoms after every prefix of
+    seq, in one pass: the measures are mass / denominator."""
+    join = _Join(m, p)
+    for n, live in enumerate(join.run(seq, [], 0), start=1):
+        yield [sum(v.values()) for v in live], join.den(seq[:n])
 
 
 @dataclass(frozen=True)
@@ -215,8 +238,8 @@ def sequence_entropy_profile(
     """H_n of the join along each prefix of s (in nats), plus H_n / n."""
     seq = validate_sequence(s)
     rows = []
-    for n, measures in enumerate(_join_profile(m, p, seq), start=1):
-        h = entropy_from_measures(measures)
+    for n, (masses, den) in enumerate(_join_profile(m, p, seq), start=1):
+        h = _mass_entropy(masses, den)
         rows.append((n, h, h / n))
     return EntropyProfile(tuple(rows))
 
@@ -365,18 +388,24 @@ def greedy_entropy_sequence(
     """
     if length > horizon:
         raise ValueError(f"cannot choose {length} distinct shifts below horizon {horizon}")
+    join = _Join(m, p)
     chosen: list[int] = []
+    # saved[i]: the live vectors after chosen[: i + 1]. A trial shift s
+    # resumes from those of the chosen shifts below it.
+    saved: list[list[dict[int, int]]] = []
     for _ in range(length):
-        best_s, best_h = None, None
+        best_h = best = None
         for s in range(horizon):
             if s in chosen:
                 continue
-            trial = tuple(sorted(chosen + [s]))
-            h = entropy_from_measures(_join_profile(m, p, trial)[-1])
+            i = bisect(chosen, s)
+            trial = chosen[:i] + [s] + chosen[i:]
+            states = list(join.run(trial, saved[i - 1] if i else [], i))
+            h = _mass_entropy([sum(v.values()) for v in states[-1]], join.den(trial))
             if best_h is None or h > best_h + 1e-12:
-                best_s, best_h = s, h
-        chosen.append(best_s)
-        chosen.sort()
+                best_h, best = h, (i, trial, states)
+        i, chosen, states = best
+        saved[i:] = states
     return tuple(chosen)
 
 

@@ -3,7 +3,9 @@
 Measures of cylinders come from mu([w]_i) = pi_{w_0} * prod P[w_j][w_{j+1}]
 (independent of i by stationarity); measures of shifted intersections use the
 same chain with exact transition-matrix powers across unconstrained gaps.
-Everything here is a fractions.Fraction; floats never enter set arithmetic.
+Inputs and results are fractions.Fraction; inside, the forward engine carries
+integer numerators over one common denominator per pass and reduces once per
+readout. Floats never enter set arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -116,12 +118,22 @@ class MarkovMeasure:
         self.sft = sft
         self.transition = P
         self.stationary = stationary_vector(P)
-        identity = tuple(tuple(Fraction(int(a == b)) for b in range(k)) for a in range(k))
-        self._pow_cache: dict[int, tuple[tuple[Fraction, ...], ...]] = {0: identity, 1: P}
+        # The chain in integer form: P = P_num / D and pi = pi_num / D_pi.
+        self._d = math.lcm(*(v.denominator for row in P for v in row))
+        self._d_pi = math.lcm(*(v.denominator for v in self.stationary))
+        P_num = tuple(tuple(v.numerator * (self._d // v.denominator) for v in row) for row in P)
+        self.pi_num = tuple(v.numerator * (self._d_pi // v.denominator) for v in self.stationary)
+        identity = tuple(tuple(int(a == b) for b in range(k)) for a in range(k))
+        self._pow_cache: dict[int, tuple[tuple[int, ...], ...]] = {0: identity, 1: P_num}
         self._thin_cache: dict[tuple[int, Fraction], tuple[Word, ...]] = {}
 
-    def matrix_power(self, steps: int) -> tuple[tuple[Fraction, ...], ...]:
+    def power_num(self, steps: int) -> tuple[tuple[int, ...], ...]:
+        """The integer matrix P^steps * D^steps."""
         return _cached_power(self._pow_cache, _mat_mul, steps)
+
+    def den(self, transitions: int) -> int:
+        """The denominator D_pi * D^transitions of a pass that entered from pi."""
+        return self._d_pi * self._d**transitions
 
     def thin_words(self, length: int, eps: Fraction) -> tuple[Word, ...]:
         """Legal words of the length with 0 < weight <= eps, in `legal_words` order."""
@@ -132,19 +144,19 @@ class MarkovMeasure:
         return self._thin_cache[length, eps]
 
     def word_weight(self, word: Word) -> Fraction:
-        """pi at the first symbol times the transition products along the word."""
-        return self.stationary[word[0]] * self._inner_weight(word)
+        """pi at the first symbol times the transition products along the word,
+        reduced once."""
+        return Fraction(self.pi_num[word[0]] * self.inner_num(word), self.den(len(word) - 1))
 
-    def _inner_weight(self, word: Word) -> Fraction:
-        """The transition products along the word, reduced once at the end."""
-        num = den = 1
+    def inner_num(self, word: Word) -> int:
+        """The transition products along the word times D^(len(word) - 1)."""
+        P_num = self._pow_cache[1]
+        num = 1
         for a, b in zip(word, word[1:]):
-            p = self.transition[a][b]
-            if not p:
-                return Fraction(0)
-            num *= p.numerator
-            den *= p.denominator
-        return Fraction(num, den)
+            num *= P_num[a][b]
+            if not num:
+                break
+        return num
 
     def __eq__(self, other) -> bool:
         return (
@@ -162,10 +174,7 @@ class MarkovMeasure:
 
 def _mat_mul(x, y):
     k = len(x)
-    return tuple(
-        tuple(sum((x[a][c] * y[c][b] for c in range(k)), Fraction(0)) for b in range(k))
-        for a in range(k)
-    )
+    return tuple(tuple(sum(x[a][c] * y[c][b] for c in range(k)) for b in range(k)) for a in range(k))
 
 
 def measure_of(m: MarkovMeasure, s: SetLike) -> Fraction:
@@ -184,60 +193,62 @@ def measure_of(m: MarkovMeasure, s: SetLike) -> Fraction:
             return 1 - measure_of(m, original)
         return sum((m.word_weight(w) for w in s.words), Fraction(0))
     if isinstance(s, BridgedBlocks):
-        return _exact_sum(_chain(m, s.blocks(), m.stationary).values())
+        return _blocks_measure(m, s.blocks())
     raise TypeError(f"not a measurable set representation: {s!r}")
 
 
-# The forward engine. A vector maps word keys to exact masses: `_spread`
-# enters words from the symbol masses at their first coordinate, `_collapse`
-# keeps the last symbols, `_carry` crosses free coordinates by a power of P,
-# and `_chain` runs the three through disjoint blocks.
-
-_ZERO = Fraction(0)
-
-
-def _exact_sum(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum without a zero seed, which would cost one more normalization; 0 if empty."""
-    it = iter(values)
-    total = next(it, _ZERO)
-    for x in it:
-        total += x
-    return total
+# The forward engine. A vector maps word keys to integer masses over one
+# denominator m.den(e), e the transitions crossed since entering from pi:
+# `_spread` enters words from the symbol masses at their first coordinate,
+# `_collapse` keeps the last symbols, `_carry` crosses free coordinates by a
+# power of P, and `_chain` runs the three through disjoint blocks.
 
 
-def _spread(entry: Sequence[Fraction], table) -> dict[int, Fraction]:
-    """entry[first] times the inner weight (None stands for 1) of each (key, first, weight)."""
-    return {i: entry[a] if wt is None else entry[a] * wt for i, a, wt in table if entry[a]}
+def _spread(entry: Sequence[int], table) -> dict[int, int]:
+    """entry[first] times the inner numerator of each (key, first, inner numerator)."""
+    return {i: entry[a] * wt for i, a, wt in table if entry[a]}
 
 
-def _collapse(v: dict[int, Fraction], last: Sequence[int]) -> dict[int, Fraction]:
+def _collapse(v: dict[int, int], last: Sequence[int]) -> dict[int, int]:
     """The mass of a vector per last symbol of its words."""
-    ends: dict[int, Fraction] = {}
+    ends: dict[int, int] = {}
     for i, x in v.items():
         c = last[i]
-        ends[c] = ends[c] + x if c in ends else x
+        ends[c] = ends.get(c, 0) + x
     return ends
 
 
-def _carry(ends: dict[int, Fraction], power) -> list[Fraction]:
-    """Symbol masses after crossing free coordinates: last-symbol masses times P^g."""
-    return [
-        _exact_sum(x * power[c][a] for c, x in ends.items() if power[c][a])
-        for a in range(len(power))
-    ]
+def _carry(ends: dict[int, int], power) -> list[int]:
+    """Symbol masses after crossing free coordinates: last-symbol masses times
+    the integer power of P (one transition per step of the power)."""
+    out = None
+    for c, x in ends.items():
+        row = [x * p for p in power[c]]
+        out = row if out is None else [o + y for o, y in zip(out, row)]
+    return out or [0] * len(power)
 
 
-def _chain(m: MarkovMeasure, blocks, entry: Sequence[Fraction]) -> dict[int, Fraction]:
-    """Last-symbol masses after disjoint (start, words) blocks sorted by start,
-    entering the first block with the symbol masses `entry`."""
+def _chain(m: MarkovMeasure, blocks, entry: Sequence[int], e: int) -> tuple[dict[int, int], int]:
+    """Last-symbol masses, and their transition count, after disjoint (start,
+    words) blocks sorted by start, entering the first block with the symbol
+    masses `entry` after `e` transitions."""
     prev_end = None
     for start, words in blocks:
         if prev_end is not None:
-            entry = _carry(ends, m.matrix_power(start - prev_end))
-        table = [(n, w[0], m._inner_weight(w)) for n, w in enumerate(words)]
+            entry = _carry(ends, m.power_num(start - prev_end))
+        table = [(n, w[0], m.inner_num(w)) for n, w in enumerate(words)]
         ends = _collapse(_spread(entry, table), [w[-1] for w in words])
         prev_end = start + len(words[0]) - 1
-    return ends
+    return ends, e + prev_end - blocks[0][0]
+
+
+def _blocks_measure(
+    m: MarkovMeasure, blocks, entry: Optional[Sequence[int]] = None, e: int = 0
+) -> Fraction:
+    """The measure of disjoint blocks entered with `entry` after `e`
+    transitions (from pi by default), reduced once."""
+    ends, e = _chain(m, blocks, m.pi_num if entry is None else entry, e)
+    return Fraction(sum(ends.values()), m.den(e))
 
 
 def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[Fraction]:
@@ -252,17 +263,18 @@ def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> lis
         # One side is empty or the whole space, so one set contains the other.
         return [min(measure_of(m, a), measure_of(m, b))] * horizon
     blocks_a, blocks_b = (_cluster_constraints(m.sft, atoms) for atoms in (atoms_a, atoms_b))
-    ends_a = _chain(m, blocks_a, m.stationary)
+    ends_a, e_a = _chain(m, blocks_a, m.pi_num, 0)
     a_end = blocks_a[-1][0] + len(blocks_a[-1][1][0]) - 1
     out = []
     for g in range(horizon):
         steps = g + blocks_b[0][0] - a_end
         if steps > 0:
-            ends = _chain(m, blocks_b, _carry(ends_a, m.matrix_power(steps)))
+            entry = _carry(ends_a, m.power_num(steps))
+            out.append(_blocks_measure(m, blocks_b, entry, e_a + steps))
         else:
             blocks = _cluster_constraints(m.sft, atoms_a + [(s + g, w) for s, w in atoms_b])
-            ends = {} if isinstance(blocks, EmptyIntersection) else _chain(m, blocks, m.stationary)
-        out.append(_exact_sum(ends.values()))
+            empty = isinstance(blocks, EmptyIntersection)
+            out.append(Fraction(0) if empty else _blocks_measure(m, blocks))
     return out
 
 
@@ -280,7 +292,7 @@ def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) 
     blocks = _cluster_constraints(m.sft, atoms)
     if isinstance(blocks, EmptyIntersection):
         return Fraction(0)
-    return _exact_sum(_chain(m, blocks, m.stationary).values())
+    return _blocks_measure(m, blocks)
 
 
 def l2_distance_sq(

@@ -13,7 +13,16 @@ import random
 from fractions import Fraction
 
 from shiftlab.measures import MarkovMeasure
-from shiftlab.symbolic import Sft
+from shiftlab.symbolic import Sft, full_shift
+
+
+def three_symbol_chain() -> MarkovMeasure:
+    """A 3-symbol chain with zero entries at the start, middle and end of its
+    rows, and transition denominators 2, 3, 4 and 6 where every panel chain
+    has 1 or a power of 2."""
+    return MarkovMeasure(
+        full_shift(3), [["1/2", "1/3", "1/6"], ["0", "1/4", "3/4"], ["1", "0", "0"]]
+    )
 
 
 def legal_words(sft: Sft, lo: int, hi: int) -> list:
@@ -125,6 +134,31 @@ def join_entropy_oracle(m: MarkovMeasure, atoms, shifts) -> list[Fraction]:
         key = tuple(pattern)
         groups[key] = groups.get(key, Fraction(0)) + word_weight(m, word)
     return [v for v in groups.values() if v > 0]
+
+
+def entropy_oracle(measures) -> float:
+    """-sum mu log mu in nats over the positive measures, the log of mu taken
+    as log(numerator) - log(denominator)."""
+    return -math.fsum(
+        float(mu) * (math.log(mu.numerator) - math.log(mu.denominator)) for mu in measures if mu > 0
+    )
+
+
+def greedy_entropy_oracle(m: MarkovMeasure, atoms, length: int, horizon: int) -> tuple:
+    """The greedy sequence from a fresh word-classifying join per trial: each
+    step adds the shift whose join entropy beats the best so far by more than
+    1e-12, so ties go to the smallest shift."""
+    chosen: list = []
+    for _ in range(length):
+        best_s, best_h = None, None
+        for s in range(horizon):
+            if s in chosen:
+                continue
+            h = entropy_oracle(join_entropy_oracle(m, atoms, sorted(chosen + [s])))
+            if best_h is None or h > best_h + 1e-12:
+                best_s, best_h = s, h
+        chosen = sorted(chosen + [best_s])
+    return tuple(chosen)
 
 
 def orbit_density_oracle(point, setlike, n: int) -> Fraction:

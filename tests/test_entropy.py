@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.entropy import (
@@ -13,6 +13,7 @@ from shiftlab.entropy import (
     crosscheck_hms_hap,
     default_cell_family,
     df_estimate,
+    entropy_from_measures,
     generator_partition,
     greedy_entropy_sequence,
     ms_function_test,
@@ -26,13 +27,23 @@ from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of
 from shiftlab.panel import bernoulli_system, cycle4_system, golden_mean_system
 from shiftlab.symbolic import Cylinder, CylinderUnion, EventuallyPeriodic, cylinder, whole_space
-from .oracles import constraint_span, join_entropy_oracle
+from .oracles import (
+    constraint_span,
+    greedy_entropy_oracle,
+    join_entropy_oracle,
+    three_symbol_chain,
+)
 
 W = FolnerWindows.canonical_windows()
 
 
 def entropy_of(measures):
     return -sum(float(mu) * math.log(mu) for mu in measures if mu > 0)
+
+
+def join_measures(m, p, seq):
+    """The exact join measures after every prefix of seq, from the integer engine."""
+    return [[Fraction(x, den) for x in masses] for masses, den in _join_profile(m, p, seq)]
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +79,10 @@ def test_partition_validation(bernoulli, golden):
 
 def test_join_examples(bernoulli, golden):
     p = generator_partition(bernoulli.sft)
-    assert _join_profile(bernoulli.measure, p, [0]) == [[Fraction(1, 2)] * 2]
-    square = _join_profile(bernoulli.measure, p, [0, 1])[-1]
+    assert join_measures(bernoulli.measure, p, [0]) == [[Fraction(1, 2)] * 2]
+    square = join_measures(bernoulli.measure, p, [0, 1])[-1]
     assert square == [Fraction(1, 4)] * 4
-    gm = _join_profile(golden.measure, generator_partition(golden.sft), [0, 1])[-1]
+    gm = join_measures(golden.measure, generator_partition(golden.sft), [0, 1])[-1]
     assert sorted(gm) == [Fraction(1, 3)] * 3
 
 
@@ -126,6 +137,8 @@ def test_profile_any_sequence_full_shift(bernoulli):
 
 
 PANEL = (bernoulli_system(), golden_mean_system(), cycle4_system())
+# The panel measures and a chain with non-dyadic transition denominators.
+JOIN_MEASURES = tuple(system.measure for system in PANEL) + (three_symbol_chain(),)
 
 
 def mixed_support_partition(sft):
@@ -139,41 +152,81 @@ def mixed_support_partition(sft):
     return Partition([a for a in right + left if not a.is_empty])
 
 
-@st.composite
-def join_cases(draw):
-    system = draw(st.sampled_from(PANEL))
-    sft = system.sft
-    kind = draw(st.sampled_from(("generators", "two_set", "mixed")))
+def random_partition(draw, sft, kinds=("generators", "two_set", "mixed")):
+    kind = draw(st.sampled_from(kinds))
     if kind == "generators":
-        p = generator_partition(sft)
-    elif kind == "mixed":
-        p = mixed_support_partition(sft)
-    else:
-        words = list(sft.legal_words(draw(st.integers(1, 3))))
-        word = draw(st.sampled_from(words))
-        p = two_set_partition(cylinder(sft, draw(st.integers(-2, 2)), word))
-    # k^span bounds the legal words the oracle enumerates: keep it within 2^10.
+        return generator_partition(sft)
+    if kind == "mixed":
+        return mixed_support_partition(sft)
+    words = list(sft.legal_words(draw(st.integers(1, 3))))
+    word = draw(st.sampled_from(words))
+    return two_set_partition(cylinder(sft, draw(st.integers(-2, 2)), word))
+
+
+def oracle_room(sft, p) -> int:
+    """How far a sequence may spread past the partition's support while the
+    oracle's k^span legal words stay within 2^10."""
     k = sft.alphabet_size
     lo, hi = constraint_span([(0, a) for a in p.atoms])
-    room = max(n for n in range(1, 11) if k**n <= 1 << 10) - (hi - lo + 1)
+    return max(n for n in range(1, 11) if k**n <= 1 << 10) - (hi - lo + 1)
+
+
+@st.composite
+def join_cases(draw):
+    m = draw(st.sampled_from(JOIN_MEASURES))
+    p = random_partition(draw, m.sft)
+    room = oracle_room(m.sft, p)
     seq = [draw(st.integers(0, 2))]
     for g in draw(st.lists(st.integers(1, 4), max_size=4)):
         if seq[-1] + g - seq[0] > room:
             break
         seq.append(seq[-1] + g)
-    return system, p, seq
+    return m, p, seq
 
 
 @settings(max_examples=100, deadline=None)
 @given(join_cases())
 def test_join_profile_matches_word_oracle(case):
-    system, p, seq = case
-    p.validate_under(system.measure)
-    profile = _join_profile(system.measure, p, seq)
-    assert len(profile) == len(seq)
+    m, p, seq = case
+    p.validate_under(m)
+    profile = join_measures(m, p, seq)
+    rows = sequence_entropy_profile(m, p, seq).rows
+    assert len(profile) == len(rows) == len(seq)
     for n, measures in enumerate(profile, start=1):
-        oracle = join_entropy_oracle(system.measure, p.atoms, seq[:n])
+        oracle = join_entropy_oracle(m, p.atoms, seq[:n])
         assert sorted(measures) == sorted(oracle)
+        assert rows[n - 1][1] == entropy_from_measures(oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_greedy_resume_matches_oracle(data):
+    # Each trial of the greedy resumes from the chosen shifts below it; the
+    # oracle joins every trial afresh by classifying words.
+    m = data.draw(st.sampled_from(JOIN_MEASURES))
+    p = random_partition(data.draw, m.sft, ("generators", "two_set"))
+    room = oracle_room(m.sft, p)
+    assume(room >= 1)
+    horizon = data.draw(st.integers(1, min(room + 1, 6)))
+    length = data.draw(st.integers(1, min(horizon, 4)))
+    assert greedy_entropy_sequence(m, p, length, horizon) == greedy_entropy_oracle(
+        m, p.atoms, length, horizon
+    )
+
+
+def test_greedy_resume_after_insertion_below_chosen():
+    # On this partition a shift lands below an already chosen one before the
+    # last step, so later trials resume from joins recomputed after it.
+    m = three_symbol_chain()
+    p = two_set_partition(cylinder(m.sft, 0, [2]))
+    assert greedy_entropy_sequence(m, p, 4, 6) == greedy_entropy_oracle(m, p.atoms, 4, 6)
+
+
+def test_greedy_cap_refuses_through_resume(bernoulli):
+    # Ties keep the greedy at 0, 1, 2, ...; the 15th shift is a resumed step
+    # from 2^14 live atoms to 2^15.
+    with pytest.raises(CapExceededError):
+        greedy_entropy_sequence(bernoulli.measure, generator_partition(bernoulli.sft), 15, 15)
 
 
 def test_profile_cap_refuses(bernoulli):
@@ -294,7 +347,7 @@ def test_join_singleton_sequence_is_partition_itself(bernoulli, golden):
         (bernoulli.measure, generator_partition(bernoulli.sft)),
         (golden.measure, two_set_partition(cylinder(golden.sft, -1, "01"))),
     ):
-        assert sorted(_join_profile(m, p, [0])[0]) == sorted(measure_of(m, a) for a in p.atoms)
+        assert sorted(join_measures(m, p, [0])[0]) == sorted(measure_of(m, a) for a in p.atoms)
 
 
 def test_greedy_length_above_horizon_refuses(bernoulli):

@@ -26,7 +26,6 @@ from shiftlab.symbolic import (
     CylinderUnion,
     Sft,
     cylinder,
-    full_shift,
     point_in_set,
     resolve_constraints,
     whole_space,
@@ -40,13 +39,14 @@ from .oracles import (
     reference_index,
     sample_point_in_reference,
     sample_point_reference,
+    three_symbol_chain,
     word_weight,
 )
 
 # The panel systems, a 3-symbol chain with zero entries at the start, middle
 # and end of its rows, and the 1-symbol alphabet.
 SAMPLER_MEASURES = tuple(s.measure for s in panel_systems()) + (
-    MarkovMeasure(full_shift(3), [["1/2", "1/3", "1/6"], ["0", "1/4", "3/4"], ["1", "0", "0"]]),
+    three_symbol_chain(),
     MarkovMeasure(Sft(1, [[True]]), [["1"]]),
 )
 
@@ -152,20 +152,29 @@ def test_constraints_examples(bernoulli, golden):
     assert measure_of_constraints(golden.measure, []) == 1
 
 
+def _random_constraints(rng, sft, shifts: int, starts: tuple) -> list:
+    constraints = []
+    for _ in range(rng.randrange(1, 4)):
+        length = rng.randrange(1, 4)
+        word = [rng.randrange(sft.alphabet_size) for _ in range(length)]
+        constraints.append(
+            (rng.randrange(0, shifts), Cylinder(sft, rng.randrange(*starts), word).as_union())
+        )
+    return constraints
+
+
 def test_constraints_match_enumeration_oracle(systems):
     rng = random.Random(11)
     for _ in range(250):
         system = systems[rng.randrange(3)]
-        sft = system.sft
-        constraints = []
-        for _ in range(rng.randrange(1, 4)):
-            length = rng.randrange(1, 4)
-            word = [rng.randrange(sft.alphabet_size) for _ in range(length)]
-            constraints.append(
-                (rng.randrange(0, 7), Cylinder(sft, rng.randrange(-2, 2), word).as_union())
-            )
+        constraints = _random_constraints(rng, system.sft, 7, (-2, 2))
         direct = measure_of_constraints(system.measure, constraints)
         assert direct == constraint_measure_oracle(system.measure, constraints)
+    # The non-dyadic 3-symbol chain, on narrower spans: the oracle reads 3^span words.
+    m = three_symbol_chain()
+    for _ in range(100):
+        constraints = _random_constraints(rng, m.sft, 4, (-1, 1))
+        assert measure_of_constraints(m, constraints) == constraint_measure_oracle(m, constraints)
 
 
 def test_constraints_match_resolve_path(systems):
