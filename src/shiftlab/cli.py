@@ -10,7 +10,6 @@ experiment, 3 caps/horizons exhausted with inconclusive verdicts present.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -51,8 +50,7 @@ def run(config_path: str, out_dir: str, seed_override):
     csv_path = out / config.csv_name
     json_path = out / config.json_name
     csv_path.write_bytes(render_csv(rows).encode("utf-8"))
-    echo_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    json_path.write_bytes(render_json(rows, echo_cfg).encode("utf-8"))
+    json_path.write_bytes(render_json(rows, config.source).encode("utf-8"))
     click.echo(f"wrote {csv_path} ({len(rows)} rows) and {json_path}")
     sys.exit(code)
 

@@ -211,12 +211,17 @@ class _Join:
         return self.m.den(self.width - 1 + seq[-1] - seq[0])
 
 
-def _join_profile(m: MarkovMeasure, p: Partition, seq: Sequence[int]):
-    """(masses, denominator) of the positive join atoms after every prefix of
-    seq, in one pass: the measures are mass / denominator."""
-    join = _Join(m, p)
-    for n, live in enumerate(join.run(seq, [], 0), start=1):
+def _readouts(join: _Join, seq: Sequence[int], states):
+    """(masses, denominator) of the positive join atoms from the live vectors
+    after each prefix of seq: the measures are mass / denominator."""
+    for n, live in enumerate(states, start=1):
         yield [sum(v.values()) for v in live], join.den(seq[:n])
+
+
+def _join_profile(m: MarkovMeasure, p: Partition, seq: Sequence[int]):
+    """_readouts after every prefix of seq, in one pass."""
+    join = _Join(m, p)
+    return _readouts(join, seq, join.run(seq, [], 0))
 
 
 @dataclass(frozen=True)
@@ -236,9 +241,12 @@ def sequence_entropy_profile(
     m: MarkovMeasure, p: Partition, s: Sequence[int]
 ) -> EntropyProfile:
     """H_n of the join along each prefix of s (in nats), plus H_n / n."""
-    seq = validate_sequence(s)
+    return _profile(_join_profile(m, p, validate_sequence(s)))
+
+
+def _profile(readouts) -> EntropyProfile:
     rows = []
-    for n, (masses, den) in enumerate(_join_profile(m, p, seq), start=1):
+    for n, (masses, den) in enumerate(readouts, start=1):
         h = _mass_entropy(masses, den)
         rows.append((n, h, h / n))
     return EntropyProfile(tuple(rows))
@@ -386,6 +394,11 @@ def greedy_entropy_sequence(
 
     Ties go to the first (smallest) candidate shift.
     """
+    return _greedy(m, p, length, horizon)[0]
+
+
+def _greedy(m: MarkovMeasure, p: Partition, length: int, horizon: int):
+    """The greedy sequence, its _Join and the live vectors after each of its prefixes."""
     if length > horizon:
         raise ValueError(f"cannot choose {length} distinct shifts below horizon {horizon}")
     join = _Join(m, p)
@@ -406,7 +419,7 @@ def greedy_entropy_sequence(
                 best_h, best = h, (i, trial, states)
         i, chosen, states = best
         saved[i:] = states
-    return tuple(chosen)
+    return tuple(chosen), join, saved
 
 
 def crosscheck_hms_hap(
@@ -440,8 +453,8 @@ def crosscheck_hms_hap(
         profile = EntropyProfile(((1, 0.0, 0.0),))
         greedy = (0,)
     else:
-        greedy = greedy_entropy_sequence(m, partition, params.greedy_len, params.greedy_horizon)
-        profile = sequence_entropy_profile(m, partition, greedy)
+        greedy, join, saved = _greedy(m, partition, params.greedy_len, params.greedy_horizon)
+        profile = _profile(_readouts(join, greedy, saved))
     entropy_growing = profile.final_increment > params.entropy_increment_floor
 
     return HmsHapReport(

@@ -25,13 +25,7 @@ from .entropy import (
     crosscheck_hms_hap,
 )
 from .errors import EntryTimeNotFoundError
-from .folner import (
-    FolnerWindows,
-    PeriodicPredicate,
-    density,
-    density_from_indicator,
-    orbit_indicator,
-)
+from .folner import FolnerWindows, PeriodicPredicate, density_from_indicator, orbit_indicator
 from .independence import (
     InPairParams,
     classify_in_pair,
@@ -471,7 +465,6 @@ def classify_diam_pair(
         raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
     if not cell_family:
         raise ValueError("cell family must be nonempty")
-    windows = FolnerWindows.canonical_windows()
     level_epses = []
     witnesses = []
     for d in range(depth + 1):
@@ -483,10 +476,7 @@ def classify_diam_pair(
                 raise ValueError(f"cell {cell!r} has measure zero")
             px = _visit_predicate(sft, cell, ux)
             py = _visit_predicate(sft, cell, uy)
-            combined = _periodic_and(px, py)
-            est = density(combined, windows, n_max=params.diam_horizon)
-            dens = est.exact
-            assert dens is not None  # periodic predicates take the exact path
+            dens = _periodic_and(px, py).frequency()
             if floor is None or dens < floor:
                 floor = dens
             witnesses.append(

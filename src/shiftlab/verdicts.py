@@ -60,7 +60,6 @@ class PairParams:
 
     eps_grid: Sequence[float] = DEFAULT_EPS_GRID
     witness: WitnessParams = WitnessParams()
-    diam_horizon: int = 4096
 
 
 @dataclass(frozen=True)

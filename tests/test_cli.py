@@ -4,6 +4,8 @@ import re
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.cli import main
 from shiftlab.config import ConfigError, bundled_config_path, load_config
@@ -176,27 +178,74 @@ _DENSITY_EMPTY = {
 }
 
 
+_INLINE = {
+    "experiment_id": "x",
+    "kind": "entropy",
+    "system": {
+        "id": "x",
+        "alphabet_size": 2,
+        "allowed": [[True, True], [True, True]],
+        "transition": [["1/2", "1/2"], ["1/2", "1/2"]],
+    },
+    "params": {"sequences": [[0, 1]]},
+}
+
+
+def _put(*keys_and_value):
+    """A config edit: set the value at the key path, then write the JSON."""
+    *parents, key, value = keys_and_value
+
+    def edit(config):
+        node = config
+        for step in parents:
+            node = node[step]
+        node[key] = value
+        return json.dumps(config)
+
+    return edit
+
+
+def _twice(key):
+    """A config edit: write a root key a second time (json.dumps cannot)."""
+    return lambda config: json.dumps(config)[:-1] + f', "{key}": {json.dumps(config[key])}}}'
+
+
 @pytest.mark.parametrize(
-    "base, key, value, field",
+    "base, edit, field",
     [
-        (_SENSITIVITY, "horizon", "1e3", "s.params.horizon"),
-        (_SENSITIVITY, "horizon", 2000.7, "s.params.horizon"),
-        (_SENSITIVITY, "seeds", [1, "2"], "s.params.seeds[1]"),
-        (_INDEPENDENCE, "n_list", [2, 3.5], "i.params.n_list[1]"),
-        (_CROSSCHECK, "include_kush", "false", "c.params.include_kush"),
+        (_SENSITIVITY, _put("params", "horizon", "1e3"), "s.params.horizon"),
+        (_SENSITIVITY, _put("params", "horizon", 2000.7), "s.params.horizon"),
+        (_SENSITIVITY, _put("params", "seeds", [1, "2"]), "s.params.seeds[1]"),
+        (_INDEPENDENCE, _put("params", "n_list", [2, 3.5]), "i.params.n_list[1]"),
+        (_CROSSCHECK, _put("params", "include_kush", "false"), "c.params.include_kush"),
         (
             _DENSITY_EMPTY,
-            "point",
-            {"kind": "sampled", "lo": 5, "hi": 0, "seed": 1},
+            _put("params", "point", {"kind": "sampled", "lo": 5, "hi": 0, "seed": 1}),
             "d.params.point.hi",
         ),
-        (_DENSITY_EMPTY, "n_max", 5, "d.params.n_max"),
-        (_ENTROPY, "sequences", [[0, 3, 1]], "e.params.sequences[0][2]"),
-        (_ENTROPY, "sequences", [["a"]], "e.params.sequences[0][0]"),
-        (_ENTROPY, "sequences", [[[1]]], "e.params.sequences[0][0]"),
-        (_ENTROPY, "sequences", [[-1, 2]], "e.params.sequences[0][0]"),
-        (_ENTROPY, "sequences", [[]], "e.params.sequences[0]"),
-        (_ENTROPY, "sequences", [[0.5, 2]], "e.params.sequences[0][0]"),
+        (_DENSITY_EMPTY, _put("params", "n_max", 5), "d.params.n_max"),
+        (_ENTROPY, _put("params", "sequences", [[0, 3, 1]]), "e.params.sequences[0][2]"),
+        (_ENTROPY, _put("params", "sequences", [["a"]]), "e.params.sequences[0][0]"),
+        (_ENTROPY, _put("params", "sequences", [[[1]]]), "e.params.sequences[0][0]"),
+        (_ENTROPY, _put("params", "sequences", [[-1, 2]]), "e.params.sequences[0][0]"),
+        (_ENTROPY, _put("params", "sequences", [[]]), "e.params.sequences[0]"),
+        (_ENTROPY, _put("params", "sequences", [[0.5, 2]]), "e.params.sequences[0][0]"),
+        (_ENTROPY, _put("output", "x"), "<root>.output"),
+        (_ENTROPY, _put("output", {"csv": 5}), "<root>.output.csv"),
+        (_INLINE, _put("system", "alphabet_size", "2"), "<root>.system.alphabet_size"),
+        (_INLINE, _put("system", "transition", 5), "<root>.system.transition"),
+        (
+            _DENSITY_EMPTY,
+            _put("params", "point", {"kind": "periodic", "right": 1}),
+            "d.params.point.right",
+        ),
+        (_INDEPENDENCE, _put("params", "a1", {"start": 0.7, "word": "0"}), "i.params.a1[0].start"),
+        (_INDEPENDENCE, _put("params", "a1", {"start": 0, "word": 10}), "i.params.a1[0].word"),
+        (_ENTROPY, _put("params", "nmax", 7), "e.params.nmax"),
+        (_ENTROPY, _twice("kind"), "kind"),
+        (_SENSITIVITY, _put("params", "eps", "0"), "s.params.eps"),
+        (_CROSSCHECK, _put("params", "depth", 0), "c.params.depth"),
+        (_CROSSCHECK, _put("params", "pairs", 13), "c.params.pairs"),
     ],
     ids=[
         "horizon-string",
@@ -212,18 +261,84 @@ _DENSITY_EMPTY = {
         "sequence-negative",
         "sequence-empty",
         "sequence-float",
+        "output-string",
+        "output-csv-integer",
+        "alphabet-size-string",
+        "transition-integer",
+        "periodic-right-integer",
+        "cylinder-start-float",
+        "cylinder-word-integer",
+        "unknown-param",
+        "duplicate-key",
+        "eps-zero",
+        "crosscheck-depth-zero",
+        "crosscheck-pairs-above-panel",
     ],
 )
-def test_bad_config_scalars_exit_1(runner, tmp_path, base, key, value, field):
-    config = json.loads(json.dumps(base))
-    config["params"][key] = value
+def test_bad_config_scalars_exit_1(runner, tmp_path, base, edit, field):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(edit(json.loads(json.dumps(base))), encoding="utf-8")
     result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
     assert f"config error: {field}:" in result.output
     assert "Traceback" not in result.output
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DUPLICATE = "@duplicate@"
+
+
+def _containers(node):
+    """Every nonempty object or list of a JSON tree."""
+    if isinstance(node, (dict, list)) and node:
+        yield node
+        for child in node.values() if isinstance(node, dict) else node:
+            yield from _containers(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_configs_raise_only_config_errors(tmp_path_factory, data):
+    """Dropped, retyped, duplicated or added keys, out-of-range values and
+    wrong shapes anywhere in a config surface as ConfigError at load time."""
+    names = sorted(BUNDLED_CSV_SHA256)
+    name = data.draw(st.sampled_from(names + ["inline"]))
+    if name == "inline":
+        config = json.loads(json.dumps(_INLINE))
+    else:
+        config = json.loads(bundled_config_path(name).read_text(encoding="utf-8"))
+    node = data.draw(st.sampled_from(list(_containers(config))))
+    key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+    mutation = data.draw(st.sampled_from(["drop", "retype", "range", "shape", "add", "duplicate"]))
+    value = node[key]
+    if mutation == "drop":
+        del node[key]
+    elif mutation == "retype":
+        node[key] = data.draw(_JSON)
+    elif mutation == "range":
+        node[key] = data.draw(st.sampled_from([-1, 0, 1, 10**9, -(10**9)]))
+    elif mutation == "shape":
+        node[key] = data.draw(st.sampled_from([[value], {"x": value}, [], {}, [value, value]]))
+    elif mutation == "add" and isinstance(node, dict):
+        node[data.draw(st.text(min_size=1, max_size=8))] = data.draw(_JSON)
+    elif mutation == "add":
+        node.append(data.draw(_JSON))
+    text = json.dumps(config)
+    if mutation == "duplicate" and isinstance(node, dict):
+        node[key] = _DUPLICATE
+        pair = f"{json.dumps(key)}: {json.dumps(value)}"
+        text = json.dumps(config).replace(f"{json.dumps(key)}: {json.dumps(_DUPLICATE)}", f"{pair}, {pair}")
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
 
 
 # The CSV digests of the bundled configs, as recorded in perfbench/reference/bundled.json.

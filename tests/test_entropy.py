@@ -27,6 +27,7 @@ from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of
 from shiftlab.panel import bernoulli_system, cycle4_system, golden_mean_system
 from shiftlab.symbolic import Cylinder, CylinderUnion, EventuallyPeriodic, cylinder, whole_space
+from shiftlab.verdicts import CrosscheckParams, MsFunctionParams
 from .oracles import (
     constraint_span,
     greedy_entropy_oracle,
@@ -340,6 +341,24 @@ def test_crosscheck_agreement(bernoulli, golden, cycle4):
     assert neg.agree and not neg.sensitive
     trivially = crosscheck_hms_hap(bernoulli.measure, whole_space(bernoulli.sft))
     assert trivially.agree and not trivially.sensitive
+
+
+def test_crosscheck_profile_reads_greedy_saved_joins(systems):
+    """The Kushnirenko arm's profile comes from the greedy's saved joins; it
+    must equal a fresh profile along the chosen sequence, float for float."""
+    cases = 0
+    for system in systems:
+        m = system.measure
+        for cell in default_cell_family(m)[1:]:
+            report = crosscheck_hms_hap(
+                m, cell, cell_family=[whole_space(m.sft)],
+                ms_params=MsFunctionParams(pair_attempts=1, density_horizon=200),
+            )
+            fresh = sequence_entropy_profile(m, two_set_partition(cell), report.greedy_sequence)
+            assert len(report.greedy_sequence) == CrosscheckParams().greedy_len
+            assert report.entropy_profile.rows == fresh.rows
+            cases += 1
+    assert cases == 19
 
 
 def test_join_singleton_sequence_is_partition_itself(bernoulli, golden):
