@@ -7,7 +7,6 @@ from .symbolic import (
     Cylinder,
     CylinderUnion,
     DistanceResult,
-    EmptyIntersection,
     EventuallyPeriodic,
     SampledWindow,
     Sft,

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from . import entropy as ent
 from .config import bundled_config_path
-from .folner import FolnerWindows
 from .independence import (
     full_e,
     is_independence_set,
@@ -28,7 +27,7 @@ from .independence import (
     random_table_e,
 )
 from .measures import measure_of, measure_of_constraints
-from .panel import panel_pairs, panel_systems
+from .panel import canonical_pairs, panel_systems
 from .sensitivity import (
     EquivalenceParams,
     diam_mean_profile,
@@ -65,7 +64,8 @@ def _panel():
 
 @functools.lru_cache(maxsize=1)
 def _crosscheck_base():
-    return equivalence_crosscheck(_panel(), panel_pairs(10), EquivalenceParams())
+    pairs = {system.id: canonical_pairs(system) for system in _panel()}
+    return equivalence_crosscheck(_panel(), pairs, EquivalenceParams())
 
 
 @functools.lru_cache(maxsize=1)
@@ -81,9 +81,7 @@ def _crosscheck_extended():
         params = dataclasses.replace(
             base, in_params=dataclasses.replace(base.in_params, extra_e_maps=extras)
         )
-        report = equivalence_crosscheck(
-            [system], {system.id: panel_pairs(10)[system.id]}, params
-        )
+        report = equivalence_crosscheck([system], {system.id: canonical_pairs(system)}, params)
         rows.extend(report.rows)
     return rows
 
@@ -314,11 +312,8 @@ def criterion_9() -> CriterionResult:
     ]
     if bad:
         return _result(9, title, False, "ms+ but diam- on: " + ", ".join(bad), t0)
-    windows = FolnerWindows.canonical_windows()
     for system in _panel():
-        profile = diam_mean_profile(
-            system.sft, system.measure, whole_space(system.sft), windows, 10_000
-        )
+        profile = diam_mean_profile(system.sft, system.measure, whole_space(system.sft), 10_000)
         if profile.exact != Fraction(1):
             return _result(9, title, False, f"{system.id}: diam profile {profile}", t0)
     return _result(9, title, True, "implication holds on 30 rows; diam(X) profile exactly 1", t0)

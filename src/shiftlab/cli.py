@@ -18,7 +18,7 @@ import click
 from .config import load_config, serialize_system
 from .errors import CapExceededError, ConfigError
 from .harness import InfeasibleExperiment, run_config
-from .panel import panel_pairs, panel_systems
+from .panel import canonical_pairs, panel_systems
 from .reports import fmt_rational, render_csv, render_json
 
 
@@ -66,7 +66,7 @@ def list_panel():
         click.echo(f"  allowed: {spec['allowed']}")
         click.echo(f"  transition: {spec['transition']}")
         click.echo(f"  stationary: ({pi})")
-        labels = [label for label, _x, _y in panel_pairs(10)[system.id]]
+        labels = [label for label, _x, _y in canonical_pairs(system)]
         click.echo(f"  pairs: {', '.join(labels)}")
 
 

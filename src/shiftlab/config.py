@@ -234,7 +234,7 @@ FIELDS = {
         ("depth", _checked(minimum=1), 1),  # the panel's pairs first differ at |n| = 1
         ("extra_table_e", _checked(minimum=0), 0),
         ("include_kush", _checked(bool), True),
-        ("table_e_eps", parse_rational, "1/50"),
+        ("table_e_eps", _positive, "1/50"),
     ),
     "density": (
         ("set", _set, REQUIRED),

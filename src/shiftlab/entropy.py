@@ -19,15 +19,13 @@ from .folner import FolnerWindows, density_from_indicator, orbit_indicator
 from .measures import MarkovMeasure, measure_of, mix_seed, sample_point_in
 from .measures import _carry, _collapse, _gap_measures, _spread
 from .symbolic import (
-    _EMPTY,
-    _FULL,
     ConstraintAutomaton,
     CylinderUnion,
     PointRep,
     SetLike,
     Sft,
-    _atoms_of,
     cylinder,
+    point_in_set,
     resolve_constraints,
     whole_space,
 )
@@ -137,13 +135,8 @@ class _Join:
 
     def __init__(self, m: MarkovMeasure, p: Partition):
         sft = m.sft
-        blocks = [_atoms_of(atom) for atom in p.atoms]
-        spans = [
-            (start, start + len(words[0]) - 1)
-            for b in blocks
-            if isinstance(b, list)
-            for start, words in b
-        ]
+        blocks = [None if atom.is_empty else atom.blocks() for atom in p.atoms]
+        spans = [(start, start + len(words[0]) - 1) for b in blocks if b for start, words in b]
         lo = min((s for s, _ in spans), default=0)
         width = max((e for _, e in spans), default=0) - lo + 1
         words = tuple(sft.legal_words(width))
@@ -153,9 +146,9 @@ class _Join:
         # that can carry mass; an empty atom has none and never goes live.
         self.atoms = []
         for b in blocks:
-            if b is _EMPTY:
+            if b is None:
                 members = ()
-            elif b is _FULL:
+            elif not b:
                 members = words
             else:
                 members = ConstraintAutomaton(sft, b, lo, lo + width - 1).words()
@@ -304,7 +297,7 @@ def df_estimate(
     averages = []
     for n in range(max(1, math.ceil(tail_fraction * n_max)), n_max + 1):
         w = windows.window(n)
-        count = sum(1 for s in w if b.contains_point(x, s) != b.contains_point(y, s))
+        count = sum(1 for s in w if point_in_set(x, b, s) != point_in_set(y, b, s))
         averages.append(count / len(w))
     return math.sqrt(max(averages))
 

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .symbolic import EventuallyPeriodic, PointRep, SetLike, point_window
+from .symbolic import EventuallyPeriodic, PointRep, SetLike, point_in_set, point_window
 
 DEFAULT_TAIL_FRACTION = 0.5
 DEFAULT_N_MAX = 100_000
@@ -89,15 +89,13 @@ Predicate = Union[PeriodicPredicate, Callable[[int], bool]]
 
 def membership_predicate(p: PointRep, s: SetLike) -> Predicate:
     """Predicate g -> [T^g p in s]; exact periodic form for periodic points."""
-    if isinstance(p, EventuallyPeriodic) and not s.is_empty:
-        blocks = s.blocks()
-        lo = min(start for start, _ in blocks)
-        period = p.tail_period()
+    if isinstance(p, EventuallyPeriodic):
+        lo = min((start for start, _ in s.blocks()), default=0)
         burn = max(0, p.core_end() - lo)
-        pre = tuple(s.contains_point(p, g) for g in range(burn))
-        cyc = tuple(s.contains_point(p, burn + g) for g in range(period))
+        pre = tuple(point_in_set(p, s, g) for g in range(burn))
+        cyc = tuple(point_in_set(p, s, burn + g) for g in range(p.tail_period()))
         return PeriodicPredicate(pre, cyc)
-    return lambda g: s.contains_point(p, g)
+    return lambda g: point_in_set(p, s, g)
 
 
 def _tail_range(n_max: int, tail_fraction: float) -> range:
@@ -167,11 +165,9 @@ def birkhoff_average(
 ) -> Fraction:
     """(1/|F_n|) sum_{s in F_n} 1_{f_set}(T^s p), exactly."""
     w = windows.window(n)
-    if windows.canonical and not f_set.is_empty:
-        hits = orbit_indicator(p, f_set, 0, n)
-        return Fraction(int(hits.sum()), n)
-    count = sum(1 for s in w if f_set.contains_point(p, s))
-    return Fraction(count, len(w))
+    if windows.canonical:
+        return Fraction(int(orbit_indicator(p, f_set, 0, n).sum()), n)
+    return Fraction(sum(1 for s in w if point_in_set(p, f_set, s)), len(w))
 
 
 def orbit_indicator(p: PointRep, s: SetLike, lo: int, hi: int) -> np.ndarray:

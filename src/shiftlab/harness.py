@@ -18,7 +18,7 @@ from .folner import FolnerWindows, birkhoff_average, density, density_from_indic
 from .folner import membership_predicate, orbit_indicator
 from .independence import full_e, independence_density_profile, random_table_e
 from .measures import measure_of, sample_point
-from .panel import panel_pairs, panel_systems
+from .panel import canonical_pairs, panel_systems
 from .reports import ReportRow
 from .sensitivity import EquivalenceParams, equivalence_crosscheck, find_sensitivity_witnesses
 from .verdicts import INCONCLUSIVE, InPairParams, Verdict, WitnessParams
@@ -128,14 +128,14 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
 
 def _run_crosscheck(exp: Experiment, seed_override: Optional[int]) -> list[ReportRow]:
     depth, extra, eps = exp.params["depth"], exp.params["extra_table_e"], exp.params["table_e_eps"]
-    pairs = panel_pairs(exp.params["pairs"])
     rows = []
     for system in panel_systems():
         extras = tuple(random_table_e(system.measure, eps, seed=900 + j) for j in range(extra))
         in_params = InPairParams(extra_e_maps=extras)
         params = EquivalenceParams(depth, in_params, include_kush=exp.params["include_kush"])
         t0 = time.perf_counter()
-        report = equivalence_crosscheck([system], {system.id: pairs[system.id]}, params)
+        pairs = {system.id: canonical_pairs(system, exp.params["pairs"])}
+        report = equivalence_crosscheck([system], pairs, params)
         dt = _ms_since(t0)
         for r in report.rows:
             outputs = {"in_positive": r.in_positive, "ms_positive": r.ms_positive,

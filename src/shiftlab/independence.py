@@ -29,16 +29,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from .measures import MarkovMeasure, measure_of
 from .symbolic import (
-    _EMPTY,
-    _FULL,
-    BridgedBlocks,
     ConstraintAutomaton,
     CylinderUnion,
     PointRep,
     SetLike,
     Sft,
     Word,
-    _atoms_of,
     cylinder,
     resolve_constraints,
     whole_space,
@@ -119,10 +115,7 @@ def e_min_measure(e: EMap, m: MarkovMeasure, shifts: Sequence[int]) -> Fraction:
 
 def _target_atoms(target: SetLike) -> Optional[tuple[tuple[int, tuple[Word, ...]], ...]]:
     """The target's constraint atoms (start, words): () for the whole space, None if empty."""
-    atoms = _atoms_of(target)
-    if atoms is _EMPTY:
-        return None
-    return () if atoms is _FULL else tuple(atoms)
+    return None if target.is_empty else target.blocks()
 
 
 def is_independence_set(
@@ -187,7 +180,7 @@ class _Checker:
         values = [self.e.at(s) for s in new]
         if (self.dead and new) or any(v.is_empty for v in values):
             return None
-        fresh = {b for v in values if not v.is_full for b in v.blocks() if b not in state.e_atoms}
+        fresh = {b for v in values for b in v.blocks() if b not in state.e_atoms}
         shifts = new
         if fresh:  # E enters unshifted: its new atoms may land in closed segments, so refold
             shifts = state.shifts + shifts
@@ -594,7 +587,7 @@ def bad_constant_e(
     meet = resolve_constraints([(s, ux), (t, uy)], m.sft, gap_cap=64)
     if meet.is_empty:
         return ConstantE(whole_space(m.sft))
-    if isinstance(meet, BridgedBlocks):
+    if meet.bridged:
         raise ValueError("shifts too far apart for an exact complement")
     return ConstantE(meet.complement())
 

@@ -19,10 +19,7 @@ import numpy as np
 
 from .errors import ShiftLabError
 from .symbolic import (
-    BridgedBlocks,
-    Cylinder,
     CylinderUnion,
-    EmptyIntersection,
     SampledWindow,
     SetLike,
     Sft,
@@ -31,7 +28,6 @@ from .symbolic import (
     constraint_atoms,
     _cluster_constraints,
     _graph_covers,
-    _EMPTY,
     _cached_power,
 )
 
@@ -178,23 +174,16 @@ def _mat_mul(x, y):
 
 
 def measure_of(m: MarkovMeasure, s: SetLike) -> Fraction:
-    """Exact measure of a cylinder, union, or block-form set."""
-    if isinstance(s, EmptyIntersection):
+    """Exact measure of a set-like: its blocks chained through the forward engine."""
+    if s.is_empty:
         return Fraction(0)
-    if isinstance(s, Cylinder):
-        return Fraction(0) if s.is_empty else m.word_weight(s.word)
-    if isinstance(s, CylinderUnion):
-        if s.is_empty:
-            return Fraction(0)
-        if s.is_full:
-            return Fraction(1)
-        original = getattr(s, "_complement_of", None)
-        if original is not None and len(original.words) < len(s.words):
-            return 1 - measure_of(m, original)
-        return sum((m.word_weight(w) for w in s.words), Fraction(0))
-    if isinstance(s, BridgedBlocks):
-        return _blocks_measure(m, s.blocks())
-    raise TypeError(f"not a measurable set representation: {s!r}")
+    blocks = s.blocks()
+    if not blocks:
+        return Fraction(1)
+    original = getattr(s, "_complement_of", None)
+    if original is not None and len(original.words) < len(s.words):
+        return 1 - measure_of(m, original)
+    return _blocks_measure(m, blocks)
 
 
 # The forward engine. A vector maps word keys to integer masses over one
@@ -259,7 +248,7 @@ def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> lis
     first coordinate and chained through b's blocks.
     """
     atoms_a, atoms_b = (constraint_atoms([(0, s)], m.sft) for s in (a, b))
-    if atoms_a is _EMPTY or atoms_b is _EMPTY or not atoms_a or not atoms_b:
+    if not atoms_a or not atoms_b:
         # One side is empty or the whole space, so one set contains the other.
         return [min(measure_of(m, a), measure_of(m, b))] * horizon
     blocks_a, blocks_b = (_cluster_constraints(m.sft, atoms) for atoms in (atoms_a, atoms_b))
@@ -273,8 +262,7 @@ def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> lis
             out.append(_blocks_measure(m, blocks_b, entry, e_a + steps))
         else:
             blocks = _cluster_constraints(m.sft, atoms_a + [(s + g, w) for s, w in atoms_b])
-            empty = isinstance(blocks, EmptyIntersection)
-            out.append(Fraction(0) if empty else _blocks_measure(m, blocks))
+            out.append(Fraction(0) if blocks is None else _blocks_measure(m, blocks))
     return out
 
 
@@ -285,14 +273,10 @@ def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) 
     latter enumerates; an empty constraint list measures the whole space.
     """
     atoms = constraint_atoms(constraints, m.sft)
-    if atoms is _EMPTY:
-        return Fraction(0)
-    if not atoms:
+    if atoms == []:
         return Fraction(1)
-    blocks = _cluster_constraints(m.sft, atoms)
-    if isinstance(blocks, EmptyIntersection):
-        return Fraction(0)
-    return _blocks_measure(m, blocks)
+    blocks = None if atoms is None else _cluster_constraints(m.sft, atoms)
+    return Fraction(0) if blocks is None else _blocks_measure(m, blocks)
 
 
 def l2_distance_sq(

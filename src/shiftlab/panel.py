@@ -60,15 +60,19 @@ def cycle4_system() -> PanelSystem:
     )
 
 
+# Panel order is report order.
+_BUILDERS = {BERNOULLI: bernoulli_system, GOLDEN_MEAN: golden_mean_system, CYCLE4: cycle4_system}
+
+
 def panel_systems() -> tuple[PanelSystem, ...]:
-    return (bernoulli_system(), golden_mean_system(), cycle4_system())
+    return tuple(build() for build in _BUILDERS.values())
 
 
 def get_system(system_id: str) -> PanelSystem:
-    for system in panel_systems():
-        if system.id == system_id:
-            return system
-    raise KeyError(f"unknown panel system {system_id!r}")
+    """The named panel system, built alone."""
+    if system_id not in _BUILDERS:
+        raise KeyError(f"unknown panel system {system_id!r}")
+    return _BUILDERS[system_id]()
 
 
 def periodic_point(sft: Sft, period_word) -> EventuallyPeriodic:

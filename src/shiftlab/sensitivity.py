@@ -25,7 +25,7 @@ from .entropy import (
     crosscheck_hms_hap,
 )
 from .errors import EntryTimeNotFoundError
-from .folner import FolnerWindows, PeriodicPredicate, density_from_indicator, orbit_indicator
+from .folner import PeriodicPredicate, density_from_indicator, orbit_indicator
 from .independence import (
     InPairParams,
     classify_in_pair,
@@ -369,7 +369,6 @@ def diam_mean_profile(
     sft: Sft,
     m: MarkovMeasure,
     a: CylinderUnion,
-    windows: FolnerWindows,
     n_max: int,
     *,
     metric_horizon: int = 32,

@@ -11,6 +11,15 @@ All set-level computations are exact: a normalized :class:`CylinderUnion`
 is a set of full-length legal words over one support interval, and
 :func:`resolve_constraints` either enumerates the intersection or returns
 an exact block form with symbolic gaps.
+
+Every set-like (:class:`Cylinder`, :class:`CylinderUnion`,
+:class:`BridgedBlocks`) answers two questions, and nothing else reads its
+class: ``is_empty``, and ``blocks()``, its constraint atoms ``(start,
+words)`` with each block's words sorted. A point lies in the set iff its
+window over every block is one of that block's words, so ``blocks() == ()``
+is the whole space; an empty set is told apart by ``is_empty`` alone.
+Measure (``measures.measure_of``), membership (:func:`point_in_set`) and
+resolution (:func:`constraint_atoms`) are written once over these two.
 """
 
 from __future__ import annotations
@@ -398,6 +407,9 @@ class Cylinder:
     def as_union(self) -> "CylinderUnion":
         return CylinderUnion(self.sft, [self])
 
+    def blocks(self) -> tuple[tuple[int, tuple[Word, ...]], ...]:
+        return ((self.start, (self.word,)),)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Cylinder)
@@ -487,7 +499,7 @@ class CylinderUnion:
         return 0 if self.is_empty else len(self.words[0])
 
     def blocks(self) -> tuple[tuple[int, tuple[Word, ...]], ...]:
-        if self.is_empty:
+        if self.is_empty or self.is_full:
             return ()
         return ((self.start, self.words),)
 
@@ -519,23 +531,8 @@ class CylinderUnion:
     def union(self, other: "CylinderUnion") -> "CylinderUnion":
         if self.sft != other.sft:
             raise ValueError("union across different subshifts")
-        cyls = [Cylinder(self.sft, s, w) for s, ws in self.blocks() for w in ws]
-        cyls += [Cylinder(self.sft, s, w) for s, ws in other.blocks() for w in ws]
+        cyls = [Cylinder(self.sft, u.start, w) for u in (self, other) for w in u.words]
         return CylinderUnion(self.sft, cyls)
-
-    def contains_point(self, p: PointRep, shift: int = 0) -> bool:
-        if self.is_empty:
-            return False
-        lo, hi = self.support
-        window = tuple(p.eval(n + shift) for n in range(lo, hi + 1))
-        return window in self._word_set()
-
-    def _word_set(self) -> frozenset[Word]:
-        cached = getattr(self, "_words_frozen", None)
-        if cached is None:
-            cached = frozenset(self.words)
-            self._words_frozen = cached
-        return cached
 
     def __eq__(self, other) -> bool:
         return (
@@ -621,27 +618,6 @@ Constraint = tuple[int, SetLike]
 ShiftedConstraintSet = Sequence[Constraint]
 
 
-@dataclass(frozen=True)
-class EmptyIntersection:
-    """Resolution result: the constraints have no point in the subshift."""
-
-    reason: str
-
-    @property
-    def is_empty(self) -> bool:
-        return True
-
-    @property
-    def bridged(self) -> bool:
-        return False
-
-    def blocks(self) -> tuple:
-        return ()
-
-    def contains_point(self, p: PointRep, shift: int = 0) -> bool:
-        return False
-
-
 class BridgedBlocks:
     """Exact intersection in block form: constrained intervals with free gaps.
 
@@ -657,7 +633,6 @@ class BridgedBlocks:
         self._blocks = tuple((s, tuple(sorted(set(ws)))) for s, ws in blocks)
         if any(not ws for _, ws in self._blocks):
             raise ValueError("BridgedBlocks with an empty block")
-        self._word_sets = tuple(frozenset(ws) for _, ws in self._blocks)
 
     @property
     def is_empty(self) -> bool:
@@ -675,52 +650,19 @@ class BridgedBlocks:
         first, last = self._blocks[0], self._blocks[-1]
         return (first[0], last[0] + len(last[1][0]) - 1)
 
-    def contains_point(self, p: PointRep, shift: int = 0) -> bool:
-        for (s, ws), word_set in zip(self._blocks, self._word_sets):
-            window = tuple(p.eval(n + shift) for n in range(s, s + len(ws[0])))
-            if window not in word_set:
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"BridgedBlocks({len(self._blocks)} blocks over {self.support})"
 
 
-_FULL = "full"
-_EMPTY = "empty"
-
-
-def _atoms_of(setlike: SetLike):
-    """Constraint atoms (start, words) of a set-like object, or a marker."""
-    if isinstance(setlike, Cylinder):
-        if setlike.is_empty:
-            return _EMPTY
-        return [(setlike.start, (setlike.word,))]
-    if isinstance(setlike, CylinderUnion):
-        if setlike.is_empty:
-            return _EMPTY
-        if setlike.is_full:
-            return _FULL
-        return list(setlike.blocks())
-    if isinstance(setlike, BridgedBlocks):
-        return list(setlike.blocks())
-    if isinstance(setlike, EmptyIntersection):
-        return _EMPTY
-    raise TypeError(f"not a set-like object: {setlike!r}")
-
-
 def constraint_atoms(constraints: ShiftedConstraintSet, sft: Sft):
-    """Translate constraints into raw atoms; T^{-k}[w]_i = [w]_{i+k}."""
+    """The shifted blocks of every constraint, T^{-k}[w]_i = [w]_{i+k}; None if a set is empty."""
     atoms: list[tuple[int, tuple[Word, ...]]] = []
     for shift, setlike in constraints:
-        if isinstance(setlike, (Cylinder, CylinderUnion)) and setlike.sft != sft:
+        if setlike.sft != sft:
             raise ValueError("constraint set belongs to a different subshift")
-        res = _atoms_of(setlike)
-        if res is _EMPTY:
-            return _EMPTY
-        if res is _FULL:
-            continue
-        atoms.extend((start + shift, words) for start, words in res)
+        if setlike.is_empty:
+            return None
+        atoms.extend((start + shift, words) for start, words in setlike.blocks())
     return atoms
 
 
@@ -811,7 +753,7 @@ def _cluster_constraints(sft: Sft, atoms):
     """Merge overlapping atoms into blocks and filter across gaps.
 
     Returns a list of (start, words) blocks sorted by start with pairwise
-    disjoint intervals, or EmptyIntersection.
+    disjoint intervals, or None if the atoms contradict each other.
     """
     spans = sorted(atoms, key=lambda a: (a[0], a[0] + len(a[1][0])))
     clusters: list[list] = []
@@ -837,9 +779,7 @@ def _cluster_constraints(sft: Sft, atoms):
         else:
             merged = ConstraintAutomaton(sft, group, g_lo, g_hi).words()
         if not merged:
-            return EmptyIntersection(
-                f"contradictory or illegal constraints over [{g_lo}, {g_hi}]"
-            )
+            return None
         blocks.append((g_lo, tuple(merged)))
 
     # Forward filter: keep words whose start symbol is reachable from some
@@ -854,9 +794,7 @@ def _cluster_constraints(sft: Sft, atoms):
                 w for w in words if any(sft.reachable(e, w[0], steps) for e in prev_ends)
             )
             if not keep:
-                return EmptyIntersection(
-                    f"no legal word bridges the gap into coordinate {start}"
-                )
+                return None
             words = keep
         filtered.append((start, words))
         prev_ends = frozenset(w[-1] for w in words)
@@ -874,9 +812,7 @@ def _cluster_constraints(sft: Sft, atoms):
                 w for w in words if any(sft.reachable(w[-1], b, steps) for b in next_starts)
             )
             if not keep:
-                return EmptyIntersection(
-                    f"no legal word bridges the gap out of coordinate {hi}"
-                )
+                return None
             words = keep
         result.append((start, words))
         next_starts = frozenset(w[0] for w in words)
@@ -890,23 +826,21 @@ def resolve_constraints(
     sft: Sft,
     *,
     gap_cap: int = GAP_CAP,
-    word_budget: int = WORD_BUDGET,
-) -> Union[CylinderUnion, BridgedBlocks, EmptyIntersection]:
+) -> Union[CylinderUnion, BridgedBlocks]:
     """Exact intersection of T^{-shift}(set) over the constraint list.
 
     Gaps of at most `gap_cap` free coordinates are bridged by explicit word
     enumeration, producing a normalized CylinderUnion; larger gaps (or an
-    enumeration beyond `word_budget` words) keep the exact block form.
-    An empty constraint list resolves to the whole space.
+    enumeration beyond WORD_BUDGET words) keep the exact block form.
+    An empty constraint list resolves to the whole space, and contradictory
+    constraints to the empty CylinderUnion.
     """
     atoms = constraint_atoms(constraints, sft)
-    if atoms is _EMPTY:
-        return EmptyIntersection("a constraint set is empty")
-    if not atoms:
+    if atoms == []:
         return whole_space(sft)
-    blocks = _cluster_constraints(sft, atoms)
-    if isinstance(blocks, EmptyIntersection):
-        return blocks
+    blocks = None if atoms is None else _cluster_constraints(sft, atoms)
+    if blocks is None:
+        return CylinderUnion(sft, ())
 
     gaps = []
     estimate = 1
@@ -916,26 +850,25 @@ def resolve_constraints(
         estimate *= sft.alphabet_size ** min(gap, 64)
     for _s, ws in blocks:
         estimate *= len(ws)
-    if all(g <= gap_cap for g in gaps) and estimate <= word_budget:
+    if all(g <= gap_cap for g in gaps) and estimate <= WORD_BUDGET:
         lo = blocks[0][0]
         hi = blocks[-1][0] + len(blocks[-1][1][0]) - 1
-        words = ConstraintAutomaton(sft, blocks, lo, hi).words()
-        if not words:
-            return EmptyIntersection("no legal word over the full span")
-        return CylinderUnion._from_normal(sft, lo, words)
+        return CylinderUnion._from_normal(sft, lo, ConstraintAutomaton(sft, blocks, lo, hi).words())
     if len(blocks) == 1:
         return CylinderUnion._from_normal(sft, blocks[0][0], blocks[0][1])
     return BridgedBlocks(sft, blocks)
 
 
 def point_in_set(p: PointRep, s: SetLike, shift: int = 0) -> bool:
-    """True iff T^shift p lies in s."""
-    if isinstance(s, Cylinder):
-        if s.is_empty:
+    """True iff T^shift p lies in s: its window over each block is one of the block's words."""
+    if s.is_empty:
+        return False
+    for start, words in s.blocks():
+        window = tuple(p.eval(n + shift) for n in range(start, start + len(words[0])))
+        i = bisect_left(words, window)
+        if i == len(words) or words[i] != window:
             return False
-        window = tuple(p.eval(n + shift) for n in range(s.start, s.end + 1))
-        return window == s.word
-    return s.contains_point(p, shift)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1028,12 +961,10 @@ def diam_of_set(s: SetLike, sft: Sft, horizon: int) -> DistanceResult:
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    if isinstance(s, CylinderUnion) and s.is_full:
-        if sft.alphabet_size >= 2:
-            return DistanceResult(1.0, False)
-        return DistanceResult(0.0, False)
     if s.is_empty:
         raise ValueError("diameter of the empty set")
+    if not s.blocks():
+        return DistanceResult(1.0 if sft.alphabet_size >= 2 else 0.0, False)
     for n in range(0, horizon + 1):
         for coord in ((n,) if n == 0 else (-n, n)):
             if len(realizable_symbols(s, coord)) >= 2:

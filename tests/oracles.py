@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 from shiftlab.measures import MarkovMeasure
-from shiftlab.symbolic import Sft, full_shift
+from shiftlab.symbolic import Sft, full_shift, point_in_set
 
 
 def three_symbol_chain() -> MarkovMeasure:
@@ -165,7 +165,7 @@ def orbit_density_oracle(point, setlike, n: int) -> Fraction:
     """Direct membership counting along the orbit (no vectorized paths)."""
     count = 0
     for s in range(n):
-        if setlike.contains_point(point, s):
+        if point_in_set(point, setlike, s):
             count += 1
     return Fraction(count, n)
 

@@ -246,6 +246,8 @@ def _twice(key):
         (_SENSITIVITY, _put("params", "eps", "0"), "s.params.eps"),
         (_CROSSCHECK, _put("params", "depth", 0), "c.params.depth"),
         (_CROSSCHECK, _put("params", "pairs", 13), "c.params.pairs"),
+        (_CROSSCHECK, _put("params", "table_e_eps", "0"), "c.params.table_e_eps"),
+        (_CROSSCHECK, _put("params", "table_e_eps", "-1"), "c.params.table_e_eps"),
     ],
     ids=[
         "horizon-string",
@@ -273,6 +275,8 @@ def _twice(key):
         "eps-zero",
         "crosscheck-depth-zero",
         "crosscheck-pairs-above-panel",
+        "table-e-eps-zero",
+        "table-e-eps-negative",
     ],
 )
 def test_bad_config_scalars_exit_1(runner, tmp_path, base, edit, field):

@@ -9,7 +9,7 @@ from shiftlab.folner import (
     temperedness_constant,
 )
 from shiftlab.measures import measure_of, sample_point
-from shiftlab.symbolic import EventuallyPeriodic, cylinder, full_shift
+from shiftlab.symbolic import EventuallyPeriodic, cylinder, full_shift, point_in_set
 
 from .oracles import orbit_density_oracle
 
@@ -103,7 +103,7 @@ def test_membership_predicate_periodic_exact():
     pred = membership_predicate(p, target)
     assert isinstance(pred, PeriodicPredicate)
     for s in range(40):
-        assert pred(s) == target.contains_point(p, s)
+        assert pred(s) == point_in_set(p, target, s)
 
 
 def test_ergodic_theorem_desk_scale(systems):

@@ -24,6 +24,7 @@ from shiftlab.panel import panel_systems
 from shiftlab.symbolic import (
     Cylinder,
     CylinderUnion,
+    EventuallyPeriodic,
     Sft,
     cylinder,
     point_in_set,
@@ -39,6 +40,8 @@ from .oracles import (
     reference_index,
     sample_point_in_reference,
     sample_point_reference,
+    satisfiable_oracle,
+    satisfies,
     three_symbol_chain,
     word_weight,
 )
@@ -263,6 +266,62 @@ def test_gap_measures_match_oracle(data):
     horizon = hi - lo + 1 + data.draw(st.integers(0, 2))
     expected = [constraint_measure_oracle(m, [(0, a), (g, b)]) for g in range(horizon)]
     assert _gap_measures(m, a, b, horizon) == expected
+
+
+def _set_like(data, sft: Sft):
+    """A set-like of any shape: a raw Cylinder (empty included), a union or its
+    complement, the whole space, the empty union, or two blocks kept apart by
+    resolving with gap_cap=0."""
+    kind = data.draw(st.sampled_from(["cylinder", "union", "complement", "whole", "empty", "bridged"]))
+    symbols = st.lists(st.integers(0, sft.alphabet_size - 1), min_size=1, max_size=3)
+    if kind == "cylinder":
+        return Cylinder(sft, data.draw(st.integers(-2, 2)), data.draw(symbols))
+    if kind in ("union", "complement"):
+        pieces = data.draw(st.lists(st.tuples(st.integers(-2, 2), symbols), min_size=1, max_size=3))
+        u = CylinderUnion(sft, [Cylinder(sft, start, word) for start, word in pieces])
+        return u.complement() if kind == "complement" else u
+    if kind == "whole":
+        return whole_space(sft)
+    if kind == "empty":
+        return CylinderUnion(sft, [])
+    legal = st.sampled_from([w for n in range(1, 4) for w in sft.legal_words(n)])
+    first = Cylinder(sft, data.draw(st.integers(-2, 2)), data.draw(legal))
+    second = Cylinder(sft, 0, data.draw(legal))
+    gap = data.draw(st.integers(1, 3))
+    return resolve_constraints([(0, first), (first.end + gap + 1, second)], sft, gap_cap=0)
+
+
+def _eventually_periodic(data, sft: Sft) -> EventuallyPeriodic:
+    """A point with a legal core between two copies of one periodic tail."""
+    legal = [w for n in range(1, 5) for w in sft.legal_words(n)]
+    tail = data.draw(st.sampled_from([w for w in legal if sft.allowed[w[-1]][w[0]]]))
+    cores = [w for w in legal if sft.allowed[tail[-1]][w[0]] and sft.allowed[w[-1]][tail[0]]]
+    core = data.draw(st.sampled_from([()] + cores))
+    return EventuallyPeriodic(sft, tail, core, tail, offset=data.draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_set_protocol_matches_oracles(data):
+    """measure_of, point_in_set and resolve_constraints read every set-like
+    through is_empty and blocks() alone, and agree with word enumeration."""
+    m = data.draw(st.sampled_from(SAMPLER_MEASURES[:4]))
+    sft = m.sft
+    a, b = _set_like(data, sft), _set_like(data, sft)
+    meet = resolve_constraints([(0, a), (0, b)], sft)
+    if not satisfiable_oracle(sft, [(0, a), (0, b)]):
+        assert isinstance(meet, CylinderUnion) and meet == CylinderUnion(sft, [])
+        assert meet.is_empty and not meet.bridged
+    sets = [a, b, meet]
+    for s in sets:
+        assert measure_of(m, s) == constraint_measure_oracle(m, [(0, s)])
+    points = [_eventually_periodic(data, sft), sample_point(m, -8, 24, data.draw(st.integers(0, 99)))]
+    for p in points:
+        for s in sets:
+            for shift in range(-2, 3):
+                lo, hi = constraint_span([(shift, s)])
+                word = tuple(p.eval(n) for n in range(lo, hi + 1))
+                assert point_in_set(p, s, shift) == satisfies((shift, s), word, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.sensitivity import (
@@ -22,7 +21,6 @@ from shiftlab.sensitivity import (
 from shiftlab.symbolic import cylinder, point_in_set, resolve_constraints, whole_space
 from shiftlab.verdicts import PairParams, Verdict, WitnessParams
 
-W = FolnerWindows.canonical_windows()
 FAST = PairParams(witness=WitnessParams(density_horizon=20_000))
 
 
@@ -278,23 +276,17 @@ def test_visit_predicate_matches_resolve(systems):
 
 def test_diam_profile_whole_space(systems):
     for system in systems:
-        prof = diam_mean_profile(
-            system.sft, system.measure, whole_space(system.sft), W, 4096
-        )
+        prof = diam_mean_profile(system.sft, system.measure, whole_space(system.sft), 4096)
         assert prof.exact == Fraction(1)
 
 
 def test_diam_profile_cylinder(bernoulli):
-    prof = diam_mean_profile(
-        bernoulli.sft, bernoulli.measure, cylinder(bernoulli.sft, 0, "0"), W, 4096
-    )
+    prof = diam_mean_profile(bernoulli.sft, bernoulli.measure, cylinder(bernoulli.sft, 0, "0"), 4096)
     assert prof.exact == Fraction(1)
 
 
 def test_diam_profile_singleton_cell(cycle4):
-    prof = diam_mean_profile(
-        cycle4.sft, cycle4.measure, cylinder(cycle4.sft, 0, [0]), W, 4096
-    )
+    prof = diam_mean_profile(cycle4.sft, cycle4.measure, cylinder(cycle4.sft, 0, [0]), 4096)
     assert prof.exact == Fraction(0)
 
 

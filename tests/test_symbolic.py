@@ -312,7 +312,7 @@ def test_resolve_bridged_blocks_far_apart():
     assert isinstance(r, BridgedBlocks)
     assert not r.is_empty and r.bridged
     zeros_then = EventuallyPeriodic(sft, "0", "0" * 40 + "1", "1")
-    assert r.contains_point(zeros_then)
+    assert point_in_set(zeros_then, r)
 
 
 def test_resolve_bridged_respects_reachability():
