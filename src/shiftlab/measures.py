@@ -10,6 +10,8 @@ readout. Floats never enter set arithmetic.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import random
 from fractions import Fraction
@@ -153,6 +155,22 @@ class MarkovMeasure:
             if not num:
                 break
         return num
+
+    @functools.cached_property
+    def draw_rows(self) -> tuple[list[int], ...]:
+        """The draw bounds of each transition row, for the forward walk."""
+        return tuple(_numerator_bounds(row, self._d) for row in self._pow_cache[1])
+
+    @functools.cached_property
+    def reverse_draw_rows(self) -> tuple[list[int], ...]:
+        """The draw bounds of the time-reversed chain: row b is the law
+        pi[a] P[a][b] / pi[b] of the symbol before b (pi > 0, the chain being
+        irreducible)."""
+        P_num, pi_num, k = self._pow_cache[1], self.pi_num, self.sft.alphabet_size
+        return tuple(
+            _numerator_bounds([pi_num[a] * P_num[a][b] for a in range(k)], pi_num[b] * self._d)
+            for b in range(k)
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -305,17 +323,26 @@ def _draw_bounds(weights: Sequence[Fraction]) -> list[int]:
     """Integer thresholds so that a 64-bit uniform r selects the first index
     with r < ceil(cumsum * 2^64); identical to comparing Fraction(r, 2^64)
     against the exact cumulative sums."""
+    den = math.lcm(*(w.denominator for w in weights))
+    return _numerator_bounds([w.numerator * (den // w.denominator) for w in weights], den)
+
+
+def _numerator_bounds(nums: Sequence[int], den: int) -> list[int]:
+    """`_draw_bounds` of the weights nums[i] / den, in integers."""
     bounds = []
-    acc = Fraction(0)
-    for w in weights:
-        acc += w
-        bounds.append(math.ceil(acc * (1 << 64)))
+    acc = 0
+    for x in nums:
+        acc += x
+        bounds.append(-(-(acc << 64) // den))
     return bounds
 
 
 # Uniforms per getrandbits call in a walk: bounds the draw buffers and the
-# next-symbol table (alphabet size times this many entries) of one chunk.
+# successor table (alphabet size times this many entries) of one chunk.
 _WALK_CHUNK = 1 << 14
+
+# Steps per block of a walk's path (see `_path`).
+_BLOCK = 16
 
 
 def _uniforms(rng: random.Random, n: int) -> np.ndarray:
@@ -327,11 +354,19 @@ def _uniforms(rng: random.Random, n: int) -> np.ndarray:
 def _pick(bounds: Sequence[int], r: np.ndarray) -> np.ndarray:
     """For each uniform, the first index i with r < bounds[i], else the last.
 
-    A bound of 2^64 exceeds every uniform; dropping those keeps the rest in
-    uint64 and leaves the first of them as the index searchsorted returns.
+    That index is the number of bounds at or below r, capped at the last
+    index, so it is summed from one comparison per distinct bound below 2^64,
+    each adding the bounds it stands for (a zero weight repeats the bound
+    before it, and a bound of 2^64 exceeds every uniform).
     """
-    below = np.array([b for b in bounds if b < 1 << 64], dtype=np.uint64)
-    return np.minimum(np.searchsorted(below, r, side="right"), len(bounds) - 1)
+    last = len(bounds) - 1
+    index = np.zeros(len(r), dtype=np.min_scalar_type(last))
+    passed = 0
+    for b in sorted({b for b in bounds if b < 1 << 64}):
+        count = min(bisect.bisect_right(bounds, b), last)
+        index += (r >= np.uint64(b)) * index.dtype.type(count - passed)
+        passed = count
+    return index
 
 
 def _draw(rng: random.Random, weights: Sequence[Fraction]) -> int:
@@ -339,24 +374,51 @@ def _draw(rng: random.Random, weights: Sequence[Fraction]) -> int:
     return int(_pick(_draw_bounds(weights), _uniforms(rng, 1))[0])
 
 
+def _path(table: np.ndarray, s: int) -> np.ndarray:
+    """The c symbols after s, where step i takes symbol b to table[b, i].
+
+    The steps are cut into blocks of `_BLOCK`; the last block is padded with
+    steps to symbol 0, whose output and end symbol are never read. Node
+    b * span + i stands for symbol b before step i, and all k start symbols of
+    every block advance together, one gather per step. The maps from a block's
+    start symbol to its end symbol form a table of the same shape, one column
+    per block, so this routine chains them until one block is left; the path
+    is then one gather from each block's start.
+    """
+    k, c = table.shape
+    blocks = -(-c // _BLOCK)
+    span = blocks * _BLOCK
+    steps = np.zeros((k, span), dtype=table.dtype)
+    steps[:, :c] = table
+    symbol_after = steps.reshape(-1)
+    node_after = steps.astype(np.intp)
+    node_after *= span
+    node_after += np.arange(1, span + 1)
+    node_after = node_after.reshape(-1)
+    nodes = np.empty((_BLOCK, k, blocks), dtype=np.intp)
+    nodes[0] = np.arange(0, k * span, span)[:, None] + np.arange(0, span, _BLOCK)
+    for t in range(1, _BLOCK):
+        nodes[t] = node_after[nodes[t - 1]]
+    starts = np.array([s])
+    if blocks > 1:
+        starts = np.concatenate((starts, _path(symbol_after[nodes[-1]], s)[:-1]))
+    visited = nodes.reshape(_BLOCK, -1)[:, starts * blocks + np.arange(blocks)]
+    return symbol_after[visited.T.reshape(-1)[:c]]
+
+
 def _walk(rng: random.Random, rows: Sequence[Sequence[int]], s: int, n: int) -> np.ndarray:
     """Symbol s and n chain steps after it, the successor of b drawn by bounds rows[b].
 
-    Each chunk of uniforms becomes a next-symbol table (table[b][i] is the
-    successor of b at step i), so the walk is one lookup per symbol. Symbols
-    are stored as bytes whenever the alphabet fits in one.
+    Each chunk of uniforms becomes a successor table (row b holds the symbol
+    after b at every step of the chunk), read by block composition in `_path`.
+    Symbols are bytes whenever the alphabet fits in one.
     """
-    narrow = len(rows) <= 256
-    out = bytearray([s]) if narrow else [s]
-    append = out.append
+    parts = [np.array([s], dtype=np.min_scalar_type(len(rows) - 1))]
     for done in range(0, n, _WALK_CHUNK):
         r = _uniforms(rng, min(_WALK_CHUNK, n - done))
-        table = [_pick(bounds, r) for bounds in rows]
-        table = [t.astype(np.uint8).tobytes() if narrow else t.tolist() for t in table]
-        for i in range(len(r)):
-            s = table[s][i]
-            append(s)
-    return np.frombuffer(out, dtype=np.uint8) if narrow else np.array(out, dtype=np.int64)
+        parts.append(_path(np.stack([_pick(bounds, r) for bounds in rows]), s))
+        s = int(parts[-1][-1])
+    return np.concatenate(parts)
 
 
 def sample_point(m: MarkovMeasure, lo: int, hi: int, seed: int) -> SampledWindow:
@@ -370,8 +432,7 @@ def sample_point(m: MarkovMeasure, lo: int, hi: int, seed: int) -> SampledWindow
         raise ValueError("lo must be <= hi")
     rng = random.Random(seed)
     first = _draw(rng, m.stationary)
-    rows = [_draw_bounds(row) for row in m.transition]
-    return SampledWindow(m.sft, lo, hi, _walk(rng, rows, first, hi - lo), seed)
+    return SampledWindow(m.sft, lo, hi, _walk(rng, m.draw_rows, first, hi - lo), seed)
 
 
 def sample_point_in(
@@ -398,16 +459,8 @@ def sample_point_in(
     rng = random.Random(seed)
     word = cell.words[_draw(rng, [w / total for w in weights])]
 
-    k = m.sft.alphabet_size
-    pi = m.stationary
-    forward = _walk(rng, [_draw_bounds(row) for row in m.transition], word[-1], hi - c_hi)
-    reverse = [
-        _draw_bounds(
-            [(pi[a] * m.transition[a][b] / pi[b]) if pi[b] > 0 else Fraction(0) for a in range(k)]
-        )
-        for b in range(k)
-    ]
-    backward = _walk(rng, reverse, word[0], c_lo - lo)
+    forward = _walk(rng, m.draw_rows, word[-1], hi - c_hi)
+    backward = _walk(rng, m.reverse_draw_rows, word[0], c_lo - lo)
     symbols = np.concatenate(
         [backward[:0:-1], np.array(word, dtype=forward.dtype), forward[1:]]
     )

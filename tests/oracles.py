@@ -42,6 +42,25 @@ def word_weight(m: MarkovMeasure, word) -> Fraction:
     return w
 
 
+def _once(cache: dict, obj, build):
+    """build(obj), computed once per object. Entries are keyed by id and hold
+    the object, so its id is not reused while the entry lives."""
+    hit = cache.get(id(obj))
+    if hit is None:
+        if len(cache) >= 4096:
+            cache.clear()
+        hit = cache[id(obj)] = (obj, build(obj))
+    return hit[1]
+
+
+_WORD_SETS: dict = {}
+
+
+def _word_set(words: tuple) -> frozenset:
+    """The frozenset of a block's words, built once per word tuple."""
+    return _once(_WORD_SETS, words, frozenset)
+
+
 def _constraint_window(constraint, word, lo):
     """Restrict `word` (anchored at lo) to the constraint's shifted support."""
     shift, setlike = constraint
@@ -49,7 +68,7 @@ def _constraint_window(constraint, word, lo):
     views = []
     for start, words in blocks:
         a = start + shift - lo
-        views.append((word[a : a + len(words[0])], set(words)))
+        views.append((word[a : a + len(words[0])], _word_set(words)))
     return views
 
 
@@ -57,8 +76,7 @@ def satisfies(constraint, word, lo) -> bool:
     shift, setlike = constraint
     if setlike.is_empty:
         return False
-    if not setlike.blocks():
-        return True
+    # The whole space has no blocks, so every word satisfies it.
     return all(view in words for view, words in _constraint_window(constraint, word, lo))
 
 
@@ -171,7 +189,7 @@ def orbit_density_oracle(point, setlike, n: int) -> Fraction:
 
 
 # Reference sampler: the per-draw chain sampler, one rng.getrandbits(64) per
-# symbol, that the bulk table-walk sampler in shiftlab.measures must match
+# symbol, that the bulk block-composed sampler in shiftlab.measures must match
 # symbol for symbol.
 
 
@@ -196,10 +214,32 @@ def reference_draw(rng: random.Random, bounds) -> int:
     return reference_index(bounds, rng.getrandbits(64))
 
 
+_ROWS: dict = {}
+
+
+def reference_rows(m: MarkovMeasure) -> tuple:
+    """The bounds of m's transition rows, and of its time-reversed rows (row b
+    is the law pi[a] P[a][b] / pi[b] of the symbol before b), built once per
+    chain."""
+    return _once(_ROWS, m, _reference_rows)
+
+
+def _reference_rows(m: MarkovMeasure) -> tuple:
+    pi, k = m.stationary, m.sft.alphabet_size
+    forward = [reference_bounds(row) for row in m.transition]
+    reverse = [
+        reference_bounds(
+            [(pi[a] * m.transition[a][b] / pi[b]) if pi[b] > 0 else Fraction(0) for a in range(k)]
+        )
+        for b in range(k)
+    ]
+    return forward, reverse
+
+
 def sample_point_reference(m: MarkovMeasure, lo: int, hi: int, seed: int) -> tuple:
     """Symbols of measures.sample_point(m, lo, hi, seed), drawn one at a time."""
     rng = random.Random(seed)
-    row_bounds = [reference_bounds(row) for row in m.transition]
+    row_bounds, _ = reference_rows(m)
     symbols = [reference_draw(rng, reference_bounds(m.stationary))]
     for _ in range(hi - lo):
         symbols.append(reference_draw(rng, row_bounds[symbols[-1]]))
@@ -215,16 +255,11 @@ def sample_point_in_reference(m: MarkovMeasure, cell, lo: int, hi: int, seed: in
     total = sum(weights, Fraction(0))
     rng = random.Random(seed)
     word = list(cell.words[reference_draw(rng, reference_bounds([w / total for w in weights]))])
-    row_bounds = [reference_bounds(row) for row in m.transition]
+    row_bounds, reverse_bounds = reference_rows(m)
     for _ in range(hi - c_hi):
         word.append(reference_draw(rng, row_bounds[word[-1]]))
-    pi = m.stationary
     prefix: list = []
     for _ in range(c_lo - lo):
         b = word[0] if not prefix else prefix[-1]
-        reverse = [
-            (pi[a] * m.transition[a][b] / pi[b]) if pi[b] > 0 else Fraction(0)
-            for a in range(m.sft.alphabet_size)
-        ]
-        prefix.append(reference_draw(rng, reference_bounds(reverse)))
+        prefix.append(reference_draw(rng, reverse_bounds[b]))
     return tuple(reversed(prefix)) + tuple(word)

@@ -345,6 +345,90 @@ def test_mutated_configs_raise_only_config_errors(tmp_path_factory, data):
         pass
 
 
+_DENSITY = {
+    "experiment_id": "d",
+    "kind": "density",
+    "system": "golden_mean",
+    "params": {
+        "point": {"kind": "sampled", "lo": 0, "hi": 200, "seed": 1},
+        "set": {"start": 0, "word": "0"},
+        "n_max": 100,
+    },
+}
+
+
+def _drop(*keys):
+    """A config edit: delete the key at the key path, then write the JSON."""
+    *parents, key = keys
+
+    def edit(config):
+        node = config
+        for step in parents:
+            node = node[step]
+        del node[key]
+        return json.dumps(config)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "base, edit",
+    [
+        (_ENTROPY, _put("system", "cycle4")),
+        (_ENTROPY, _put("params", "partition", [{"start": 0, "word": "0"}, {"start": 0, "word": "1"}])),
+        (_ENTROPY, _put("params", "partition", [{"start": 0, "word": "00"}, {"start": 0, "word": "1"}])),
+        (_ENTROPY, _drop("params", "sequences")),
+        (_INDEPENDENCE, _put("params", "a1", "full")),
+        (_INDEPENDENCE, _put("params", "a2", {"start": 0, "word": "11"})),
+        (_INDEPENDENCE, _put("params", "n_list", [1, 1])),
+        (_INDEPENDENCE, _put("system", "cycle4")),
+        (_SENSITIVITY, _put("params", "horizon", 1)),
+        (_SENSITIVITY, _put("params", "seeds", [])),
+        (_SENSITIVITY, _put("params", "a", {"start": 0, "word": "0"})),
+        (_SENSITIVITY, _put("system", "golden_mean")),
+        (_DENSITY, _put("params", "n_max", 1000)),
+        (_DENSITY, _put("params", "point", {"kind": "periodic", "right": "01"})),
+        (_DENSITY, _put("params", "point", {"kind": "periodic", "right": "11"})),
+        (_DENSITY, _put("params", "set", {"start": 0, "word": "11"})),
+        (_CROSSCHECK, _put("params", "include_kush", False)),
+        (_CROSSCHECK, _put("params", "extra_table_e", 1)),
+        (_CROSSCHECK, _put("params", "table_e_eps", "1")),
+        (_CROSSCHECK, _put("params", "depth", 2)),
+    ],
+    ids=[
+        "entropy-cycle4",
+        "entropy-two-set-partition",
+        "entropy-partition-short",
+        "entropy-no-sequences",
+        "independence-a1-full",
+        "independence-a2-empty",
+        "independence-n-repeated",
+        "independence-cycle4",
+        "sensitivity-horizon-1",
+        "sensitivity-no-seeds",
+        "sensitivity-a-cylinder",
+        "sensitivity-golden-mean",
+        "density-n-max-past-window",
+        "density-periodic-point",
+        "density-illegal-periodic-point",
+        "density-empty-set",
+        "crosscheck-no-kush",
+        "crosscheck-extra-table-e",
+        "crosscheck-table-e-eps-1",
+        "crosscheck-depth-2",
+    ],
+)
+def test_mutated_configs_run_cleanly(runner, tmp_path, base, edit):
+    """The run half of the mutation property: a mutated config under
+    `shiftlab run` ends with one of the documented exit codes and no traceback."""
+    path = tmp_path / "mutated.json"
+    path.write_text(edit(json.loads(json.dumps(base))), encoding="utf-8")
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2, 3)
+    assert "Traceback" not in result.output
+
+
 # The CSV digests of the bundled configs, as recorded in perfbench/reference/bundled.json.
 BUNDLED_CSV_SHA256 = {
     "acceptance_panel": "90d97a2db20f079e3d337596d6ad572fd32ba700c888d735860ac447290dc8ea",

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.measures import (
+    _BLOCK,
     _WALK_CHUNK,
     MarkovMeasure,
     _draw_bounds,
@@ -451,6 +453,69 @@ def test_sample_point_in_bit_identical_to_per_draw(data):
     assert sample_point_in(m, cell, lo, hi, seed).symbols == sample_point_in_reference(
         m, cell, lo, hi, seed
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_chain() -> MarkovMeasure:
+    """300 symbols, past one byte: each symbol stays or steps to the next
+    (mod 300) with probability 1/2."""
+    k = 300
+    rows = [["1/2" if (j - b) % k in (0, 1) else "0" for j in range(k)] for b in range(k)]
+    return MarkovMeasure(Sft(k, [[v != "0" for v in row] for row in rows]), rows)
+
+
+# Chains whose successor tables have constant columns (Bernoulli), permutation
+# columns (the 4-cycle), a forbidden transition (golden mean), zero entries
+# (the 3-symbol chain) and more symbols than a byte holds.
+BLOCK_CHAINS = {
+    **{s.id: (lambda m=s.measure: m) for s in panel_systems()},
+    "three_symbol": three_symbol_chain,
+    "wide300": _wide_chain,
+}
+# Walk lengths around the blocks of measures._path: one step, one block and
+# its neighbours, two levels of blocks, and a chunk of uniforms.
+BLOCK_LENGTHS = (
+    1,
+    _BLOCK - 1,
+    _BLOCK,
+    _BLOCK + 1,
+    _BLOCK**2 - 1,
+    _BLOCK**2 + 1,
+    _WALK_CHUNK - 1,
+    _WALK_CHUNK + 1,
+)
+
+
+@pytest.mark.parametrize("chain", sorted(BLOCK_CHAINS))
+def test_sampler_bit_identical_across_blocks(chain, monkeypatch):
+    """sample_point and sample_point_in walk n steps (both ways for the cell)
+    at every block length; after each sample the generators of the sampler and
+    of the per-draw reference give the same next uniform, so both drew the
+    same number of uniforms."""
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recorded)
+    m = BLOCK_CHAINS[chain]()
+    word = max(w for w in m.sft.legal_words(2) if m.word_weight(w) > 0)
+    cell = cylinder(m.sft, 0, word)
+    for seed, n in enumerate(BLOCK_LENGTHS):
+        samples = [
+            (sample_point(m, -n, 0, seed), sample_point_reference(m, -n, 0, seed)),
+            (
+                sample_point_in(m, cell, -n, n + 1, seed),
+                sample_point_in_reference(m, cell, -n, n + 1, seed),
+            ),
+        ]
+        for got, expected in samples:
+            assert got.symbols == expected
+        ours, reference = made[0::2], made[1::2]
+        assert [g.getrandbits(64) for g in ours] == [g.getrandbits(64) for g in reference]
+        made.clear()
 
 
 def test_walk_wide_alphabet_matches_per_draw():
