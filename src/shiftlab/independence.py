@@ -248,10 +248,7 @@ class _Checker:
             return state.tip or state.frontier
         seg_lo, seg_hi, pins, atoms = state.open
         gap = 0 if state.prev_hi is None else seg_lo - state.prev_hi  # first segment: any symbol
-        reach = [
-            frozenset(b for b in self.alphabet if any(self.sft.reachable(a, b, gap) for a in lasts))
-            for lasts in state.frontier
-        ]
+        reach = [self.sft.reach(lasts, gap) for lasts in state.frontier]
         # The SFT is shift-invariant, so a segment's relation depends only on
         # its constraints relative to its first coordinate: the memo key holds
         # the chosen target atoms and the E atoms, both relative to it.

@@ -30,7 +30,6 @@ from .symbolic import (
     constraint_atoms,
     _cluster_constraints,
     _graph_covers,
-    _cached_power,
 )
 
 Rational = Union[Fraction, int, str]
@@ -126,8 +125,17 @@ class MarkovMeasure:
         self._thin_cache: dict[tuple[int, Fraction], tuple[Word, ...]] = {}
 
     def power_num(self, steps: int) -> tuple[tuple[int, ...], ...]:
-        """The integer matrix P^steps * D^steps."""
-        return _cached_power(self._pow_cache, _mat_mul, steps)
+        """The integer matrix P^steps * D^steps, by square-and-multiply; every power made is kept."""
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
+        result = self._pow_cache.get(steps)
+        if result is None:
+            half = self.power_num(steps // 2)
+            result = _mat_mul(half, half)
+            if steps % 2:
+                result = _mat_mul(result, self._pow_cache[1])
+            self._pow_cache[steps] = result
+        return result
 
     def den(self, transitions: int) -> int:
         """The denominator D_pi * D^transitions of a pass that entered from pi."""

@@ -416,31 +416,18 @@ def _visit_predicate(sft: Sft, cell: CylinderUnion, u: CylinderUnion) -> Periodi
         not resolve_constraints([(0, cell), (s, u)], sft).is_empty for s in range(s0)
     ]
 
-    # states[i] = symbols reachable from the cell's end symbols in i+1 steps.
+    ends = frozenset(w[-1] for w in cell.words)
     starts = frozenset(w[0] for w in u.words)
-    index_of: dict[frozenset[int], int] = {}
-    states: list[frozenset[int]] = []
-    current = frozenset(w[-1] for w in cell.words)
-    while True:
-        current = sft.step_forward(current)
-        if current in index_of:
-            cycle_start = index_of[current]
-            break
-        index_of[current] = len(states)
-        states.append(current)
-    period_len = len(states) - cycle_start
+    sets, cycle_start = sft.orbit(ends)
 
     def hit(steps: int) -> bool:
-        idx = steps - 1
-        if idx >= len(states):
-            idx = cycle_start + (idx - cycle_start) % period_len
-        return bool(states[idx] & starts)
+        return bool(sft.reach(ends, steps) & starts)
 
     # Shift s >= s0 corresponds to exactly (u_lo + s - c_hi) steps.
     steps_at_s0 = u_lo + s0 - c_hi
-    burn = s0 + max(0, cycle_start + 1 - steps_at_s0)
+    burn = s0 + max(0, cycle_start - steps_at_s0)
     pre += [hit(steps_at_s0 + (s - s0)) for s in range(s0, burn)]
-    cyc = [hit(steps_at_s0 + (burn - s0) + j) for j in range(period_len)]
+    cyc = [hit(steps_at_s0 + (burn - s0) + j) for j in range(len(sets) - cycle_start)]
     return PeriodicPredicate(tuple(pre), tuple(cyc))
 
 

@@ -25,7 +25,7 @@ resolution (:func:`constraint_atoms`) are written once over these two.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -76,8 +76,7 @@ class Sft:
                 raise ValueError(f"symbol {a} has no allowed successor")
             if not self._pred[a]:
                 raise ValueError(f"symbol {a} has no allowed predecessor")
-        identity = tuple(tuple(a == b for b in range(k)) for a in range(k))
-        self._bool_pow_cache: dict[int, tuple[tuple[bool, ...], ...]] = {0: identity, 1: mat}
+        self._orbits: dict[tuple[frozenset[int], bool], tuple[tuple[frozenset[int], ...], int]] = {}
 
     # -- basic structure -------------------------------------------------
 
@@ -110,22 +109,33 @@ class Sft:
 
     # -- reachability ----------------------------------------------------
 
-    def _bool_power(self, steps: int) -> tuple[tuple[bool, ...], ...]:
-        """Boolean matrix power: entry [a][b] iff a path a -> b of exactly `steps` edges."""
-        return _cached_power(self._bool_pow_cache, _bool_matmul, steps)
+    def orbit(self, symbols, forward: bool = True) -> tuple[tuple[frozenset[int], ...], int]:
+        """The sets reached from `symbols` after 0, 1, 2, ... steps, and the index where they cycle.
 
-    def reachable(self, a: int, b: int, steps: int) -> bool:
-        return self._bool_power(steps)[a][b]
+        Steps follow successors, or predecessors when not `forward`. The sets
+        are listed up to the first repeat, so the set after i >= len(sets)
+        steps is sets[start + (i - start) % (len(sets) - start)].
+        """
+        key = (frozenset(symbols), forward)
+        hit = self._orbits.get(key)
+        if hit is None:
+            adj = self._succ if forward else self._pred
+            index: dict[frozenset[int], int] = {}
+            current = key[0]
+            while current not in index:
+                index[current] = len(index)
+                current = frozenset([b for a in current for b in adj[a]])
+            hit = self._orbits[key] = (tuple(index), index[current])
+        return hit
 
-    def step_forward(self, symbols: frozenset[int]) -> frozenset[int]:
-        return frozenset(b for a in symbols for b in self._succ[a])
-
-    def step_backward(self, symbols: frozenset[int]) -> frozenset[int]:
-        return frozenset(a for b in symbols for a in self._pred[b])
-
-    def is_irreducible(self) -> bool:
-        """Strong connectivity of the allowed-transition graph."""
-        return _graph_covers(self._succ, self.alphabet_size)
+    def reach(self, symbols, steps: int, forward: bool = True) -> frozenset[int]:
+        """The symbols reached from `symbols` in exactly `steps` steps (read off the orbit)."""
+        if steps < 0:
+            raise ValueError("steps must be >= 0")
+        sets, start = self.orbit(symbols, forward)
+        if steps >= len(sets):
+            steps = start + (steps - start) % (len(sets) - start)
+        return sets[steps]
 
     # -- value semantics ---------------------------------------------------
 
@@ -157,31 +167,6 @@ def _graph_covers(adj, k: int) -> bool:
         if len(seen) != k:
             return False
     return True
-
-
-def _cached_power(cache: dict, mul, steps: int):
-    """M^steps by square-and-multiply under `mul`.
-
-    `cache` starts as {0: identity, 1: M} and keeps every power computed.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    result = cache.get(steps)
-    if result is None:
-        half = _cached_power(cache, mul, steps // 2)
-        result = mul(half, half)
-        if steps % 2:
-            result = mul(result, cache[1])
-        cache[steps] = result
-    return result
-
-
-def _bool_matmul(x, y):
-    k = len(x)
-    return tuple(
-        tuple(any(x[a][c] and y[c][b] for c in range(k)) for b in range(k))
-        for a in range(k)
-    )
 
 
 def full_shift(alphabet_size: int) -> Sft:
@@ -360,8 +345,8 @@ def points_provably_equal(x: PointRep, y: PointRep) -> bool:
     if isinstance(x, EventuallyPeriodic) and isinstance(y, EventuallyPeriodic):
         if x.sft != y.sft:
             return False
-        left = _lcm(len(x.left), len(y.left))
-        right = _lcm(len(x.right), len(y.right))
+        left = math.lcm(len(x.left), len(y.left))
+        right = math.lcm(len(x.right), len(y.right))
         lo = min(-x.offset, -y.offset, 0) - left
         hi = max(len(x.core) - x.offset, len(y.core) - y.offset, 0) + right
         return all(x.eval(n) == y.eval(n) for n in range(lo, hi + 1))
@@ -372,10 +357,6 @@ def points_provably_equal(x: PointRep, y: PointRep) -> bool:
             and np.array_equal(x.window, y.window)
         )
     return False
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -789,10 +770,8 @@ def _cluster_constraints(sft: Sft, atoms):
     prev_hi = None
     for start, words in blocks:
         if prev_ends is not None:
-            steps = start - prev_hi
-            keep = tuple(
-                w for w in words if any(sft.reachable(e, w[0], steps) for e in prev_ends)
-            )
+            reached = sft.reach(prev_ends, start - prev_hi)
+            keep = tuple(w for w in words if w[0] in reached)
             if not keep:
                 return None
             words = keep
@@ -807,10 +786,8 @@ def _cluster_constraints(sft: Sft, atoms):
     for start, words in reversed(filtered):
         hi = start + len(words[0]) - 1
         if next_starts is not None:
-            steps = next_lo - hi
-            keep = tuple(
-                w for w in words if any(sft.reachable(w[-1], b, steps) for b in next_starts)
-            )
+            reached = sft.reach(next_starts, next_lo - hi, forward=False)
+            keep = tuple(w for w in words if w[-1] in reached)
             if not keep:
                 return None
             words = keep
@@ -902,53 +879,26 @@ def metric_distance(x: PointRep, y: PointRep, horizon: int) -> DistanceResult:
 
 
 def realizable_symbols(s: SetLike, n: int) -> frozenset[int]:
-    """{x_n : x in s} for a nonempty block-form set (exact)."""
+    """{x_n : x in s} for a nonempty block-form set (exact).
+
+    Off the blocks, x_n is reachable forward from the block before n and
+    backward from the block after it, whichever of the two exist.
+    """
     blocks = s.blocks()
     if not blocks:
         raise ValueError("realizable_symbols of the whole space is the full alphabet")
     sft = s.sft
-    for start, words in blocks:
-        width = len(words[0])
-        if start <= n < start + width:
+    i = bisect_right([start for start, _ in blocks], n)  # blocks[:i] start at or before n
+    symbols = frozenset(range(sft.alphabet_size))
+    if i:
+        start, words = blocks[i - 1]
+        if n - start < len(words[0]):
             return frozenset(w[n - start] for w in words)
-    first_start = blocks[0][0]
-    last = blocks[-1]
-    last_end = last[0] + len(last[1][0]) - 1
-    if n < first_start:
-        symbols = frozenset(w[0] for w in blocks[0][1])
-        for _ in range(first_start - n):
-            symbols = s.sft.step_backward(symbols)
-        return symbols
-    if n > last_end:
-        symbols = frozenset(w[-1] for w in last[1])
-        for _ in range(n - last_end):
-            symbols = sft.step_forward(symbols)
-        return symbols
-    # n sits in a gap between two blocks: realizable = reachable forward from
-    # the previous block meeting reachable backward from the next block.
-    prev = max(b for b in blocks if b[0] + len(b[1][0]) - 1 < n)
-    nxt = min(b for b in blocks if b[0] > n)
-    fwd = frozenset(w[-1] for w in prev[1])
-    for _ in range(n - (prev[0] + len(prev[1][0]) - 1)):
-        fwd = sft.step_forward(fwd)
-    bwd = frozenset(w[0] for w in nxt[1])
-    for _ in range(nxt[0] - n):
-        bwd = sft.step_backward(bwd)
-    return fwd & bwd
-
-
-def _single_valued_forever(sft: Sft, start_set: frozenset[int], forward: bool) -> bool:
-    """True iff every realizable set along this direction stays a singleton."""
-    seen = {start_set}
-    current = start_set
-    step = sft.step_forward if forward else sft.step_backward
-    while True:
-        current = step(current)
-        if len(current) > 1:
-            return False
-        if current in seen:
-            return True
-        seen.add(current)
+        symbols = sft.reach(frozenset(w[-1] for w in words), n - start - len(words[0]) + 1)
+    if i < len(blocks):
+        start, words = blocks[i]
+        symbols &= sft.reach(frozenset(w[0] for w in words), start - n, forward=False)
+    return symbols
 
 
 def diam_of_set(s: SetLike, sft: Sft, horizon: int) -> DistanceResult:
@@ -978,10 +928,12 @@ def diam_of_set(s: SetLike, sft: Sft, horizon: int) -> DistanceResult:
     outside = [n for n in range(lo_sup, hi_sup + 1) if abs(n) > horizon]
     if any(len(realizable_symbols(s, n)) >= 2 for n in outside):
         return DistanceResult(2.0 ** (-horizon - 1), True)
-    left = frozenset(w[0] for w in blocks[0][1])
-    right = frozenset(w[-1] for w in blocks[-1][1])
-    if _single_valued_forever(sft, right, forward=True) and _single_valued_forever(
-        sft, left, forward=False
-    ):
+    tails = (
+        sft.orbit(frozenset(w[-1] for w in blocks[-1][1])),
+        sft.orbit(frozenset(w[0] for w in blocks[0][1]), forward=False),
+    )
+    # Step 0 of each orbit is a support coordinate, pinned above; the orbit
+    # lists every set reached after it.
+    if all(len(r) == 1 for sets, _start in tails for r in sets[1:]):
         return DistanceResult(0.0, False)
     return DistanceResult(2.0 ** (-horizon - 1), True)

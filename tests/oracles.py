@@ -179,6 +179,26 @@ def greedy_entropy_oracle(m: MarkovMeasure, atoms, length: int, horizon: int) ->
     return tuple(chosen)
 
 
+def reach_oracle(sft: Sft, symbols, steps: int, forward: bool = True) -> frozenset:
+    """The symbols reached from `symbols` in exactly `steps` steps, one step at a
+    time along the raw transition matrix (against it when not forward)."""
+    k = sft.alphabet_size
+    current = frozenset(symbols)
+    for _ in range(steps):
+        current = frozenset(
+            b for a in current for b in range(k) if (sft.allowed[a][b] if forward else sft.allowed[b][a])
+        )
+    return current
+
+
+def realizable_oracle(sft: Sft, setlike, n: int) -> frozenset:
+    """{x_n : x in setlike}: the symbol at n of every legal word over the hull of
+    the blocks and n that `satisfies` the set. Every legal word extends to a point."""
+    lo, hi = constraint_span([(0, setlike)])
+    lo, hi = min(lo, n), max(hi, n)
+    return frozenset(w[n - lo] for w in legal_words(sft, lo, hi) if satisfies((0, setlike), w, lo))
+
+
 def orbit_density_oracle(point, setlike, n: int) -> Fraction:
     """Direct membership counting along the orbit (no vectorized paths)."""
     count = 0

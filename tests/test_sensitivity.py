@@ -256,11 +256,10 @@ def test_ms_positive_implies_diam_positive(systems):
 def test_visit_predicate_matches_resolve(systems):
     rng = random.Random(23)
     for system in systems:
-        words1 = list(system.sft.legal_words(1))
-        words2 = list(system.sft.legal_words(2))
+        words = [list(system.sft.legal_words(n)) for n in (1, 2, 3)]
         for _ in range(12):
-            cell = cylinder(system.sft, 0, words2[rng.randrange(len(words2))])
-            u = cylinder(system.sft, -1, words2[rng.randrange(len(words2))])
+            cell = cylinder(system.sft, 0, rng.choice(rng.choice(words)))
+            u = cylinder(system.sft, rng.randrange(-2, 2), rng.choice(words[1]))
             pred = _visit_predicate(system.sft, cell, u)
             for s in range(30):
                 expected = not resolve_constraints(

@@ -19,13 +19,21 @@ from shiftlab.symbolic import (
     full_shift,
     metric_distance,
     point_in_set,
+    realizable_symbols,
     resolve_constraints,
     shift_point,
     whole_space,
 )
 from shiftlab.errors import WindowExceededError
 
-from .oracles import legal_words, satisfies, satisfiable_oracle, constraint_span
+from .oracles import (
+    constraint_span,
+    legal_words,
+    reach_oracle,
+    realizable_oracle,
+    satisfiable_oracle,
+    satisfies,
+)
 
 
 def golden_sft() -> Sft:
@@ -386,3 +394,71 @@ def test_diam_examples():
     assert d.truncated and d.value == 2.0 ** (-4)
     with pytest.raises(ValueError):
         diam_of_set(cylinder(golden_sft(), 0, "11"), golden_sft(), 4)
+
+
+def _kernel_set(data, sft: Sft):
+    """Two disjoint pieces of one legal word over [start, start + 5]: the union
+    of their cylinders or its complement, or their meet resolved with
+    gap_cap=0, a BridgedBlocks."""
+    word = [data.draw(st.integers(0, sft.alphabet_size - 1))]
+    for _ in range(5):
+        word.append(data.draw(st.sampled_from(sft.successors(word[-1]))))
+    start = data.draw(st.integers(-2, 0))
+    a, b, c, d = sorted(data.draw(st.lists(st.integers(0, 6), min_size=4, max_size=4, unique=True)))
+    pieces = [Cylinder(sft, start + a, word[a:b]), Cylinder(sft, start + c, word[c:d])]
+    kind = data.draw(st.sampled_from(["bridged", "union", "complement"]))
+    if kind == "bridged":
+        return resolve_constraints([(0, piece) for piece in pieces], sft, gap_cap=0)
+    u = CylinderUnion(sft, pieces)
+    return u.complement() if kind == "complement" else u
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reach_realizable_diam_match_oracles(data):
+    """Sft.reach, realizable_symbols and diam_of_set agree with stepping the
+    transition matrix and with word enumeration. KERNEL_SFTS holds the panel
+    and full_shift(3), the SFT of oracles.three_symbol_chain."""
+    sft = data.draw(st.sampled_from(KERNEL_SFTS))
+    k = sft.alphabet_size
+    symbols = data.draw(st.frozensets(st.integers(0, k - 1), min_size=1))
+    for forward in (True, False):
+        for steps in range(3 * 2**k + 1):
+            assert sft.reach(symbols, steps, forward) == reach_oracle(sft, symbols, steps, forward)
+
+    s = _kernel_set(data, sft)
+    if s.is_empty or not s.blocks():
+        return
+    blocks = s.blocks()
+    lo, hi = constraint_span([(0, s)])
+    inside = [start + data.draw(st.integers(0, len(words[0]) - 1)) for start, words in blocks]
+    between = [
+        data.draw(st.integers(start + len(words[0]), nxt - 1))
+        for (start, words), (nxt, _) in zip(blocks, blocks[1:])
+    ]
+    outside = [lo - data.draw(st.integers(1, 2)), hi + data.draw(st.integers(1, 2))]
+    for n in inside + between + outside:
+        assert realizable_symbols(s, n) == realizable_oracle(sft, s, n), n
+
+    known: dict = {}
+
+    def realizable(n: int) -> frozenset:
+        if n not in known:
+            known[n] = realizable_oracle(sft, s, n)
+        return known[n]
+
+    nearest = next(
+        (n for n in range(9) if len(realizable(n)) >= 2 or len(realizable(-n)) >= 2), None
+    )
+    # Reachable sets repeat within 2^k steps, so the coordinates within 2^k of
+    # the support decide whether the set is a single point; support first.
+    span = sorted(range(lo - 2**k, hi + 2**k + 1), key=lambda n: max(lo - n, n - hi))
+    single_point = nearest is None and all(len(realizable(n)) == 1 for n in span)
+    for horizon in range(1, 9):
+        d = diam_of_set(s, sft, horizon)
+        if nearest is not None and nearest <= horizon:
+            assert (d.value, d.truncated) == (2.0**-nearest, False), horizon
+        elif single_point:
+            assert (d.value, d.truncated) == (0.0, False), horizon
+        else:
+            assert (d.value, d.truncated) == (2.0 ** (-horizon - 1), True), horizon
