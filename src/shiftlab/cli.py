@@ -6,6 +6,8 @@
 
 Exit codes for `run`: 0 success, 1 config error, 2 infeasible or degenerate
 experiment, 3 caps/horizons exhausted with inconclusive verdicts present.
+Exit codes for `selfcheck`: 0 every criterion passed, 1 one failed, 2 --only
+named something other than a criterion number.
 """
 
 from __future__ import annotations
@@ -70,16 +72,32 @@ def list_panel():
         click.echo(f"  pairs: {', '.join(labels)}")
 
 
+def _criterion_numbers(ctx, param, value: str) -> list[int]:
+    """The criteria that --only names, each an integer from 1 to the last criterion."""
+    from .acceptance import ALL_CRITERIA
+
+    last = len(ALL_CRITERIA)
+    numbers = []
+    for item in filter(None, (v.strip() for v in value.split(","))):
+        try:
+            number = int(item)
+        except ValueError:
+            number = None
+        if number is None or not 1 <= number <= last:
+            raise click.BadParameter(f"{item!r} is not a criterion number (1 to {last})")
+        numbers.append(number)
+    return numbers
+
+
 @main.command("selfcheck")
-@click.option("--only", default="", help="Comma-separated criterion numbers to run.")
-def selfcheck(only: str):
+@click.option(
+    "--only", default="", callback=_criterion_numbers, help="Comma-separated criterion numbers."
+)
+def selfcheck(only: list[int]):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     from .acceptance import run_criteria
 
-    numbers = None
-    if only.strip():
-        numbers = [int(v) for v in only.split(",") if v.strip()]
-    results = run_criteria(numbers)
+    results = run_criteria(only)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -10,17 +10,17 @@ One exact checker implements that test for every target: a segment
 decomposition, valid because the SFT is a topological Markov chain, so
 feasibility factors through symbol states at the boundaries of constrained
 segments. A target enters as its constraint atoms, shifted per element of I;
-a whole-space target imposes nothing and drops out. Clusters too large to
-enumerate locally go through a coordinate sweep over the same constraint
-automaton. The checker is incremental over sorted prefixes: searches extend
-saved states, and each search (a pair classification, a density profile)
-shares one memo of relations and greedy chains. It is property-tested
-against the 2^|I| word-enumeration oracle in the test suite.
+a whole-space target imposes nothing and drops out. Each segment is solved by
+one coordinate sweep over the constraint automaton from its entry symbols,
+all assignments at once. The checker is incremental over sorted prefixes:
+searches extend saved states, and each search (a pair classification, a
+density profile) shares one memo of translation-relative segment sweeps and
+greedy chains. It is property-tested against the 2^|I| word-enumeration
+oracle in the test suite.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -91,10 +91,6 @@ class TableE:
 
 EMap = Union[ConstantE, TableE]
 
-# Per-segment local-assignment enumeration bound; larger clusters switch to
-# the coordinate sweep.
-SEGMENT_COMBO_CAP = 64
-
 
 def full_e(sft: Sft) -> ConstantE:
     return ConstantE(whole_space(sft))
@@ -137,16 +133,17 @@ class _Prefix(NamedTuple):
     """Checker state of a sorted shift prefix; never mutated, so searches backtrack freely.
 
     `frontier`: the segment DP over the closed segments, the last ending at
-    `prev_hi`; None once a segment outgrew SEGMENT_COMBO_CAP (sweep mode).
-    `open`: the last segment (lo, hi, shifts, E atoms); `tip`: the frontier with
-    it folded in, once solved. `e_atoms`: the distinct atoms of the E values
-    reached, sorted by start; the first `merged` are folded.
+    `prev_hi`: the distinct sets of last symbols that the assignments over
+    those segments leave feasible. `open`: the last segment (lo, hi, shifts,
+    E atoms); `tip`: the frontier with it folded in, once solved.
+    `e_atoms`: the distinct atoms of the E values reached, sorted by start;
+    the first `merged` are folded.
     """
 
     shifts: tuple
     e_atoms: tuple
     merged: int
-    frontier: Optional[frozenset]
+    frontier: frozenset
     prev_hi: Optional[int]
     open: Optional[tuple]
     tip: Optional[frozenset]
@@ -158,10 +155,10 @@ class _Checker:
     Each shift s is a placement whose options are the targets' atoms shifted
     by s; the whole-space option is dropped, since the other target is always
     the harder choice. Constrained intervals (placements plus E atoms) split
-    into connected segments separated by free coordinates. Per segment and
-    local assignment the constraint automaton reads out the realizable
-    (first, last) symbol pairs, memoized up to translation; a subset-tracking
-    DP over segments decides whether any global assignment chain dies.
+    into connected segments separated by free coordinates. Each segment is
+    solved by one `_sweep` per distinct set of entry symbols, memoized up to
+    translation; a subset-tracking DP over segments decides whether any
+    global assignment chain dies.
     """
 
     def __init__(self, sft: Sft, targets, e: EMap, memo: Optional[dict]):
@@ -169,7 +166,7 @@ class _Checker:
         self.memo = {} if memo is None else memo
         self.dead = None in targets
         t1, t2 = targets
-        self.choices = [] if self.dead else [t for t in ((t1,) if t1 == t2 else (t1, t2)) if t]
+        self.choices = () if self.dead else tuple(t for t in ((t1,) if t1 == t2 else (t1, t2)) if t)
         self.lo = min((start for t in self.choices for start, _ in t), default=0)
         self.hi = max((start + len(ws[0]) - 1 for t in self.choices for start, ws in t), default=0)
         self.alphabet = frozenset(range(sft.alphabet_size))
@@ -192,13 +189,13 @@ class _Checker:
     def _place(self, state: _Prefix, s: int) -> Optional[_Prefix]:
         """Append placement s after the E atoms that start before it; None if a segment dies."""
         state = self._merge(state._replace(shifts=state.shifts + (s,)), s + self.lo)
-        if state is None or state.frontier is None or not self.choices:
+        if state is None or not self.choices:
             return state
         return self._add(state, s + self.lo, s + self.hi, s)
 
     def _merge(self, state: _Prefix, until: float) -> Optional[_Prefix]:
         """Fold the unmerged E atoms that start before `until`."""
-        while state and state.frontier is not None and state.merged < len(state.e_atoms):
+        while state and state.merged < len(state.e_atoms):
             start, words = state.e_atoms[state.merged]
             if start >= until:
                 break
@@ -208,12 +205,6 @@ class _Checker:
     def _settle(self, state: _Prefix) -> Optional[_Prefix]:
         """The state, its open segment solved, if the prefix is independent; else None."""
         tail = self._merge(state, float("inf"))  # on a copy: later placements may join these atoms
-        if tail is not None and tail.frontier is None:
-            placements = [
-                (s + self.lo, s + self.hi, [tuple((a + s, w) for a, w in t) for t in self.choices])
-                for s in tail.shifts
-            ]
-            return state if _universal_sweep(self.sft, placements, list(tail.e_atoms)) else None
         tip = tail and self._tip(tail)
         if tip is None:
             return None
@@ -234,8 +225,6 @@ class _Checker:
         merged = state.merged
         if pin is not None:
             pins += (pin,)
-            if len(self.choices) ** len(pins) > SEGMENT_COMBO_CAP:
-                return state._replace(frontier=None)
         else:
             atoms += (state.e_atoms[merged],)
             merged += 1
@@ -248,60 +237,60 @@ class _Checker:
             return state.tip or state.frontier
         seg_lo, seg_hi, pins, atoms = state.open
         gap = 0 if state.prev_hi is None else seg_lo - state.prev_hi  # first segment: any symbol
-        reach = [self.sft.reach(lasts, gap) for lasts in state.frontier]
-        # The SFT is shift-invariant, so a segment's relation depends only on
-        # its constraints relative to its first coordinate: the memo key holds
-        # the chosen target atoms and the E atoms, both relative to it.
+        # The SFT is shift-invariant, so a segment's sweep depends only on its
+        # constraints relative to its first coordinate: the memo key holds the
+        # targets, and the pins and the E atoms relative to it.
         span = seg_hi - seg_lo
+        rel_pins = tuple([p - seg_lo for p in pins])
         rel_atoms = tuple([(start - seg_lo, words) for start, words in atoms])
-        tip = set()
-        for combo in itertools.product(self.choices, repeat=len(pins)):
-            chosen = tuple([(p + a - seg_lo, w) for p, t in zip(pins, combo) for a, w in t])
-            key = (span, chosen, rel_atoms)
-            rel = self.memo.get(key)
-            if rel is None:
-                rel = ConstraintAutomaton(self.sft, chosen + rel_atoms, 0, span).relation()
-                self.memo[key] = rel
-            for firsts in reach:
-                ends = frozenset([last for first, last in rel if first in firsts])
-                if not ends:
-                    return None
-                tip.add(ends)
+        tip: set = set()
+        for firsts in {self.sft.reach(lasts, gap) for lasts in state.frontier}:
+            key = (self.choices, span, rel_pins, rel_atoms, firsts)
+            if key not in self.memo:
+                placements = [
+                    (p + self.lo, [tuple([(a + p, w) for a, w in t]) for t in self.choices])
+                    for p in rel_pins
+                ]
+                self.memo[key] = _sweep(self.sft, placements, rel_atoms, span, firsts)
+            ends = self.memo[key]
+            if ends is None:
+                return None
+            tip |= ends
         return frozenset(tip)
 
 
-def _universal_sweep(sft, placements, atoms) -> bool:
-    """Coordinate-granular universal feasibility; exact for any overlap pattern.
+def _sweep(sft, placements, atoms, span, firsts) -> Optional[frozenset]:
+    """Universal feasibility of one segment over [0, span], entered at `firsts`.
 
-    A belief pairs the target atoms the assignment has opened and not yet
-    passed (in placement order) with the set of feasible frontier
-    configurations: previous symbol, the E atoms' automaton prefixes, and the
-    matched prefix of every open target atom with more than one word.
-    Assignment choices split beliefs at each placement's first coordinate;
-    existential symbol choices evolve configurations along the automaton's
-    moves, kept to the symbols in every open atom's column at that
-    coordinate and, for atoms with several words, to prefixes that some word
-    still extends (the same sorted-words bisection as
+    Coordinates are relative to the segment's first one: placements are
+    (first coordinate, options) and `atoms` are the E atoms. A belief pairs
+    the target atoms the assignment has opened and not yet passed (in
+    placement order) with the set of feasible frontier configurations:
+    previous symbol, the E atoms' automaton prefixes, and the matched prefix
+    of every open target atom with more than one word. Assignment choices
+    split beliefs at each placement's first coordinate; existential symbol
+    choices evolve configurations along the automaton's moves, kept to the
+    symbols in every open atom's column at that coordinate (and to `firsts`
+    at coordinate 0) and, for atoms with several words, to prefixes that
+    some word still extends (the same sorted-words bisection as
     `ConstraintAutomaton.moves`); a one-word atom is decided by its column.
-    Fails exactly when some assignment path empties.
+    A belief groups the assignment paths with equal configuration sets, so
+    its last symbols are theirs. Returns the set of last-symbol sets, one
+    per belief at coordinate span, or None when some assignment path empties.
     """
-    spans = [(p_lo, p_hi) for p_lo, p_hi, _ in placements]
-    spans += [(start, start + len(ws[0]) - 1) for start, ws in atoms]
-    lo = min(p_lo for p_lo, _ in spans)
-    hi = max(p_hi for _, p_hi in spans)
-    automaton = ConstraintAutomaton(sft, atoms, lo, hi)
-    alphabet = range(sft.alphabet_size)
+    automaton = ConstraintAutomaton(sft, atoms, 0, span)
+    alphabet = frozenset(range(sft.alphabet_size))
 
     starts_at: dict[int, list] = {}
-    for p_lo, _p_hi, options in placements:
-        starts_at.setdefault(p_lo, []).append(
+    for first, options in placements:
+        starts_at.setdefault(first, []).append(
             [(option, ((),) * sum(len(words) > 1 for _, words in option)) for option in options]
         )
 
     # A belief: (open target atoms, frozenset of (prev symbol, E prefixes,
     # prefixes of the open atoms with several words)).
     beliefs: set = {((), frozenset({(None, automaton.initial, ())}))}
-    for c in range(lo, hi + 1):
+    for c in range(span + 1):
         # Adversary choices for placements opening at c.
         for options in starts_at.get(c, ()):
             beliefs = {
@@ -314,24 +303,24 @@ def _universal_sweep(sft, placements, atoms) -> bool:
             }
         nxt: set = set()
         for opened, configs in beliefs:
-            column = set(alphabet)
+            column = set(firsts if c == 0 else alphabet)
             for start, words in opened:
                 if start <= c:
                     column.intersection_update([w[c - start] for w in words])
             tracked = [(start, words) for start, words in opened if len(words) > 1]
             new_configs = set()
             for prev, prefixes, tail in configs:
-                for sym, moved in automaton.moves(c - lo, prev, prefixes):
+                for sym, moved in automaton.moves(c, prev, prefixes):
                     if sym in column:
                         kept = _open_step(tracked, tail, c, sym) if tracked else ()
                         if kept is not None:
                             new_configs.add((sym, moved, kept))
             if not new_configs:
-                return False
+                return None
             still_open = tuple([atom for atom in opened if c < atom[0] + len(atom[1][0]) - 1])
             nxt.add((still_open, frozenset(new_configs)))
         beliefs = nxt
-    return True
+    return frozenset([frozenset([sym for sym, _, _ in configs]) for _, configs in beliefs])
 
 
 def _open_step(tracked, tail, c, sym):
@@ -661,7 +650,7 @@ def classify_in_pair(
     if separating_depth(x, y, depth) is None:
         raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
     c_min = Fraction(str(params.c_min))
-    memo: dict = {}  # one translation-relative relation memo for every search of the pair
+    memo: dict = {}  # one translation-relative sweep memo for every search of the pair
     level_witnesses = []
     certified_epses = []
     for d in range(depth + 1):

@@ -655,8 +655,9 @@ class ConstraintAutomaton:
     prefix form one run, so a single bisection tests a prefix. A
     configuration is (last symbol, per-atom matched prefix); an atom's
     prefix resets to () once its window is complete, so equal futures give
-    equal configurations. `moves` is the one transition rule; `words` and
-    `relation` read out one pruned depth-first walk over the coordinates.
+    equal configurations. `moves` is the one transition rule; `words` reads
+    it out depth-first over the coordinates, and the independence checker's
+    segment sweep steps it one coordinate at a time.
     """
 
     def __init__(self, sft: Sft, atoms, lo: int, hi: int):
@@ -685,49 +686,22 @@ class ConstraintAutomaton:
                 out.append((sym, tuple(nxt)))
         return out
 
-    def _walk(self, emit, seen=None) -> None:
-        """Depth-first over the legal words; emit(word) returning True stops the walk.
-
-        With `seen`, a configuration already expanded under the same first
-        symbol is not expanded again (sound for readouts of (first, last)).
-        """
-        word: list[int] = []
-
-        def step(p: int, prefixes) -> bool:
-            if p == self.length:
-                return emit(word)
-            for sym, nxt in self.moves(p, word[-1] if word else None, prefixes):
-                if seen is not None:
-                    key = (p, word[0] if word else sym, sym, nxt)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                word.append(sym)
-                stop = step(p + 1, nxt)
-                word.pop()
-                if stop:
-                    return True
-            return False
-
-        step(0, self.initial)
-
     def words(self) -> tuple[Word, ...]:
         """Every legal word over [lo, hi] matching every atom, in sorted order."""
         out: list[Word] = []
-        self._walk(lambda word: out.append(tuple(word)))
+        word: list[int] = []
+
+        def step(p: int, prefixes) -> None:
+            if p == self.length:
+                out.append(tuple(word))
+                return
+            for sym, nxt in self.moves(p, word[-1] if word else None, prefixes):
+                word.append(sym)
+                step(p + 1, nxt)
+                word.pop()
+
+        step(0, self.initial)
         return tuple(out)
-
-    def relation(self) -> frozenset[tuple[int, int]]:
-        """The realizable (first, last) symbol pairs of those words."""
-        found: set[tuple[int, int]] = set()
-        limit = self.sft.alphabet_size ** 2
-
-        def emit(word) -> bool:
-            found.add((word[0], word[-1]))
-            return len(found) >= limit
-
-        self._walk(emit, seen=set())
-        return frozenset(found)
 
 
 def _cluster_constraints(sft: Sft, atoms):

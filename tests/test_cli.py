@@ -457,6 +457,15 @@ def test_selfcheck_single_criterion(runner):
     assert "[PASS] criterion 8" in result.output
 
 
+@pytest.mark.parametrize("only", ["0", "-2", "11", "x"])
+def test_selfcheck_refuses_unknown_criteria(runner, only):
+    result = runner.invoke(main, ["selfcheck", "--only", only])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "criterion number" in result.output
+    assert "[PASS]" not in result.output
+
+
 def test_inconclusive_verdicts_exit_3(tmp_path, monkeypatch):
     import shiftlab.harness as harness
     from shiftlab.verdicts import Verdict

@@ -142,15 +142,13 @@ def test_e_sets_differing_only_in_start_both_count(cycle4):
     assert not independence_oracle(sft, two, two, [0, 4], e)
 
 
-def test_sweep_path_matches_word_oracle(systems, monkeypatch):
-    """Force every segment through the coordinate sweep and re-verify.
+def test_sweep_path_matches_word_oracle(systems, bernoulli):
+    """Every segment goes through the coordinate sweep; check it against the oracle.
 
     The first 150 cases pin single words; the rest draw union, whole-space
-    and bridged targets.
+    and bridged targets. The fixed cases at the end put seven overlapping
+    pins in one segment, with a later segment entered from its last symbols.
     """
-    import shiftlab.independence as ind
-
-    monkeypatch.setattr(ind, "SEGMENT_COMBO_CAP", 0)
     rng = random.Random(63)
     for case in range(300):
         system = systems[rng.randrange(3)]
@@ -172,6 +170,20 @@ def test_sweep_path_matches_word_oracle(systems, monkeypatch):
         got = is_independence_set(sft, a1, a2, i_set, e)
         want = independence_oracle(sft, a1, a2, i_set, e)
         assert got == want, (system.id, a1, a2, i_set, e.describe())
+
+    sft = bernoulli.sft
+    a1 = cylinder(sft, 0, "00").union(cylinder(sft, 0, "11"))
+    a2 = cylinder(sft, 0, "01").union(cylinder(sft, 0, "10"))
+    pinned = resolve_constraints([(0, cylinder(sft, 0, "0")), (0, cylinder(sft, 7, "0"))], sft)
+    cases = [
+        (list(range(7)) + [9], full_e(sft), True),
+        (list(range(7)) + [9], ConstantE(cylinder(sft, 9, "1")), True),
+        (list(range(7)), ConstantE(pinned), False),
+        (list(range(7)) + [10], ConstantE(pinned), False),
+    ]
+    for i_set, e, want in cases:
+        assert independence_oracle(sft, a1, a2, i_set, e) == want, (i_set, e.describe())
+        assert is_independence_set(sft, a1, a2, i_set, e) == want, (i_set, e.describe())
 
 
 def test_shared_memo_matches_oracle_under_translation(systems):
@@ -219,7 +231,7 @@ def _oracle_greedy(sft, a1, a2, window, e) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def test_incremental_chains_match_word_oracle(systems, monkeypatch):
+def test_incremental_chains_match_word_oracle(systems):
     """Extend random sorted chains state by state and check every step.
 
     E is the whole space, a constant set, or a table whose overrides the
@@ -228,7 +240,6 @@ def test_incremental_chains_match_word_oracle(systems, monkeypatch):
     extended by a sibling shift from its parent state, which must still
     answer for the parent's prefix. Greedy chains over two windows, the
     second resuming the first, match greedy chains built on the oracle.
-    Every other case forces every segment through the coordinate sweep.
     Targets are single words, unions, the whole space or bridged sets; one
     memo serves all cases of a system.
     """
@@ -236,8 +247,7 @@ def test_incremental_chains_match_word_oracle(systems, monkeypatch):
 
     rng = random.Random(41)
     memos: dict = {system.id: {} for system in systems}
-    for case in range(120):
-        monkeypatch.setattr(ind, "SEGMENT_COMBO_CAP", 0 if case % 2 else 64)
+    for _ in range(120):
         system = systems[rng.randrange(3)]
         sft = system.sft
         a1, a2 = _wide_target(rng, sft), _wide_target(rng, sft)

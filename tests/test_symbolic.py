@@ -309,7 +309,6 @@ def test_automaton_readouts_match_word_oracle(case):
     ]
     automaton = ConstraintAutomaton(sft, atoms, lo, hi)
     assert automaton.words() == tuple(expected)
-    assert automaton.relation() == {(w[0], w[-1]) for w in expected}
 
 
 def test_resolve_bridged_blocks_far_apart():
@@ -462,3 +461,16 @@ def test_reach_realizable_diam_match_oracles(data):
             assert (d.value, d.truncated) == (0.0, False), horizon
         else:
             assert (d.value, d.truncated) == (2.0 ** (-horizon - 1), True), horizon
+
+
+def test_diam_tail_multivalued_one_step_past_support():
+    """A set pinned on its whole support whose forward tail is multi-valued
+    one step past it: 0 -> {1, 2} -> 3 forever, and only 4 precedes 4. A
+    tails test that skipped step 1 of the orbits would call it a point."""
+    succ = ({1, 2}, {3}, {3}, {3}, {4, 0})
+    sft = Sft(5, [[b in row for b in range(5)] for row in succ])
+    s = resolve_constraints([(0, cylinder(sft, -1, [4])), (0, cylinder(sft, 1, [0]))], sft, gap_cap=0)
+    assert isinstance(s, BridgedBlocks)
+    assert [len(realizable_oracle(sft, s, n)) for n in range(-3, 4)] == [1, 1, 1, 1, 1, 2, 1]
+    d = diam_of_set(s, sft, 1)
+    assert (d.value, d.truncated) == (2.0**-2, True)
