@@ -14,15 +14,14 @@ a whole-space target imposes nothing and drops out. Each segment is solved by
 one coordinate sweep over the constraint automaton from its entry symbols,
 all assignments at once. The checker is incremental over sorted prefixes:
 searches extend saved states, and each search (a pair classification, a
-density profile) shares one memo of translation-relative segment sweeps and
-greedy chains. It is property-tested against the 2^|I| word-enumeration
-oracle in the test suite.
+density profile) shares one memo of translation-relative segment sweeps,
+greedy chains and compiled atoms. It is property-tested against the 2^|I|
+word-enumeration oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -35,6 +34,7 @@ from .symbolic import (
     SetLike,
     Sft,
     Word,
+    compile_atom,
     cylinder,
     resolve_constraints,
     whole_space,
@@ -136,8 +136,8 @@ class _Prefix(NamedTuple):
     `prev_hi`: the distinct sets of last symbols that the assignments over
     those segments leave feasible. `open`: the last segment (lo, hi, shifts,
     E atoms); `tip`: the frontier with it folded in, once solved.
-    `e_atoms`: the distinct atoms of the E values reached, sorted by start;
-    the first `merged` are folded.
+    `e_atoms`: the distinct atoms of the E values reached, as (start, atom
+    id) sorted by start; the first `merged` are folded.
     """
 
     shifts: tuple
@@ -164,11 +164,17 @@ class _Checker:
     def __init__(self, sft: Sft, targets, e: EMap, memo: Optional[dict]):
         self.sft, self.e = sft, e
         self.memo = {} if memo is None else memo
+        if "atoms" not in self.memo:
+            self.memo["atoms"] = _Atoms(sft.alphabet_size)
+        self.atoms = self.memo["atoms"]
         self.dead = None in targets
         t1, t2 = targets
-        self.choices = () if self.dead else tuple(t for t in ((t1,) if t1 == t2 else (t1, t2)) if t)
-        self.lo = min((start for t in self.choices for start, _ in t), default=0)
-        self.hi = max((start + len(ws[0]) - 1 for t in self.choices for start, ws in t), default=0)
+        choices = () if self.dead else tuple(t for t in ((t1,) if t1 == t2 else (t1, t2)) if t)
+        self.lo = min((start for t in choices for start, _ in t), default=0)
+        self.hi = max((start + len(ws[0]) - 1 for t in choices for start, ws in t), default=0)
+        # Atoms are (start, atom id) from here on; the memo key holds the targets' id.
+        self.choices = tuple(tuple([(s, self.atoms.id(ws)) for s, ws in t]) for t in choices)
+        self.targets = self.atoms.targets.setdefault(self.choices, len(self.atoms.targets))
         self.alphabet = frozenset(range(sft.alphabet_size))
         self.empty = _Prefix((), (), 0, frozenset({self.alphabet}), None, None, None)
 
@@ -177,7 +183,8 @@ class _Checker:
         values = [self.e.at(s) for s in new]
         if (self.dead and new) or any(v.is_empty for v in values):
             return None
-        fresh = {b for v in values for b in v.blocks() if b not in state.e_atoms}
+        fresh = {(start, self.atoms.id(ws)) for v in values for start, ws in v.blocks()}
+        fresh.difference_update(state.e_atoms)
         shifts = new
         if fresh:  # E enters unshifted: its new atoms may land in closed segments, so refold
             shifts = state.shifts + shifts
@@ -196,10 +203,10 @@ class _Checker:
     def _merge(self, state: _Prefix, until: float) -> Optional[_Prefix]:
         """Fold the unmerged E atoms that start before `until`."""
         while state and state.merged < len(state.e_atoms):
-            start, words = state.e_atoms[state.merged]
+            start, atom = state.e_atoms[state.merged]
             if start >= until:
                 break
-            state = self._add(state, start, start + len(words[0]) - 1, None)
+            state = self._add(state, start, start + len(self.atoms.words[atom][0]) - 1, None)
         return state
 
     def _settle(self, state: _Prefix) -> Optional[_Prefix]:
@@ -239,19 +246,19 @@ class _Checker:
         gap = 0 if state.prev_hi is None else seg_lo - state.prev_hi  # first segment: any symbol
         # The SFT is shift-invariant, so a segment's sweep depends only on its
         # constraints relative to its first coordinate: the memo key holds the
-        # targets, and the pins and the E atoms relative to it.
+        # targets' id, the pins and the E atoms' ids relative to it.
         span = seg_hi - seg_lo
         rel_pins = tuple([p - seg_lo for p in pins])
-        rel_atoms = tuple([(start - seg_lo, words) for start, words in atoms])
+        rel_atoms = tuple([(start - seg_lo, atom) for start, atom in atoms])
         tip: set = set()
         for firsts in {self.sft.reach(lasts, gap) for lasts in state.frontier}:
-            key = (self.choices, span, rel_pins, rel_atoms, firsts)
+            key = (self.targets, span, rel_pins, rel_atoms, firsts)
             if key not in self.memo:
                 placements = [
-                    (p + self.lo, [tuple([(a + p, w) for a, w in t]) for t in self.choices])
+                    (p + self.lo, [tuple([(a + p, atom) for a, atom in t]) for t in self.choices])
                     for p in rel_pins
                 ]
-                self.memo[key] = _sweep(self.sft, placements, rel_atoms, span, firsts)
+                self.memo[key] = _sweep(self.sft, self.atoms, placements, rel_atoms, span, firsts)
             ends = self.memo[key]
             if ends is None:
                 return None
@@ -259,86 +266,113 @@ class _Checker:
         return frozenset(tip)
 
 
-def _sweep(sft, placements, atoms, span, firsts) -> Optional[frozenset]:
+class _Atoms:
+    """A search's atoms: each word list interned to an integer id and compiled once.
+
+    Lookups go by id(words), and the table holds every word list it has
+    looked up, so no id() is reused while the search memo that owns it
+    lives. Equal lists that are distinct objects share one atom id, and
+    equal target choices one target id.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.seen: dict[int, tuple] = {}  # id(words) -> (words, atom id)
+        self.ids: dict = {}  # words -> atom id
+        self.words: list = []  # atom id -> words, and their compile_atom rows
+        self.rows: list = []
+        self.targets: dict = {}  # target choices in atom ids -> target id
+
+    def id(self, words) -> int:
+        hit = self.seen.get(id(words))
+        if hit is None:
+            atom = self.ids.setdefault(words, len(self.ids))
+            if atom == len(self.words):
+                self.words.append(words)
+                self.rows.append(compile_atom(words, self.k))
+            hit = self.seen[id(words)] = (words, atom)
+        return hit[1]
+
+    def compiled(self, words):
+        return self.rows[self.id(words)]
+
+
+def _sweep(sft, atoms: _Atoms, placements, e_atoms, span, firsts) -> Optional[frozenset]:
     """Universal feasibility of one segment over [0, span], entered at `firsts`.
 
-    Coordinates are relative to the segment's first one: placements are
-    (first coordinate, options) and `atoms` are the E atoms. A belief pairs
-    the target atoms the assignment has opened and not yet passed (in
-    placement order) with the set of feasible frontier configurations:
-    previous symbol, the E atoms' automaton prefixes, and the matched prefix
-    of every open target atom with more than one word. Assignment choices
-    split beliefs at each placement's first coordinate; existential symbol
-    choices evolve configurations along the automaton's moves, kept to the
-    symbols in every open atom's column at that coordinate (and to `firsts`
-    at coordinate 0) and, for atoms with several words, to prefixes that
-    some word still extends (the same sorted-words bisection as
-    `ConstraintAutomaton.moves`); a one-word atom is decided by its column.
-    A belief groups the assignment paths with equal configuration sets, so
-    its last symbols are theirs. Returns the set of last-symbol sets, one
-    per belief at coordinate span, or None when some assignment path empties.
+    Coordinates are relative to the segment's first one, and atoms are
+    (start, atom id): placements are (first coordinate, options) and
+    `e_atoms` are the E atoms. A belief pairs the target atoms the
+    assignment has opened and not yet passed (in placement order) with the
+    set of feasible frontier configurations: previous symbol, then the
+    residual state of every E atom and of every open target atom with more
+    than one word. Assignment choices split beliefs at each placement's
+    first coordinate, where the opened atoms enter in state 0; existential
+    symbol choices evolve configurations along the automaton's moves, the
+    open target atoms stepped with the E atoms, kept to the symbols that the
+    open one-word atoms (and `firsts`, at coordinate 0) allow. A belief
+    groups the assignment paths with equal configuration sets, so its last
+    symbols are theirs. Returns the set of last-symbol sets, one per belief
+    at coordinate span, or None when some assignment path empties.
     """
-    automaton = ConstraintAutomaton(sft, atoms, 0, span)
+    automaton = ConstraintAutomaton(
+        sft, [(start, atoms.words[atom]) for start, atom in e_atoms], 0, span, atoms.compiled
+    )
     alphabet = frozenset(range(sft.alphabet_size))
+    n = len(e_atoms)
 
     starts_at: dict[int, list] = {}
     for first, options in placements:
         starts_at.setdefault(first, []).append(
-            [(option, ((),) * sum(len(words) > 1 for _, words in option)) for option in options]
+            [
+                (option, (0,) * sum(len(atoms.words[atom]) > 1 for _, atom in option))
+                for option in options
+            ]
         )
 
-    # A belief: (open target atoms, frozenset of (prev symbol, E prefixes,
-    # prefixes of the open atoms with several words)).
-    beliefs: set = {((), frozenset({(None, automaton.initial, ())}))}
+    # A belief: (open target atoms, frozenset of (prev symbol, states)).
+    beliefs: set = {((), frozenset({(None, automaton.initial)}))}
     for c in range(span + 1):
         # Adversary choices for placements opening at c.
         for options in starts_at.get(c, ()):
             beliefs = {
-                (
-                    opened + option,
-                    frozenset([(prev, pre, tail + blank) for prev, pre, tail in configs]),
-                )
+                (opened + option, frozenset([(prev, states + blank) for prev, states in configs]))
                 for opened, configs in beliefs
                 for option, blank in options
             }
         nxt: set = set()
         for opened, configs in beliefs:
-            column = set(firsts if c == 0 else alphabet)
-            for start, words in opened:
-                if start <= c:
-                    column.intersection_update([w[c - start] for w in words])
-            tracked = [(start, words) for start, words in opened if len(words) > 1]
-            new_configs = set()
-            for prev, prefixes, tail in configs:
-                for sym, moved in automaton.moves(c, prev, prefixes):
-                    if sym in column:
-                        kept = _open_step(tracked, tail, c, sym) if tracked else ()
-                        if kept is not None:
-                            new_configs.add((sym, moved, kept))
+            column = firsts if c == 0 else alphabet
+            extra = []  # (slot, rows) of the open atoms with several words that cover c
+            keep = list(range(n))  # the slots still open after c
+            slot = n
+            still_open = []
+            for start, atom in opened:
+                words = atoms.words[atom]
+                end = start + len(words[0]) - 1
+                if len(words) > 1:
+                    if start <= c:
+                        extra.append((slot, atoms.rows[atom]))
+                    if c < end:
+                        keep.append(slot)
+                    slot += 1
+                elif start <= c:
+                    column = column & {words[0][c - start]}
+                if c < end:
+                    still_open.append((start, atom))
+            new_configs = {
+                (sym, moved)
+                for prev, states in configs
+                for sym, moved in automaton.moves(c, prev, states, extra)
+                if sym in column
+            }
             if not new_configs:
                 return None
-            still_open = tuple([atom for atom in opened if c < atom[0] + len(atom[1][0]) - 1])
-            nxt.add((still_open, frozenset(new_configs)))
+            if len(keep) < slot:  # atoms complete at c are back in state 0: drop them
+                new_configs = {(sym, tuple([s[i] for i in keep])) for sym, s in new_configs}
+            nxt.add((tuple(still_open), frozenset(new_configs)))
         beliefs = nxt
-    return frozenset([frozenset([sym for sym, _, _ in configs]) for _, configs in beliefs])
-
-
-def _open_step(tracked, tail, c, sym):
-    """Prefixes of the tracked atoms after reading sym at c, or None if one dies.
-
-    Atoms that end at c are dropped from the result.
-    """
-    kept = []
-    for (start, words), prefix in zip(tracked, tail):
-        if start <= c:
-            prefix += (sym,)
-            i = bisect_left(words, prefix)
-            if i == len(words) or words[i][: len(prefix)] != prefix:
-                return None
-            if len(prefix) == len(words[0]):
-                continue
-        kept.append(prefix)
-    return tuple(kept)
+    return frozenset([frozenset([sym for sym, _ in configs]) for _, configs in beliefs])
 
 
 # ---------------------------------------------------------------------------

@@ -91,21 +91,14 @@ class Sft:
             raise ValueError(f"symbol out of range in word {word!r}")
         return all(self.allowed[a][b] for a, b in zip(word, word[1:]))
 
-    def legal_words(self, length: int) -> Iterable[Word]:
+    def legal_words(self, length: int) -> list[Word]:
         """All internally consistent words of the given length, in sorted order."""
         if length <= 0:
             raise ValueError("length must be positive")
-        k = self.alphabet_size
-
-        def extend(prefix: Word):
-            if len(prefix) == length:
-                yield prefix
-                return
-            for b in self._succ[prefix[-1]]:
-                yield from extend(prefix + (b,))
-
-        for a in range(k):
-            yield from extend((a,))
+        words = [(a,) for a in range(self.alphabet_size)]
+        for _ in range(length - 1):
+            words = [w + (b,) for w in words for b in self._succ[w[-1]]]
+        return words
 
     # -- reachability ----------------------------------------------------
 
@@ -647,41 +640,83 @@ def constraint_atoms(constraints: ShiftedConstraintSet, sft: Sft):
     return atoms
 
 
+def compile_atom(words, k: int) -> tuple[tuple[int, ...], ...]:
+    """The minimal acyclic DFA of a list of equal-length words over symbols 0..k-1.
+
+    Its states are the residual languages {v : u + v is a word} of the
+    words' proper prefixes u: rows[state][sym] is the next state id, or -1
+    when no word continues; state 0 reads the first symbol, and a word's last
+    symbol leads back to 0. Prefixes with equal futures share a state, so a
+    complement atom needs few. Built bottom-up from the sorted words, equal
+    rows being one state (Daciuk, Mihov, Watson & Watson, Comput. Linguist.
+    2000).
+    """
+    words = sorted(words)
+    ids: dict[tuple[int, ...], int] = {}  # the rows of the states after 0, in id order
+    return (_residual_row(words, 0, len(words), 0, k, ids), *ids)
+
+
+def _residual_row(words, lo: int, hi: int, d: int, k: int, ids: dict) -> tuple[int, ...]:
+    """The row of the residual of words[lo:hi], which share their first d symbols.
+
+    Not a closure (nor is `ConstraintAutomaton._walk`): a recursive closure is
+    a reference cycle, and that garbage ran the cyclic collector several times
+    as often in the independence checker's searches."""
+    out = [-1] * k
+    while lo < hi:
+        sym, end = words[lo][d], lo + 1
+        while end < hi and words[end][d] == sym:
+            end += 1
+        if d + 1 == len(words[lo]):
+            out[sym] = 0
+        else:
+            out[sym] = ids.setdefault(_residual_row(words, lo, end, d + 1, k, ids), len(ids) + 1)
+        lo = end
+    return tuple(out)
+
+
 class ConstraintAutomaton:
     """The product automaton of the SFT and a list of constraint atoms over [lo, hi].
 
-    Each atom (start, words) is compiled once into a prefix table at its
-    offset from lo: its words in sorted order, where the words sharing a
-    prefix form one run, so a single bisection tests a prefix. A
-    configuration is (last symbol, per-atom matched prefix); an atom's
-    prefix resets to () once its window is complete, so equal futures give
-    equal configurations. `moves` is the one transition rule; `words` reads
-    it out depth-first over the coordinates, and the independence checker's
-    segment sweep steps it one coordinate at a time.
+    Each atom (start, words) is compiled once into its minimal acyclic DFA
+    (:func:`compile_atom`, or `compile`, which a search memo supplies), whose
+    states are integer ids of residual languages. A configuration is (last
+    symbol, per-atom state id); an atom sits in state 0 outside its window,
+    so equal futures give equal configurations. `moves` is the one transition
+    rule, one table lookup per atom and symbol; `words` reads it out
+    depth-first over the coordinates, and the independence checker's segment
+    sweep steps it one coordinate at a time.
     """
 
-    def __init__(self, sft: Sft, atoms, lo: int, hi: int):
+    def __init__(self, sft: Sft, atoms, lo: int, hi: int, compile=None):
         self.sft = sft
         self.length = hi - lo + 1
-        self.tables = [(start - lo, len(words[0]), sorted(words)) for start, words in atoms]
-        self.initial = tuple(() for _ in self.tables)
+        self.symbols = tuple(range(sft.alphabet_size))
+        # The (atom index, rows) of the atoms whose window covers each offset.
+        self.active: list[list] = [[] for _ in range(self.length)]
+        for i, (start, words) in enumerate(atoms):
+            rows = compile(words) if compile else compile_atom(words, sft.alphabet_size)
+            for p in range(start - lo, start - lo + len(words[0])):
+                self.active[p].append((i, rows))
+        self.initial = (0,) * len(atoms)
 
-    def moves(self, p: int, prev, prefixes) -> list:
-        """(symbol, prefixes) steps at offset p from a configuration; prev is None at offset 0."""
-        sft = self.sft
+    def moves(self, p: int, prev, states, extra=()) -> list:
+        """(symbol, states) steps at offset p from a configuration; prev is None at offset 0.
+
+        `extra` lists (slot, rows) of further compiled atoms covering p, whose
+        states follow the automaton's own in `states`; they step alike.
+        """
+        symbols = self.symbols if prev is None else self.sft.successors(prev)
+        active = self.active[p] + extra if extra else self.active[p]
+        if not active:
+            return [(sym, states) for sym in symbols]
         out = []
-        for sym in range(sft.alphabet_size) if prev is None else sft.successors(prev):
-            nxt = []
-            for (offset, width, words), prefix in zip(self.tables, prefixes):
-                if offset <= p < offset + width:
-                    prefix += (sym,)
-                    # The first word not below the prefix extends it, if any word does.
-                    i = bisect_left(words, prefix)
-                    if i == len(words) or words[i][: len(prefix)] != prefix:
-                        break
-                    if len(prefix) == width:
-                        prefix = ()
-                nxt.append(prefix)
+        for sym in symbols:
+            nxt = list(states)
+            for i, rows in active:
+                state = nxt[i] = rows[nxt[i]][sym]
+                if state < 0:
+                    break
             else:
                 out.append((sym, tuple(nxt)))
         return out
@@ -689,19 +724,18 @@ class ConstraintAutomaton:
     def words(self) -> tuple[Word, ...]:
         """Every legal word over [lo, hi] matching every atom, in sorted order."""
         out: list[Word] = []
-        word: list[int] = []
-
-        def step(p: int, prefixes) -> None:
-            if p == self.length:
-                out.append(tuple(word))
-                return
-            for sym, nxt in self.moves(p, word[-1] if word else None, prefixes):
-                word.append(sym)
-                step(p + 1, nxt)
-                word.pop()
-
-        step(0, self.initial)
+        self._walk(0, [], self.initial, out)
         return tuple(out)
+
+    def _walk(self, p: int, word: list[int], states, out: list[Word]) -> None:
+        """Depth-first from offset p: append to `out` every completion of `word`."""
+        if p == self.length:
+            out.append(tuple(word))
+            return
+        for sym, nxt in self.moves(p, word[-1] if word else None, states):
+            word.append(sym)
+            self._walk(p + 1, word, nxt, out)
+            word.pop()
 
 
 def _cluster_constraints(sft: Sft, atoms):

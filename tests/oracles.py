@@ -25,13 +25,24 @@ def three_symbol_chain() -> MarkovMeasure:
     )
 
 
+_LEGAL: dict = {}
+
+
 def legal_words(sft: Sft, lo: int, hi: int) -> list:
     """All legal words over [lo, hi] in sorted order, grown one symbol at a time
-    along the raw transition matrix, so the cost follows the number of legal words."""
-    k = sft.alphabet_size
-    words = [(a,) for a in range(k)]
-    for _ in range(hi - lo):
-        words = [w + (b,) for w in words for b in range(k) if sft.allowed[w[-1]][b]]
+    along the raw transition matrix, so the cost follows the number of legal
+    words. Lists of up to 2^14 words are kept per (SFT, length) and must not
+    be mutated."""
+    words = _LEGAL.get((sft, hi - lo))
+    if words is None:
+        k = sft.alphabet_size
+        words = [(a,) for a in range(k)]
+        for _ in range(hi - lo):
+            words = [w + (b,) for w in words for b in range(k) if sft.allowed[w[-1]][b]]
+        if len(words) <= 1 << 14:
+            if len(_LEGAL) >= 256:
+                _LEGAL.clear()
+            _LEGAL[sft, hi - lo] = words
     return words
 
 
@@ -111,8 +122,14 @@ def satisfiable_oracle(sft: Sft, constraints) -> bool:
     if not live:
         return True
     lo, hi = constraint_span(live)
+    # Each block's (offset, width, word set) is built once, not once per word.
+    views = [
+        (start + shift - lo, len(words[0]), _word_set(words))
+        for shift, setlike in live
+        for start, words in setlike.blocks()
+    ]
     return any(
-        all(satisfies(c, word, lo) for c in live) for word in legal_words(sft, lo, hi)
+        all(word[a : a + n] in words for a, n, words in views) for word in legal_words(sft, lo, hi)
     )
 
 

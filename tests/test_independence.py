@@ -185,6 +185,23 @@ def test_sweep_path_matches_word_oracle(systems, bernoulli):
         assert independence_oracle(sft, a1, a2, i_set, e) == want, (i_set, e.describe())
         assert is_independence_set(sft, a1, a2, i_set, e) == want, (i_set, e.describe())
 
+    # Atoms with many words: a 63-word complement (as E and as a target) and a
+    # 126-word union target, every length-7 word that uses both symbols.
+    c63 = cylinder(sft, 0, "010011").complement()
+    u126 = CylinderUnion(sft, [Cylinder(sft, i, w) for i in range(6) for w in ("01", "10")])
+    zero, one, zeros = cylinder(sft, 0, "0"), cylinder(sft, 0, "1"), cylinder(sft, 0, "0" * 7)
+    cases = [
+        (zero, one, list(range(6)), ConstantE(c63), False),
+        (zero, one, [0, 1, 2, 3, 4, 6], ConstantE(c63), True),
+        (u126, c63, [0, 3, 7], full_e(sft), True),
+        (u126, c63, [0, 2, 5], ConstantE(c63.translate(1)), True),
+        (u126, zeros, [0, 1], ConstantE(c63), True),
+        (u126, zeros, [0, 1, 2], ConstantE(c63), False),
+    ]
+    for a1, a2, i_set, e, want in cases:
+        assert independence_oracle(sft, a1, a2, i_set, e) == want, (a1, a2, i_set, e.describe())
+        assert is_independence_set(sft, a1, a2, i_set, e) == want, (a1, a2, i_set, e.describe())
+
 
 def test_shared_memo_matches_oracle_under_translation(systems):
     """One memo serves every case of a system: shift sets and their
@@ -221,6 +238,46 @@ def test_shared_memo_matches_oracle_under_translation(systems):
                 got = is_independence_set(sft, a1, a2, i_set, e, _memo=memo)
                 want = independence_oracle(sft, a1, a2, i_set, e)
                 assert got == want, (system.id, a1, a2, i_set, e.describe())
+
+
+def test_shared_memo_survives_dropped_e_maps(bernoulli):
+    """One memo serves max_independence_subset across 40 random_table_e maps,
+    each built, used and dropped in turn.
+
+    The memo keys atoms by the id() of their word lists. Overrides with equal
+    sets recur as distinct objects, and a dropped map's lists are freed, so
+    a later list could take the id of one the memo saw unless the memo holds
+    every list it has interned. Afterwards each map is rebuilt from its seed:
+    its answer must equal a fresh memo's, its best set must be independent
+    and no one-element extension of it may be.
+    """
+    sft, m = bernoulli.sft, bernoulli.measure
+    a1, a2 = cylinder(sft, 0, "00"), cylinder(sft, 0, "01")
+    window = range(8)
+
+    def e_map(seed):
+        return random_table_e(m, Fraction(1, 16), seed, max_shift=8, n_overrides=4)
+
+    memo: dict = {}
+    seen: set = set()  # override contents as strings, so no map's objects stay alive
+    repeats = 0
+    answers = []
+    for seed in range(40):
+        e = e_map(seed)
+        for _s, value in e.overrides:
+            content = f"{value.start}:{value.words}"
+            repeats += content in seen
+            seen.add(content)
+        answers.append(max_independence_subset(sft, a1, a2, window, e, _memo=memo))
+        del e
+    assert repeats > 0
+    for seed, got in enumerate(answers):
+        e = e_map(seed)
+        assert got == max_independence_subset(sft, a1, a2, window, e), seed
+        assert independence_oracle(sft, a1, a2, got.best, e), seed
+        for s in window:
+            if s not in got.best:
+                assert not independence_oracle(sft, a1, a2, sorted(got.best + (s,)), e), seed
 
 
 def _oracle_greedy(sft, a1, a2, window, e) -> tuple[int, ...]:

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.panel import panel_systems
@@ -14,6 +14,7 @@ from shiftlab.symbolic import (
     EventuallyPeriodic,
     SampledWindow,
     Sft,
+    compile_atom,
     cylinder,
     diam_of_set,
     full_shift,
@@ -54,6 +55,12 @@ def test_sft_rejects_dead_symbols():
         Sft(2, [[True, False], [True, False]])  # symbol 1 has no successor
     with pytest.raises(ValueError):
         Sft(1, [[False]])
+
+
+def test_legal_words_match_oracle():
+    for sft in KERNEL_SFTS:
+        for length in range(1, 9):
+            assert list(sft.legal_words(length)) == legal_words(sft, 0, length - 1)
 
 
 def test_legal_words_golden_mean():
@@ -298,8 +305,23 @@ def automaton_cases(draw):
     return sft, atoms, lo, hi
 
 
+# Fixed atoms with many words: a 63-word complement of one length-6 word and
+# a 126-word union of two-symbol cylinders (every length-7 word using both
+# symbols), on the full 2-shift and on the golden-mean shift.
+_FULL2, _GOLDEN = full_shift(2), golden_sft()
+_COMPLEMENT_63 = cylinder(_FULL2, 0, "010011").complement().words
+_UNION_126 = CylinderUnion(
+    _FULL2, [Cylinder(_FULL2, i, w) for i in range(6) for w in ("01", "10")]
+).words
+_GOLDEN_COMPLEMENT = cylinder(_GOLDEN, 0, "010010").complement().words
+
+
 @settings(max_examples=300, deadline=None)
 @given(automaton_cases())
+@example((_FULL2, [(0, _COMPLEMENT_63)], -1, 6))
+@example((_FULL2, [(0, _UNION_126), (2, _COMPLEMENT_63)], 0, 8))
+@example((_FULL2, [(1, _UNION_126[::-1]), (0, _COMPLEMENT_63), (3, ((1, 1),))], 0, 8))
+@example((_GOLDEN, [(0, _GOLDEN_COMPLEMENT), (2, _GOLDEN_COMPLEMENT)], -1, 8))
 def test_automaton_readouts_match_word_oracle(case):
     sft, atoms, lo, hi = case
     expected = [
@@ -309,6 +331,27 @@ def test_automaton_readouts_match_word_oracle(case):
     ]
     automaton = ConstraintAutomaton(sft, atoms, lo, hi)
     assert automaton.words() == tuple(expected)
+
+
+def test_complement_atoms_compile_to_residual_states():
+    """The complement of one length-L word on the full 2-shift has at most
+    2L - 1 residual states, where prefix states would number 2^L - 1: every
+    prefix that has left the excluded word has the same future. The
+    automaton's moves reach no more states than that."""
+    sft = full_shift(2)
+    for length in range(1, 9):
+        for word in sft.legal_words(length):
+            words = cylinder(sft, 0, word).complement().words
+            assert len(compile_atom(words, 2)) <= 2 * length - 1
+            automaton = ConstraintAutomaton(sft, [(0, words)], 0, length - 1)
+            configs, seen = {(None, automaton.initial)}, set()
+            for p in range(length):
+                configs = {
+                    step for prev, states in configs for step in automaton.moves(p, prev, states)
+                }
+                seen |= {state for _, (state,) in configs}
+            assert len(seen) <= 2 * length - 1
+            assert automaton.words() == words
 
 
 def test_resolve_bridged_blocks_far_apart():
