@@ -134,11 +134,16 @@ def density_from_indicator(
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
 ) -> DensityEstimate:
     """Tail density of a precomputed indicator over {0, ..., n_max - 1}."""
+    if not len(hits):
+        raise ValueError("hits must not be empty")
     n_max = len(hits) if n_max is None else n_max
-    counts = np.cumsum(hits[:n_max].astype(np.int64))
+    if not (1 <= n_max <= len(hits)):
+        raise ValueError(f"n_max must lie in [1, len(hits)] = [1, {len(hits)}], got {n_max}")
+    if not (0.0 < tail_fraction <= 1.0):
+        raise ValueError("tail_fraction must lie in (0, 1]")
     tail = _tail_range(n_max, tail_fraction)
-    ns = np.arange(tail.start, tail.stop)
-    averages = counts[ns - 1] / ns
+    counts = np.cumsum(hits[:n_max], dtype=np.int64)[tail.start - 1 :]
+    averages = counts / np.arange(tail.start, tail.stop)
     return DensityEstimate(float(averages.min()), float(averages.max()), n_max, tail_fraction)
 
 

@@ -56,38 +56,56 @@ def stationary_vector(transition: Sequence[Sequence[Rational]]) -> tuple[Fractio
     k = len(P)
     if any(len(row) != k for row in P):
         raise ValueError("transition matrix must be square")
+    succ = [[j for j, v in enumerate(row) if v] for row in P]
     for i, row in enumerate(P):
-        if sum(row) != 1:
+        if sum(row[j] for j in succ[i]) != 1:
             raise ValueError(f"transition row {i} does not sum to 1 exactly")
-        if any(v < 0 for v in row):
+        if any(row[j] < 0 for j in succ[i]):
             raise ValueError(f"transition row {i} has a negative entry")
-    succ = [[j for j in range(k) if P[i][j] > 0] for i in range(k)]
     if not _graph_covers(succ, k):
         raise ValueError("reducible chain: stationary vector is not unique")
 
-    # Solve (P^T - I) pi = 0 with sum(pi) = 1 by Gaussian elimination.
-    rows = [[P[j][i] - (1 if i == j else 0) for j in range(k)] + [Fraction(0)] for i in range(k)]
-    rows.append([Fraction(1)] * k + [Fraction(1)])
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    # Solve (P^T - I) pi = 0 with sum(pi) = 1 by Gauss-Jordan elimination on
+    # sparse rows (column -> nonzero entry, column k the right-hand side).
+    # Each column pivots on its sparsest free row; pi is unique, so the pivot
+    # order does not change it.
+    rows: list[dict[int, Fraction]] = [{} for _ in range(k)]
+    for j, row in enumerate(succ):
+        for i in row:
+            rows[i][j] = P[j][i]
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, Fraction(0)) - 1
+        if not row[i]:
+            del row[i]
+    rows.append(dict.fromkeys(range(k + 1), Fraction(1)))
+    holders = [set() for _ in range(k + 1)]  # column -> rows with a nonzero there
+    for i, row in enumerate(rows):
+        for col in row:
+            holders[col].add(i)
+    pivots: list[int] = []  # the pivot row of each column
     for col in range(k):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
+        free = holders[col].difference(pivots)
+        if not free:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        r = min(free, key=lambda i: (len(rows[i]), i))
         inv = rows[r][col]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append((r, col))
-        r += 1
-    if r < k:
+        pivot = rows[r] = {c: v / inv for c, v in rows[r].items()}
+        for i in list(holders[col]):
+            if i == r:
+                continue
+            row, factor = rows[i], rows[i][col]
+            for c, v in pivot.items():
+                x = row.get(c, 0) - factor * v
+                if x:
+                    row[c] = x
+                    holders[c].add(i)
+                else:
+                    row.pop(c, None)
+                    holders[c].discard(i)
+        pivots.append(r)
+    if len(pivots) < k:
         raise ValueError("reducible chain: stationary vector is not unique")
-    pi = [Fraction(0)] * k
-    for row, col in pivots:
-        pi[col] = rows[row][k]
+    pi = [rows[r].get(k, Fraction(0)) for r in pivots]
     if any(v < 0 for v in pi) or sum(pi) != 1:
         raise ShiftLabError("elimination produced an invalid stationary vector")
     return tuple(pi)
@@ -345,7 +363,7 @@ def _numerator_bounds(nums: Sequence[int], den: int) -> list[int]:
     return bounds
 
 
-# Uniforms per getrandbits call in a walk: bounds the draw buffers and the
+# Uniforms per generator call in a walk: bounds the draw buffers and the
 # successor table (alphabet size times this many entries) of one chunk.
 _WALK_CHUNK = 1 << 14
 
@@ -353,10 +371,32 @@ _WALK_CHUNK = 1 << 14
 _BLOCK = 16
 
 
-def _uniforms(rng: random.Random, n: int) -> np.ndarray:
-    """n 64-bit uniforms from one getrandbits call: the little-endian words of
-    getrandbits(64 * n) are exactly the values of n getrandbits(64) calls."""
-    return np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u8")
+@functools.cache
+def _bits():
+    """The one numpy MT19937 behind every sample, built at the first sample so
+    that `import shiftlab` does not import numpy.random. Its seeding is never
+    read: `_stream` overwrites the whole state before every sample, so no
+    state carries from one sample to the next (samples run one at a time;
+    building a generator per sample would cost more than a short walk)."""
+    from numpy.random import MT19937
+
+    return MT19937(0)
+
+
+def _stream(seed: int):
+    """The generator set to random.Random(seed)'s state: the same Mersenne
+    Twister (Matsumoto & Nishimura 1998), so it yields the same 32-bit words
+    as random.Random(seed).getrandbits(32), at numpy speed."""
+    state = random.Random(seed).getstate()[1]
+    bits = _bits()
+    bits.state = {"bit_generator": "MT19937", "state": {"key": state[:-1], "pos": state[-1]}}
+    return bits
+
+
+def _uniforms(bits, n: int) -> np.ndarray:
+    """n 64-bit uniforms: 2n 32-bit words taken two at a time, low word first,
+    which are exactly the values of n random.Random.getrandbits(64) calls."""
+    return bits.random_raw(2 * n).astype("<u4").view("<u8")
 
 
 def _pick(bounds: Sequence[int], r: np.ndarray) -> np.ndarray:
@@ -377,9 +417,9 @@ def _pick(bounds: Sequence[int], r: np.ndarray) -> np.ndarray:
     return index
 
 
-def _draw(rng: random.Random, weights: Sequence[Fraction]) -> int:
+def _draw(bits, weights: Sequence[Fraction]) -> int:
     """Exact categorical draw via a 64-bit uniform against Fraction cumsums."""
-    return int(_pick(_draw_bounds(weights), _uniforms(rng, 1))[0])
+    return int(_pick(_draw_bounds(weights), _uniforms(bits, 1))[0])
 
 
 def _path(table: np.ndarray, s: int) -> np.ndarray:
@@ -414,7 +454,7 @@ def _path(table: np.ndarray, s: int) -> np.ndarray:
     return symbol_after[visited.T.reshape(-1)[:c]]
 
 
-def _walk(rng: random.Random, rows: Sequence[Sequence[int]], s: int, n: int) -> np.ndarray:
+def _walk(bits, rows: Sequence[Sequence[int]], s: int, n: int) -> np.ndarray:
     """Symbol s and n chain steps after it, the successor of b drawn by bounds rows[b].
 
     Each chunk of uniforms becomes a successor table (row b holds the symbol
@@ -423,7 +463,7 @@ def _walk(rng: random.Random, rows: Sequence[Sequence[int]], s: int, n: int) -> 
     """
     parts = [np.array([s], dtype=np.min_scalar_type(len(rows) - 1))]
     for done in range(0, n, _WALK_CHUNK):
-        r = _uniforms(rng, min(_WALK_CHUNK, n - done))
+        r = _uniforms(bits, min(_WALK_CHUNK, n - done))
         parts.append(_path(np.stack([_pick(bounds, r) for bounds in rows]), s))
         s = int(parts[-1][-1])
     return np.concatenate(parts)
@@ -438,9 +478,9 @@ def sample_point(m: MarkovMeasure, lo: int, hi: int, seed: int) -> SampledWindow
     """
     if lo > hi:
         raise ValueError("lo must be <= hi")
-    rng = random.Random(seed)
-    first = _draw(rng, m.stationary)
-    return SampledWindow(m.sft, lo, hi, _walk(rng, m.draw_rows, first, hi - lo), seed)
+    bits = _stream(seed)
+    first = _draw(bits, m.stationary)
+    return SampledWindow(m.sft, lo, hi, _walk(bits, m.draw_rows, first, hi - lo), seed)
 
 
 def sample_point_in(
@@ -464,11 +504,11 @@ def sample_point_in(
     total = sum(weights, Fraction(0))
     if total == 0:
         raise ValueError("cell has measure zero")
-    rng = random.Random(seed)
-    word = cell.words[_draw(rng, [w / total for w in weights])]
+    bits = _stream(seed)
+    word = cell.words[_draw(bits, [w / total for w in weights])]
 
-    forward = _walk(rng, m.draw_rows, word[-1], hi - c_hi)
-    backward = _walk(rng, m.reverse_draw_rows, word[0], c_lo - lo)
+    forward = _walk(bits, m.draw_rows, word[-1], hi - c_hi)
+    backward = _walk(bits, m.reverse_draw_rows, word[0], c_lo - lo)
     symbols = np.concatenate(
         [backward[:0:-1], np.array(word, dtype=forward.dtype), forward[1:]]
     )

@@ -24,6 +24,7 @@ resolution (:func:`constraint_atoms`) are written once over these two.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -79,6 +80,13 @@ class Sft:
         self._orbits: dict[tuple[frozenset[int], bool], tuple[tuple[frozenset[int], ...], int]] = {}
 
     # -- basic structure -------------------------------------------------
+
+    @functools.cached_property
+    def _allowed_pairs(self) -> np.ndarray:
+        """The allowed matrix flattened, read-only: entry a * k + b says whether a -> b is allowed."""
+        pairs = np.array(self.allowed, dtype=bool).reshape(-1)
+        pairs.flags.writeable = False
+        return pairs
 
     def successors(self, a: int) -> tuple[int, ...]:
         return self._succ[a]
@@ -263,9 +271,14 @@ class SampledWindow:
             window = np.array(parse_word(symbols), dtype=np.int64)
         if hi - lo + 1 != len(window):
             raise ValueError("window length does not match [lo, hi]")
-        if len(window) and (window.min() < 0 or window.max() >= sft.alphabet_size):
+        k = sft.alphabet_size
+        if len(window) and (window.min() < 0 or window.max() >= k):
             raise ValueError("window symbol out of range")
-        if not np.array(sft.allowed, dtype=bool)[window[:-1], window[1:]].all():
+        # One lookup of the coded pairs a * k + b, in a dtype that holds k * k.
+        pairs = window[:-1].astype(np.min_scalar_type(k * k - 1))
+        pairs *= k
+        np.add(pairs, window[1:], out=pairs, casting="unsafe")  # symbols are in range
+        if not sft._allowed_pairs[pairs].all():
             raise ValueError("window violates the transition matrix")
         window.flags.writeable = False
         self.sft = sft

@@ -25,6 +25,36 @@ def three_symbol_chain() -> MarkovMeasure:
     )
 
 
+def stationary_oracle(rows) -> tuple:
+    """pi with pi P = pi and sum(pi) = 1 for an irreducible chain of Fraction
+    rows, by dense Gaussian elimination: full (k + 1)-entry row operations on
+    (P^T - I | 0) stacked on the row of ones."""
+    k = len(rows)
+    mat = [[rows[j][i] - (1 if i == j else 0) for j in range(k)] + [Fraction(0)] for i in range(k)]
+    mat.append([Fraction(1)] * k + [Fraction(1)])
+    pivots = []
+    r = 0
+    for col in range(k):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][col]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                factor = mat[i][col]
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        pivots.append((r, col))
+        r += 1
+    if r < k:
+        raise ValueError("reducible chain: stationary vector is not unique")
+    pi = [Fraction(0)] * k
+    for row, col in pivots:
+        pi[col] = mat[row][k]
+    return tuple(pi)
+
+
 _LEGAL: dict = {}
 
 

@@ -1,10 +1,16 @@
+import math
+import random
 from fractions import Fraction
+
+import numpy as np
+import pytest
 
 from shiftlab.folner import (
     FolnerWindows,
     PeriodicPredicate,
     birkhoff_average,
     density,
+    density_from_indicator,
     membership_predicate,
     temperedness_constant,
 )
@@ -53,6 +59,37 @@ def test_density_subadditive():
     d1 = density(p1, W, n_max=900)
     d2 = density(p2, W, n_max=900)
     assert union.upper <= d1.upper + d2.upper + 1e-12
+
+
+def test_density_from_indicator_matches_loop():
+    rng = random.Random(5)
+    for n, n_max, tail_fraction in ((1, None, 0.5), (10, 7, 1.0), (1000, None, 0.25), (999, 998, 0.1)):
+        hits = np.array([rng.random() < 0.3 for _ in range(n)])
+        est = density_from_indicator(hits, n_max=n_max, tail_fraction=tail_fraction)
+        n_max = n if n_max is None else n_max
+        start = max(1, math.ceil(tail_fraction * n_max))
+        averages = [int(hits[:m].sum()) / m for m in range(start, n_max + 1)]
+        assert (est.lower, est.upper) == (min(averages), max(averages))
+
+
+@pytest.mark.parametrize(
+    "length, kwargs, field",
+    [
+        (10, {"n_max": 12}, "n_max"),
+        (10, {"n_max": 11}, "n_max"),
+        (10, {"n_max": 0}, "n_max"),
+        (10, {"n_max": -3}, "n_max"),
+        (0, {}, "hits"),
+        (0, {"n_max": 0}, "hits"),
+        (10, {"tail_fraction": 0.0}, "tail_fraction"),
+        (10, {"tail_fraction": 1.5}, "tail_fraction"),
+        (10, {"tail_fraction": -0.5}, "tail_fraction"),
+        (10, {"tail_fraction": math.nan}, "tail_fraction"),
+    ],
+)
+def test_density_from_indicator_rejects_bad_arguments(length, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        density_from_indicator(np.ones(length, dtype=bool), **kwargs)
 
 
 def test_temperedness_canonical_bounded():

@@ -11,9 +11,13 @@ from shiftlab.measures import (
     _BLOCK,
     _WALK_CHUNK,
     MarkovMeasure,
+    _bits,
+    _draw,
     _draw_bounds,
     _gap_measures,
     _pick,
+    _stream,
+    _uniforms,
     _walk,
     l2_distance_sq,
     measure_of,
@@ -44,6 +48,7 @@ from .oracles import (
     sample_point_reference,
     satisfiable_oracle,
     satisfies,
+    stationary_oracle,
     three_symbol_chain,
     word_weight,
 )
@@ -109,6 +114,29 @@ def test_stationary_fixed_point_exact():
         assert sum(pi) == 1
         for j in range(k):
             assert sum(pi[i] * rows[i][j] for i in range(k)) == pi[j]
+
+
+@st.composite
+def _irreducible_chain(draw):
+    """Rows of small integer weights over a common denominator, with a
+    positive cycle through every symbol in a drawn order; zero entries and
+    self-loops appear freely."""
+    k = draw(st.integers(1, 9))
+    weights = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k))
+    order = draw(st.permutations(range(k)))
+    for a, b in zip(order, order[1:] + order[:1]):
+        weights[a][b] += 1
+    return [[Fraction(w, sum(row)) for w in row] for row in weights]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_irreducible_chain())
+def test_stationary_sparse_matches_dense_oracle(rows):
+    pi = stationary_vector(rows)
+    assert pi == stationary_oracle(rows)
+    assert sum(pi) == 1
+    k = len(rows)
+    assert all(sum(pi[i] * rows[i][j] for i in range(k)) == pi[j] for j in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +514,18 @@ BLOCK_LENGTHS = (
 )
 
 
+def _stream_state() -> tuple:
+    """The sampler generator's state in random.Random.getstate()[1] form: key words, then position."""
+    state = _bits().state["state"]
+    return (*state["key"].tolist(), int(state["pos"]))
+
+
 @pytest.mark.parametrize("chain", sorted(BLOCK_CHAINS))
 def test_sampler_bit_identical_across_blocks(chain, monkeypatch):
     """sample_point and sample_point_in walk n steps (both ways for the cell)
-    at every block length; after each sample the generators of the sampler and
-    of the per-draw reference give the same next uniform, so both drew the
-    same number of uniforms."""
+    at every block length; after each sample the sampler's generator is in
+    the state of the per-draw reference's generator, so both drew the same
+    number of uniforms."""
     made = []
 
     class Recorded(random.Random):
@@ -505,17 +539,17 @@ def test_sampler_bit_identical_across_blocks(chain, monkeypatch):
     cell = cylinder(m.sft, 0, word)
     for seed, n in enumerate(BLOCK_LENGTHS):
         samples = [
-            (sample_point(m, -n, 0, seed), sample_point_reference(m, -n, 0, seed)),
+            (lambda: sample_point(m, -n, 0, seed), lambda: sample_point_reference(m, -n, 0, seed)),
             (
-                sample_point_in(m, cell, -n, n + 1, seed),
-                sample_point_in_reference(m, cell, -n, n + 1, seed),
+                lambda: sample_point_in(m, cell, -n, n + 1, seed),
+                lambda: sample_point_in_reference(m, cell, -n, n + 1, seed),
             ),
         ]
-        for got, expected in samples:
-            assert got.symbols == expected
-        ours, reference = made[0::2], made[1::2]
-        assert [g.getrandbits(64) for g in ours] == [g.getrandbits(64) for g in reference]
-        made.clear()
+        for sample, reference in samples:
+            got = sample().symbols
+            after = _stream_state()
+            assert got == reference()
+            assert after == made[-1].getstate()[1]
 
 
 def test_walk_wide_alphabet_matches_per_draw():
@@ -527,10 +561,43 @@ def test_walk_wide_alphabet_matches_per_draw():
         )
         for b in range(k)
     ]
-    rng, ref_rng = random.Random(3), random.Random(3)
-    walk = _walk(rng, rows, 0, 3000).tolist()
+    ref_rng = random.Random(3)
+    walk = _walk(_stream(3), rows, 0, 3000).tolist()
     expected = [0]
     for _ in range(3000):
         expected.append(reference_draw(ref_rng, rows[expected[-1]]))
     assert walk == expected and max(walk) >= 256
-    assert rng.getrandbits(64) == ref_rng.getrandbits(64)
+    assert _stream_state() == ref_rng.getstate()[1]
+
+
+# Seeds whose absolute value takes one, two and three or more 32-bit key
+# words, zero, negatives and the word edges.
+STREAM_SEEDS = st.one_of(
+    st.integers(-(1 << 32) + 1, (1 << 32) - 1),
+    st.integers(1 << 32, (1 << 64) - 1),
+    st.integers(1 << 64, 1 << 200),
+    st.integers(-(1 << 200), -1),
+    st.sampled_from([0, -1, (1 << 32) - 1, 1 << 32, 1 << 64]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=STREAM_SEEDS, words=st.integers(1, 700))
+def test_stream_words_match_random(seed, words):
+    rng = random.Random(seed)
+    assert _stream(seed).random_raw(words).tolist() == [rng.getrandbits(32) for _ in range(words)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=STREAM_SEEDS, tail=st.sampled_from([0, 1, 2, 311, 312, 313]))
+def test_uniforms_match_getrandbits_across_draw_and_chunk(seed, tail):
+    # One draw, a full chunk and a second run (of 311 uniforms or more, it
+    # crosses the generator's next 624-word twist): the same values as
+    # getrandbits(64) calls one at a time.
+    rng = random.Random(seed)
+    bits = _stream(seed)
+    weights = [Fraction(1, 3)] * 3
+    assert _draw(bits, weights) == reference_draw(rng, reference_bounds(weights))
+    got = np.concatenate((_uniforms(bits, _WALK_CHUNK), _uniforms(bits, tail)))
+    assert got.tolist() == [rng.getrandbits(64) for _ in range(_WALK_CHUNK + tail)]
+    assert _stream_state() == rng.getstate()[1]

@@ -151,6 +151,26 @@ def test_sampled_window_rejects_bad_windows(as_array):
     with pytest.raises(ValueError, match="transition"):
         SampledWindow(sft, 0, 1, "11", seed=0)
 
+    # Coded pairs a * k + b past one and two bytes. Read as bytes, 257 -> 258
+    # on 300 symbols would be the allowed 1 -> 2, and its code 77,358 kept in
+    # 16 bits would be the allowed 39 -> 122; 16 -> 16 on 17 symbols (code
+    # 288) kept in 8 bits would be the allowed 1 -> 15.
+    for k, (a, b), aliases, legal, dtype in (
+        (300, (257, 258), [1, 2, 39, 122], [258, 257, 257, 0, 1, 2, 39, 122], np.uint16),
+        (17, (16, 16), [1, 15], [16, 0, 16, 1, 15], np.uint8),
+    ):
+        sft = Sft(k, [[(x, y) != (a, b) for y in range(k)] for x in range(k)])
+
+        def window(symbols):
+            spec = np.array(symbols, dtype=dtype) if as_array else symbols
+            return SampledWindow(sft, 0, len(symbols) - 1, spec, seed=0)
+
+        with pytest.raises(ValueError, match="transition"):
+            window([b, a, b])
+        with pytest.raises(ValueError, match="transition"):
+            window(aliases + [a, b])
+        assert window(legal).symbols == tuple(legal)
+
 
 def test_point_membership_examples():
     sft = full_shift(2)
