@@ -75,6 +75,6 @@ from .sensitivity import (
     pigeonhole_oracle,
     ra_search,
 )
-from .panel import canonical_pairs, get_system, panel_pairs, panel_systems
+from .panel import canonical_pairs, get_system, panel_systems
 
 __version__ = "0.1.0"

@@ -457,15 +457,37 @@ def _path(table: np.ndarray, s: int) -> np.ndarray:
 def _walk(bits, rows: Sequence[Sequence[int]], s: int, n: int) -> np.ndarray:
     """Symbol s and n chain steps after it, the successor of b drawn by bounds rows[b].
 
-    Each chunk of uniforms becomes a successor table (row b holds the symbol
-    after b at every step of the chunk), read by block composition in `_path`.
-    Symbols are bytes whenever the alphabet fits in one.
+    The rows decide how the path is read. When every row has one successor
+    (it picks the same symbol for the least and the greatest uniform), the
+    path is the orbit of s, walked until a symbol repeats and then tiled; the
+    stream still skips the n uniforms the steps would draw. When every row is
+    one law, the steps are that row's picks. Otherwise each chunk of uniforms
+    becomes a successor table (row b holds the symbol after b at every step
+    of the chunk), read by block composition in `_path`. Symbols are bytes
+    whenever the alphabet fits in one.
     """
-    parts = [np.array([s], dtype=np.min_scalar_type(len(rows) - 1))]
+    dtype = np.min_scalar_type(len(rows) - 1)
+    edges = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    ends = [_pick(bounds, edges).tolist() for bounds in rows]
+    if all(first == last for first, last in ends):
+        successor = [first for first, _ in ends]
+        bits.random_raw(2 * n, output=False)
+        orbit = [s]
+        while successor[orbit[-1]] not in orbit:
+            orbit.append(successor[orbit[-1]])
+        loop = orbit.index(successor[orbit[-1]])
+        head = np.array(orbit, dtype=dtype)
+        cycle = np.tile(head[loop:], -(-(n + 1) // (len(orbit) - loop)))
+        return np.concatenate((head[:loop], cycle))[: n + 1]
+    one_law = all(bounds == rows[0] for bounds in rows)
+    parts = [np.array([s], dtype=dtype)]
     for done in range(0, n, _WALK_CHUNK):
         r = _uniforms(bits, min(_WALK_CHUNK, n - done))
-        parts.append(_path(np.stack([_pick(bounds, r) for bounds in rows]), s))
-        s = int(parts[-1][-1])
+        if one_law:
+            parts.append(_pick(rows[0], r))
+        else:
+            parts.append(_path(np.stack([_pick(bounds, r) for bounds in rows]), s))
+            s = int(parts[-1][-1])
     return np.concatenate(parts)
 
 

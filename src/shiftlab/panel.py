@@ -109,8 +109,3 @@ def canonical_pairs(system: PanelSystem, count: int = 10) -> list[tuple[str, Poi
     if len(pairs) < count:
         raise ValueError(f"only {len(pairs)} ordered pairs available")
     return pairs
-
-
-def panel_pairs(count: int = 10) -> dict[str, list[tuple[str, PointRep, PointRep]]]:
-    return {system.id: canonical_pairs(system, count) for system in panel_systems()}
-

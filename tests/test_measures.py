@@ -15,6 +15,7 @@ from shiftlab.measures import (
     _draw,
     _draw_bounds,
     _gap_measures,
+    _path,
     _pick,
     _stream,
     _uniforms,
@@ -492,9 +493,11 @@ def _wide_chain() -> MarkovMeasure:
     return MarkovMeasure(Sft(k, [[v != "0" for v in row] for row in rows]), rows)
 
 
-# Chains whose successor tables have constant columns (Bernoulli), permutation
-# columns (the 4-cycle), a forbidden transition (golden mean), zero entries
-# (the 3-symbol chain) and more symbols than a byte holds.
+# Each readout of measures._walk: Bernoulli has one law in every row (row 0's
+# picks are the path, forward and reversed), the 4-cycle one successor per row
+# (the orbit of the start). Golden mean (a forbidden transition), the 3-symbol
+# chain (zero entries) and wide300 (more symbols than a byte holds) compose
+# successor tables in `_path`.
 BLOCK_CHAINS = {
     **{s.id: (lambda m=s.measure: m) for s in panel_systems()},
     "three_symbol": three_symbol_chain,
@@ -568,6 +571,57 @@ def test_walk_wide_alphabet_matches_per_draw():
         expected.append(reference_draw(ref_rng, rows[expected[-1]]))
     assert walk == expected and max(walk) >= 256
     assert _stream_state() == ref_rng.getstate()[1]
+
+
+def _one_hot(k: int, j: int) -> list:
+    return _draw_bounds([Fraction(int(i == j)) for i in range(k)])
+
+
+# Hand-built bounds for each readout of `_walk`: a 5-symbol permutation and a
+# map that enters its cycle after a tail (one successor per row, so the orbit
+# is the path), three rows of one law with a zero-weight entry, and k = 1.
+WALK_ROWS = {
+    "permutation": [_one_hot(5, j) for j in (3, 0, 4, 1, 2)],
+    "tail_then_cycle": [_one_hot(5, j) for j in (1, 2, 3, 4, 2)],
+    "one_law": [_draw_bounds([Fraction(1, 3), Fraction(0), Fraction(2, 3)])] * 3,
+    "one_symbol": [_one_hot(1, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALK_ROWS))
+def test_walk_readouts_match_per_draw(name):
+    rows = WALK_ROWS[name]
+    for seed, n in enumerate((0,) + BLOCK_LENGTHS):
+        for s in range(len(rows)):
+            ref_rng = random.Random(seed)
+            walk = _walk(_stream(seed), rows, s, n)
+            expected = [s]
+            for _ in range(n):
+                expected.append(reference_draw(ref_rng, rows[expected[-1]]))
+            assert walk.dtype == np.uint8 and walk.tolist() == expected
+            assert _stream_state() == ref_rng.getstate()[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_path_constant_and_permutation_columns(data):
+    # The panel's Bernoulli and 4-cycle walks no longer reach `_path`; these
+    # are the tables they would build: every column one symbol, or every
+    # column a permutation.
+    k = data.draw(st.integers(1, 5))
+    c = data.draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK**2 + 3]))
+    rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+    if data.draw(st.booleans()):
+        columns = [[rng.randrange(k)] * k for _ in range(c)]
+    else:
+        columns = [rng.sample(range(k), k) for _ in range(c)]
+    table = np.array(columns, dtype=np.uint8).T.copy()
+    s = b = rng.randrange(k)
+    expected = []
+    for column in columns:
+        b = column[b]
+        expected.append(b)
+    assert _path(table, s).tolist() == expected
 
 
 # Seeds whose absolute value takes one, two and three or more 32-bit key

@@ -4,7 +4,7 @@ import pytest
 
 from shiftlab.config import roundtrip_system, serialize_system
 from shiftlab.measures import measure_of
-from shiftlab.panel import canonical_pairs, get_system, panel_pairs, panel_systems
+from shiftlab.panel import canonical_pairs, get_system, panel_systems
 from shiftlab.symbolic import points_provably_equal
 
 
@@ -39,7 +39,7 @@ def test_pairs_are_valid_and_distinct(systems):
 
 
 def test_bernoulli_generator_pair_first():
-    pairs = panel_pairs(10)["bernoulli"]
+    pairs = canonical_pairs(get_system("bernoulli"), 10)
     label, x, y = pairs[0]
     assert label == "per(0)|per(1)"
     assert x.eval(0) == 0 and y.eval(0) == 1
