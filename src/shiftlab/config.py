@@ -150,7 +150,10 @@ def parse_set(spec: Any, sft: Sft, path: str) -> CylinderUnion:
             cylinders.append(Cylinder(sft, c["start"], c["word"]))
         except ValueError as err:
             raise ConfigError(f"{path}[{i}].word", str(err))
-    return CylinderUnion(sft, cylinders)
+    try:
+        return CylinderUnion(sft, cylinders)
+    except ValueError as err:  # a union too wide to normalize exactly
+        raise ConfigError(path, str(err))
 
 
 _POINTS = {

@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceededError
-from .folner import FolnerWindows, density_from_indicator, orbit_indicator
+from .folner import (
+    DEFAULT_TAIL_FRACTION,
+    FolnerWindows,
+    _tail_range,
+    density_from_indicator,
+    orbit_indicator,
+)
 from .measures import MarkovMeasure, measure_of, mix_seed, sample_point_in
 from .measures import _carry, _collapse, _gap_measures, _spread
 from .symbolic import (
@@ -29,13 +35,7 @@ from .symbolic import (
     resolve_constraints,
     whole_space,
 )
-from .verdicts import (
-    NEGATIVE,
-    POSITIVE,
-    CrosscheckParams,
-    MsFunctionParams,
-    Verdict,
-)
+from .verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, MsFunctionParams, Verdict
 
 JOIN_ASSIGNMENT_CAP = 1 << 14  # |atoms|^|S| refusal point (14 for 2-atom partitions)
 
@@ -283,7 +283,6 @@ def df_estimate(
     b: SetLike,
     windows: FolnerWindows,
     n_max: int,
-    tail_fraction: float = 0.5,
 ) -> float:
     """Tail-max estimate of d_f(x, y) for f = 1_b.
 
@@ -292,10 +291,9 @@ def df_estimate(
     """
     if windows.canonical:
         disagreement = orbit_indicator(x, b, 0, n_max) ^ orbit_indicator(y, b, 0, n_max)
-        est = density_from_indicator(disagreement, tail_fraction=tail_fraction)
-        return math.sqrt(est.upper)
+        return math.sqrt(density_from_indicator(disagreement).upper)
     averages = []
-    for n in range(max(1, math.ceil(tail_fraction * n_max)), n_max + 1):
+    for n in _tail_range(n_max, DEFAULT_TAIL_FRACTION):
         w = windows.window(n)
         count = sum(1 for s in w if point_in_set(x, b, s) != point_in_set(y, b, s))
         averages.append(count / len(w))
@@ -341,26 +339,21 @@ def ms_function_test(
             p = sample_point_in(m, cell, lo, hi, mix_seed(params.seed, idx, attempt, 0))
             q = sample_point_in(m, cell, lo, hi, mix_seed(params.seed, idx, attempt, 1))
             split = orbit_indicator(p, b, 0, horizon) & orbit_indicator(q, comp, 0, horizon)
-            est = density_from_indicator(split, tail_fraction=params.tail_fraction)
+            est = density_from_indicator(split)
             if est.upper > best:
                 best = est.upper
                 best_info = {"cell": repr(cell), "pair_seed_attempt": attempt, "density": est.upper}
         per_cell.append((cell, best, best_info))
 
     floor = min(best for _, best, _ in per_cell)
-    certified = max((e for e in params.eps_grid if floor > e), default=None)
+    certified = max((e for e in DEFAULT_EPS_GRID if floor > e), default=None)
     if certified is None:
         worst = min(per_cell, key=lambda t: t[1])
         return Verdict(
-            NEGATIVE,
-            note=f"cell {worst[0]!r} yields density {worst[1]:.4f} below the grid",
-            params={"eps_grid": tuple(params.eps_grid)},
+            NEGATIVE, note=f"cell {worst[0]!r} yields density {worst[1]:.4f} below the grid"
         )
     return Verdict(
-        POSITIVE,
-        eps_certified=certified,
-        witnesses=tuple(info for _, _, info in per_cell),
-        params={"eps_grid": tuple(params.eps_grid)},
+        POSITIVE, eps_certified=certified, witnesses=tuple(info for _, _, info in per_cell)
     )
 
 
@@ -415,10 +408,15 @@ def _greedy(m: MarkovMeasure, p: Partition, length: int, horizon: int):
     return tuple(chosen), join, saved
 
 
+SEPARATION_HORIZONS = (16, 32, 64)  # separation counts grow iff the last exceeds the others
+GREEDY_LEN = 6  # shifts in the greedy entropy sequence
+ENTROPY_INCREMENT_FLOOR = 0.02  # entropy grows iff the greedy sequence's last increment beats this
+
+
 def crosscheck_hms_hap(
     m: MarkovMeasure,
     b: CylinderUnion,
-    params: CrosscheckParams = CrosscheckParams(),
+    greedy_horizon: int = 16,
     cell_family: Optional[Sequence[CylinderUnion]] = None,
     ms_params: MsFunctionParams = MsFunctionParams(),
 ) -> HmsHapReport:
@@ -426,7 +424,8 @@ def crosscheck_hms_hap(
 
     1_b mean sensitive (witness search) should coincide with unbounded
     L2 separation growth of the shifted indicators and with positive
-    sequence entropy of {b, b^c} along a greedily chosen sequence.
+    sequence entropy of {b, b^c} along a sequence greedily chosen from the
+    shifts below greedy_horizon.
     """
     if cell_family is None:
         cell_family = default_cell_family(m)
@@ -438,7 +437,7 @@ def crosscheck_hms_hap(
 
     mu_b = measure_of(m, b)
     eps_sq = mu_b * (1 - mu_b)
-    counts = tuple(separation_count(m, b, h, eps_sq=eps_sq) for h in params.separation_horizons)
+    counts = tuple(separation_count(m, b, h, eps_sq=eps_sq) for h in SEPARATION_HORIZONS)
     separation_growing = counts[-1] > counts[0] and counts[-1] > counts[-2]
 
     partition = two_set_partition(b)
@@ -446,9 +445,9 @@ def crosscheck_hms_hap(
         profile = EntropyProfile(((1, 0.0, 0.0),))
         greedy = (0,)
     else:
-        greedy, join, saved = _greedy(m, partition, params.greedy_len, params.greedy_horizon)
+        greedy, join, saved = _greedy(m, partition, GREEDY_LEN, greedy_horizon)
         profile = _profile(_readouts(join, greedy, saved))
-    entropy_growing = profile.final_increment > params.entropy_increment_floor
+    entropy_growing = profile.final_increment > ENTROPY_INCREMENT_FLOOR
 
     return HmsHapReport(
         sensitive=sensitive,

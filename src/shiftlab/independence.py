@@ -40,6 +40,7 @@ from .symbolic import (
     whole_space,
 )
 from .verdicts import (
+    DEFAULT_EPS_GRID,
     NEGATIVE,
     POSITIVE,
     InPairParams,
@@ -395,7 +396,8 @@ class IndependenceReport:
             raise ValueError("best subset must lie inside the window")
 
 
-EXHAUSTIVE_WINDOW_CAP = 24
+EXHAUSTIVE_WINDOW_CAP = 24  # widest window searched exactly; wider ones get the greedy subset
+NODE_BUDGET = 500_000  # branch-and-bound nodes a search visits before it falls back to greedy
 
 
 def _gap_dp_max(free: _Checker, first: _Prefix, f_sorted) -> tuple[int, ...]:
@@ -441,7 +443,6 @@ def max_independence_subset(
     window: Sequence[int],
     e: EMap,
     *,
-    node_budget: int = 500_000,
     _memo: Optional[dict] = None,
 ) -> IndependenceReport:
     """Largest independence subset of the window.
@@ -504,7 +505,7 @@ def max_independence_subset(
         if len(state.shifts) + remaining_cap(idx) <= len(best):
             return
         nodes += 1
-        if nodes > node_budget:
+        if nodes > NODE_BUDGET:
             exhausted = True
             return
         child = checker.extend(state, f_sorted[idx])
@@ -526,7 +527,6 @@ def ratio_meets(
     e: EMap,
     threshold: Fraction,
     *,
-    node_budget: int = 500_000,
     _memo: Optional[dict] = None,
 ) -> bool:
     """Decide best-ratio >= threshold without always paying for the exact max.
@@ -542,10 +542,7 @@ def ratio_meets(
     chain = checker.memo.setdefault(("greedy", targets, e), [])
     if Fraction(len(_greedy_subset(f_sorted, checker, chain)), len(f_sorted)) >= threshold:
         return True
-    report = max_independence_subset(
-        sft, a1, a2, f_sorted, e, node_budget=node_budget, _memo=checker.memo
-    )
-    return report.ratio >= threshold
+    return max_independence_subset(sft, a1, a2, f_sorted, e, _memo=checker.memo).ratio >= threshold
 
 
 def _greedy_subset(f_sorted, checker: _Checker, chain: list) -> tuple[int, ...]:
@@ -570,7 +567,6 @@ def independence_density_profile(
     n_list: Sequence[int],
     e_family: Sequence[EMap],
     *,
-    node_budget: int = 500_000,
     _memo: Optional[dict] = None,
 ) -> list[IndependenceReport]:
     """Per window size N, the worst-case (over the E family) best ratio on {0..N-1}.
@@ -583,10 +579,7 @@ def independence_density_profile(
     memo = {} if _memo is None else _memo
     reports = []
     for n in n_list:
-        reps = [
-            max_independence_subset(sft, a1, a2, range(n), e, node_budget=node_budget, _memo=memo)
-            for e in e_family
-        ]
+        reps = [max_independence_subset(sft, a1, a2, range(n), e, _memo=memo) for e in e_family]
         reports.append(min(reps, key=lambda rep: rep.ratio))  # the first worst
     return reports
 
@@ -664,6 +657,11 @@ def separating_depth(x: PointRep, y: PointRep, depth: int) -> Optional[int]:
     return None
 
 
+N_LIST = (4, 8, 16, 24)  # window sizes N of the profiles on {0, ..., N-1}
+C_MIN = Fraction(1, 20)  # independence density every level's profile floor must reach
+RA_BOUND = 5  # constant complement adversaries come from 0 <= s < t <= RA_BOUND
+
+
 def classify_in_pair(
     sft: Sft,
     m: MarkovMeasure,
@@ -678,12 +676,11 @@ def classify_in_pair(
     maps built from all shift pairs up to the search bound (the constant-map
     reduction valid for ergodic abelian actions), plus any configured extras;
     only maps whose sets have measure >= 1 - eps participate at a given eps.
-    Positive needs every level to keep its profile floor at or above c_min
+    Positive needs every level to keep its profile floor at or above C_MIN
     for some eps in the grid.
     """
     if separating_depth(x, y, depth) is None:
         raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
-    c_min = Fraction(str(params.c_min))
     memo: dict = {}  # one translation-relative sweep memo for every search of the pair
     level_witnesses = []
     certified_epses = []
@@ -691,10 +688,10 @@ def classify_in_pair(
         ux = point_neighborhood(x, d)
         uy = point_neighborhood(y, d)
         base_profile = independence_density_profile(
-            sft, m, ux, uy, params.n_list, [full_e(sft)], node_budget=params.node_budget, _memo=memo
+            sft, m, ux, uy, N_LIST, [full_e(sft)], _memo=memo
         )
         base_floor = min(rep.ratio for rep in base_profile)
-        if base_floor < c_min:
+        if base_floor < C_MIN:
             worst = min(base_profile, key=lambda r: r.ratio)
             return Verdict(
                 NEGATIVE,
@@ -702,36 +699,29 @@ def classify_in_pair(
                     f"level {d}: unconstrained profile floor {base_floor} < c_min "
                     f"(window {len(worst.window)}, best |I| = {len(worst.best)})"
                 ),
-                params={"n_list": tuple(params.n_list), "c_min": float(c_min)},
             )
         adversaries: list[EMap] = []
-        for s in range(params.ra_bound + 1):
-            for t in range(s + 1, params.ra_bound + 1):
+        for s in range(RA_BOUND + 1):
+            for t in range(s + 1, RA_BOUND + 1):
                 adversaries.append(bad_constant_e(m, s, t, ux, uy))
         adversaries.extend(params.extra_e_maps)
 
         # An adversary's smallest E-measure does not depend on eps.
-        e_mins = [e_min_measure(e, m, range(max(params.n_list))) for e in adversaries]
+        e_mins = [e_min_measure(e, m, range(max(N_LIST))) for e in adversaries]
         level_eps = None
-        for eps in sorted(params.eps_grid):
+        for eps in sorted(DEFAULT_EPS_GRID):
             eps_frac = Fraction(eps)
             qualifying = [e for e, low in zip(adversaries, e_mins) if low >= 1 - eps_frac]
             family_ok = all(
-                ratio_meets(
-                    sft, ux, uy, range(n), e, c_min, node_budget=params.node_budget, _memo=memo
-                )
+                ratio_meets(sft, ux, uy, range(n), e, C_MIN, _memo=memo)
                 for e in qualifying
-                for n in params.n_list
+                for n in N_LIST
             )
             if family_ok:
                 level_eps = eps
                 break
         if level_eps is None:
-            return Verdict(
-                NEGATIVE,
-                note=f"level {d}: no eps in the grid keeps the floor above c_min",
-                params={"n_list": tuple(params.n_list), "c_min": float(c_min)},
-            )
+            return Verdict(NEGATIVE, note=f"level {d}: no eps in the grid keeps the floor above c_min")
         certified_epses.append(level_eps)
         level_witnesses.append(
             {
@@ -743,9 +733,4 @@ def classify_in_pair(
                 ),
             }
         )
-    return Verdict(
-        POSITIVE,
-        eps_certified=min(certified_epses),
-        witnesses=tuple(level_witnesses),
-        params={"n_list": tuple(params.n_list), "c_min": float(c_min)},
-    )
+    return Verdict(POSITIVE, eps_certified=min(certified_epses), witnesses=tuple(level_witnesses))

@@ -19,11 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .entropy import (
-    CrosscheckParams,
-    HmsHapReport,
-    crosscheck_hms_hap,
-)
+from .entropy import HmsHapReport, crosscheck_hms_hap
 from .errors import EntryTimeNotFoundError
 from .folner import PeriodicPredicate, density_from_indicator, orbit_indicator
 from .independence import (
@@ -49,10 +45,10 @@ from .symbolic import (
     shift_point,
 )
 from .verdicts import (
+    DEFAULT_EPS_GRID,
     INCONCLUSIVE,
     NEGATIVE,
     POSITIVE,
-    PairParams,
     Verdict,
     WitnessParams,
 )
@@ -177,6 +173,12 @@ def _best_gap(
     return best
 
 
+PAIR_BOUND = 6  # shift pairs (s, t) are searched over 0 <= s < t <= PAIR_BOUND
+ENTRY_HORIZON = 10_000  # steps scanned for the first entry into s^-1 A ∩ t^-1 A
+WITNESS_TOLERANCE = 0.02  # the witness density may fall short of eps by this much
+WITNESS_SEED = 7  # root seed of the points classify_ms_pair samples
+
+
 @dataclass(frozen=True)
 class SensitivityWitness:
     """One (p, q) orbit pair with its shift pair, exact target, and estimate."""
@@ -212,12 +214,12 @@ def find_sensitivity_witnesses(
         raise ValueError("neighbourhoods must be nonempty")
     eps_frac = Fraction(eps)
 
-    best = _best_gap(m, a, ux, uy, params.pair_bound)
+    best = _best_gap(m, a, ux, uy, PAIR_BOUND)
     if best is None or best[1] < eps_frac:
         return Verdict(
             NEGATIVE,
             note=(
-                f"no (s, t) with s < t <= {params.pair_bound} reaches "
+                f"no (s, t) with s < t <= {PAIR_BOUND} reaches "
                 f"mu(s^-1 Ux ∩ t^-1 Uy) >= {eps_frac}"
             ),
         )
@@ -229,15 +231,14 @@ def find_sensitivity_witnesses(
         [start + len(ws[0]) - 1 for start, ws in spans] + [0]
     ) + 1
     lo = lo_margin
-    hi = params.density_horizon + params.entry_horizon + t + hi_margin
+    hi = params.density_horizon + ENTRY_HORIZON + t + hi_margin
     z = sample_point(m, lo, hi, seed)
 
-    entry_scan = params.entry_horizon + t + 1
-    in_a = orbit_indicator(z, a, 0, entry_scan)
-    hits = np.nonzero(in_a[: params.entry_horizon] & in_a[t : t + params.entry_horizon])[0]
+    in_a = orbit_indicator(z, a, 0, ENTRY_HORIZON + t + 1)
+    hits = np.nonzero(in_a[:ENTRY_HORIZON] & in_a[t : t + ENTRY_HORIZON])[0]
     if len(hits) == 0:
         raise EntryTimeNotFoundError(
-            f"no entry into s^-1 A ∩ t^-1 A within {params.entry_horizon} steps"
+            f"no entry into s^-1 A ∩ t^-1 A within {ENTRY_HORIZON} steps"
         )
     e = int(hits[0])
     p = shift_point(z, e)
@@ -246,23 +247,18 @@ def find_sensitivity_witnesses(
     visits = orbit_indicator(p, ux, 0, params.density_horizon) & orbit_indicator(
         q, uy, 0, params.density_horizon
     )
-    est = density_from_indicator(visits, tail_fraction=params.tail_fraction)
+    est = density_from_indicator(visits)
     witness = SensitivityWitness(
         s=0, t=t, entry_time=e, target=target, empirical_upper=est.upper, p=p, q=q
     )
-    if est.upper >= float(eps_frac) - params.tolerance:
-        return Verdict(
-            POSITIVE,
-            eps_certified=float(eps_frac),
-            witnesses=(witness,),
-            params={"pair_bound": params.pair_bound, "horizon": params.density_horizon},
-        )
+    if est.upper >= float(eps_frac) - WITNESS_TOLERANCE:
+        return Verdict(POSITIVE, eps_certified=float(eps_frac), witnesses=(witness,))
     return Verdict(
         INCONCLUSIVE,
         witnesses=(witness,),
         note=(
             f"witness density {est.upper:.4f} fell short of eps - tol "
-            f"= {float(eps_frac) - params.tolerance:.4f}"
+            f"= {float(eps_frac) - WITNESS_TOLERANCE:.4f}"
         ),
     )
 
@@ -274,7 +270,7 @@ def classify_ms_pair(
     y: PointRep,
     depth: int,
     cell_family: Sequence[CylinderUnion],
-    params: PairParams = PairParams(),
+    witness: WitnessParams = WitnessParams(),
 ) -> Verdict:
     """Mean-sensitivity pair verdict over nested canonical neighbourhoods.
 
@@ -299,7 +295,7 @@ def classify_ms_pair(
         uy = point_neighborhood(y, d)
         cell_epses: list[float] = []
         for idx, cell in enumerate(cell_family):
-            best = _best_gap(m, cell, ux, uy, params.witness.pair_bound)
+            best = _best_gap(m, cell, ux, uy, PAIR_BOUND)
             best_target = Fraction(0) if best is None else best[1]
             if best_target == 0:
                 return Verdict(
@@ -308,10 +304,9 @@ def classify_ms_pair(
                         f"level {d}, cell {cell!r}: every admissible (s, t) has "
                         f"mu(s^-1 Ux ∩ t^-1 Uy) = 0"
                     ),
-                    params={"depth": depth},
                 )
             grid_eps = max(
-                (g for g in params.eps_grid if Fraction(g) <= best_target),
+                (g for g in DEFAULT_EPS_GRID if Fraction(g) <= best_target),
                 default=None,
             )
             eps_candidate: Union[float, Fraction] = (
@@ -319,17 +314,13 @@ def classify_ms_pair(
             )
             try:
                 verdict = find_sensitivity_witnesses(
-                    sft, m, cell, ux, uy, eps_candidate, mix_seed(params.witness.sample_seed, d, idx), params.witness
+                    sft, m, cell, ux, uy, eps_candidate, mix_seed(WITNESS_SEED, d, idx), witness
                 )
             except EntryTimeNotFoundError as err:
                 inconclusive_notes.append(f"level {d}, cell {cell!r}: {err}")
                 continue
             if verdict.classification == NEGATIVE:
-                return Verdict(
-                    NEGATIVE,
-                    note=f"level {d}, cell {cell!r}: {verdict.note}",
-                    params={"depth": depth},
-                )
+                return Verdict(NEGATIVE, note=f"level {d}, cell {cell!r}: {verdict.note}")
             if verdict.classification == INCONCLUSIVE:
                 inconclusive_notes.append(f"level {d}, cell {cell!r}: {verdict.note}")
                 continue
@@ -340,12 +331,7 @@ def classify_ms_pair(
         if inconclusive_notes:
             return Verdict(INCONCLUSIVE, note="; ".join(inconclusive_notes))
         level_epses.append(min(cell_epses))
-    return Verdict(
-        POSITIVE,
-        eps_certified=min(level_epses),
-        witnesses=tuple(witnesses),
-        params={"depth": depth, "eps_grid": tuple(params.eps_grid)},
-    )
+    return Verdict(POSITIVE, eps_certified=min(level_epses), witnesses=tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +351,11 @@ class DiamMeanProfile:
         return self.value
 
 
-def diam_mean_profile(
-    sft: Sft,
-    m: MarkovMeasure,
-    a: CylinderUnion,
-    n_max: int,
-    *,
-    metric_horizon: int = 32,
-    scan_cap: int = 512,
-) -> DiamMeanProfile:
+DIAM_METRIC_HORIZON = 32  # each diam(T^s A) looks for a multi-valued coordinate in [-32, 32]
+DIAM_SCAN_CAP = 512  # most shifts whose diameters diam_mean_profile computes
+
+
+def diam_mean_profile(sft: Sft, m: MarkovMeasure, a: CylinderUnion, n_max: int) -> DiamMeanProfile:
     """Tail estimate of limsup (1/|F_n|) sum_{s in F_n} diam(T^s a).
 
     diam(T^s a) is exact per shift and eventually periodic in s, so once a
@@ -382,8 +364,8 @@ def diam_mean_profile(
     """
     if a.is_empty:
         raise ValueError("diam profile of the empty set")
-    count = min(n_max, scan_cap)
-    values = [diam_of_set(a.translate(-s), sft, metric_horizon).value for s in range(count)]
+    count = min(n_max, DIAM_SCAN_CAP)
+    values = [diam_of_set(a.translate(-s), sft, DIAM_METRIC_HORIZON).value for s in range(count)]
     tail_start = count // 2
     for period in range(1, 17):
         if count - tail_start < 2 * period:
@@ -438,7 +420,6 @@ def classify_diam_pair(
     y: PointRep,
     depth: int,
     cell_family: Sequence[CylinderUnion],
-    params: PairParams = PairParams(),
 ) -> Verdict:
     """Diam-mean sensitivity pair verdict.
 
@@ -468,20 +449,14 @@ def classify_diam_pair(
             witnesses.append(
                 {"level": d, "cell": repr(cell), "upper_density": float(dens)}
             )
-        level_eps = max((g for g in params.eps_grid if floor > Fraction(g)), default=None)
+        level_eps = max((g for g in DEFAULT_EPS_GRID if floor > Fraction(g)), default=None)
         if level_eps is None:
             return Verdict(
                 NEGATIVE,
                 note=f"level {d}: qualifying-shift density floor {floor} below the grid",
-                params={"depth": depth},
             )
         level_epses.append(level_eps)
-    return Verdict(
-        POSITIVE,
-        eps_certified=min(level_epses),
-        witnesses=tuple(witnesses),
-        params={"depth": depth, "eps_grid": tuple(params.eps_grid)},
-    )
+    return Verdict(POSITIVE, eps_certified=min(level_epses), witnesses=tuple(witnesses))
 
 
 def _periodic_and(p1: PeriodicPredicate, p2: PeriodicPredicate) -> PeriodicPredicate:
@@ -497,14 +472,14 @@ def _periodic_and(p1: PeriodicPredicate, p2: PeriodicPredicate) -> PeriodicPredi
 # ---------------------------------------------------------------------------
 
 
+EQUIVALENCE_WITNESS = WitnessParams(density_horizon=30_000)  # the crosscheck's MS witness search
+EQUIVALENCE_GREEDY_HORIZON = 12  # shifts the crosscheck's greedy entropy sequence draws from
+
+
 @dataclass(frozen=True)
 class EquivalenceParams:
     depth: int = 1
     in_params: InPairParams = InPairParams()
-    pair_params: PairParams = PairParams(
-        witness=WitnessParams(density_horizon=30_000)
-    )
-    kush_params: CrosscheckParams = CrosscheckParams(greedy_horizon=12)
     include_kush: bool = True
     include_diam: bool = True
 
@@ -585,18 +560,12 @@ def equivalence_crosscheck(
                 y,
                 params.depth,
                 system.cell_family,
-                params.pair_params,
+                EQUIVALENCE_WITNESS,
             )
             diam_v = None
             if params.include_diam:
                 diam_v = classify_diam_pair(
-                    system.sft,
-                    system.measure,
-                    x,
-                    y,
-                    params.depth,
-                    system.cell_family,
-                    params.pair_params,
+                    system.sft, system.measure, x, y, params.depth, system.cell_family
                 )
             kush = None
             if params.include_kush:
@@ -605,7 +574,7 @@ def equivalence_crosscheck(
                 kush = crosscheck_hms_hap(
                     system.measure,
                     base,
-                    params.kush_params,
+                    EQUIVALENCE_GREEDY_HORIZON,
                     cell_family=system.cell_family,
                 )
             rows.append(

@@ -1,9 +1,9 @@
-"""Classification results and tunable search parameters shared by the labs."""
+"""Classification results and the search parameters that callers set."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -21,7 +21,6 @@ class Verdict:
     classification: str
     eps_certified: Optional[float] = None
     witnesses: tuple = ()
-    params: dict = field(default_factory=dict)
     note: str = ""
 
     def __post_init__(self):
@@ -46,31 +45,13 @@ class Verdict:
 class WitnessParams:
     """Knobs for the constructive sensitivity-witness search."""
 
-    pair_bound: int = 6          # (s, t) searched over 0 <= s < t <= pair_bound
-    entry_horizon: int = 10_000  # first-entry-time search limit
     density_horizon: int = 100_000
-    tail_fraction: float = 0.5
-    tolerance: float = 0.02      # empirical density may fall short of eps by this
-    sample_seed: int = 7
-
-
-@dataclass(frozen=True)
-class PairParams:
-    """Knobs for the mean-sensitivity / diam pair classifiers."""
-
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID
-    witness: WitnessParams = WitnessParams()
 
 
 @dataclass(frozen=True)
 class InPairParams:
     """Knobs for the independence-pair classifier."""
 
-    n_list: Sequence[int] = (4, 8, 16, 24)
-    c_min: float = 0.05
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID
-    ra_bound: int = 5
-    node_budget: int = 500_000
     extra_e_maps: tuple = ()
 
 
@@ -78,19 +59,6 @@ class InPairParams:
 class MsFunctionParams:
     """Knobs for the mean-sensitive-function test."""
 
-    eps_grid: Sequence[float] = DEFAULT_EPS_GRID
     pair_attempts: int = 4
     density_horizon: int = 20_000
-    tail_fraction: float = 0.5
     seed: int = 11
-
-
-@dataclass(frozen=True)
-class CrosscheckParams:
-    """Knobs for the Kushnirenko-side checks."""
-
-    separation_horizons: Sequence[int] = (16, 32, 64)
-    greedy_len: int = 6
-    greedy_horizon: int = 16
-    entropy_increment_floor: float = 0.02
-

@@ -76,6 +76,22 @@ def legal_words(sft: Sft, lo: int, hi: int) -> list:
     return words
 
 
+def weighted_words(m: MarkovMeasure, lo: int, hi: int) -> list:
+    """(word, weight) for every word over [lo, hi] of positive weight, grown one
+    symbol at a time along the positive transitions from the symbols of
+    positive stationary mass; the zero-weight legal words are never built."""
+    k = m.sft.alphabet_size
+    words = [((a,), m.stationary[a]) for a in range(k) if m.stationary[a]]
+    for _ in range(hi - lo):
+        words = [
+            (w + (b,), x * m.transition[w[-1]][b])
+            for w, x in words
+            for b in range(k)
+            if m.transition[w[-1]][b]
+        ]
+    return words
+
+
 def word_weight(m: MarkovMeasure, word) -> Fraction:
     w = m.stationary[word[0]]
     for a, b in zip(word, word[1:]):
@@ -138,9 +154,9 @@ def constraint_measure_oracle(m: MarkovMeasure, constraints) -> Fraction:
         return Fraction(0)
     lo, hi = constraint_span(constraints)
     total = Fraction(0)
-    for word in legal_words(m.sft, lo, hi):
+    for word, weight in weighted_words(m, lo, hi):
         if all(satisfies(c, word, lo) for c in constraints):
-            total += word_weight(m, word)
+            total += weight
     return total
 
 

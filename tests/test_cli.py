@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab import symbolic
 from shiftlab.cli import main
 from shiftlab.config import ConfigError, bundled_config_path, load_config
 from shiftlab.harness import run_config
@@ -248,6 +249,11 @@ def _twice(key):
         (_CROSSCHECK, _put("params", "pairs", 13), "c.params.pairs"),
         (_CROSSCHECK, _put("params", "table_e_eps", "0"), "c.params.table_e_eps"),
         (_CROSSCHECK, _put("params", "table_e_eps", "-1"), "c.params.table_e_eps"),
+        (
+            _INDEPENDENCE,
+            _put("params", "a1", [{"start": 0, "word": "0"}, {"start": 20, "word": "0"}]),
+            "i.params.a1",
+        ),
     ],
     ids=[
         "horizon-string",
@@ -277,9 +283,13 @@ def _twice(key):
         "crosscheck-pairs-above-panel",
         "table-e-eps-zero",
         "table-e-eps-negative",
+        "union-too-wide",
     ],
 )
-def test_bad_config_scalars_exit_1(runner, tmp_path, base, edit, field):
+def test_bad_config_scalars_exit_1(runner, tmp_path, monkeypatch, base, edit, field):
+    # A small budget makes the too-wide union fail fast; every other case's sets
+    # normalize to a few words.
+    monkeypatch.setattr(symbolic, "WORD_BUDGET", 1 << 10)
     path = tmp_path / "bad.json"
     path.write_text(edit(json.loads(json.dumps(base))), encoding="utf-8")
     result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.entropy import (
+    GREEDY_LEN,
     JOIN_ASSIGNMENT_CAP,
     Partition,
     _join_profile,
@@ -27,7 +28,7 @@ from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of
 from shiftlab.panel import bernoulli_system, cycle4_system, golden_mean_system
 from shiftlab.symbolic import Cylinder, CylinderUnion, EventuallyPeriodic, cylinder, whole_space
-from shiftlab.verdicts import CrosscheckParams, MsFunctionParams
+from shiftlab.verdicts import MsFunctionParams
 from .oracles import (
     constraint_span,
     greedy_entropy_oracle,
@@ -355,7 +356,7 @@ def test_crosscheck_profile_reads_greedy_saved_joins(systems):
                 ms_params=MsFunctionParams(pair_attempts=1, density_horizon=200),
             )
             fresh = sequence_entropy_profile(m, two_set_partition(cell), report.greedy_sequence)
-            assert len(report.greedy_sequence) == CrosscheckParams().greedy_len
+            assert len(report.greedy_sequence) == GREEDY_LEN
             assert report.entropy_profile.rows == fresh.rows
             cases += 1
     assert cases == 19

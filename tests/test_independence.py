@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import shiftlab.independence as ind
 from shiftlab.independence import (
+    EXHAUSTIVE_WINDOW_CAP,
     ConstantE,
     TableE,
     bad_constant_e,
@@ -280,10 +282,10 @@ def test_shared_memo_survives_dropped_e_maps(bernoulli):
                 assert not independence_oracle(sft, a1, a2, sorted(got.best + (s,)), e), seed
 
 
-def _oracle_greedy(sft, a1, a2, window, e) -> tuple[int, ...]:
+def _oracle_greedy(sft, a1, a2, window, e, independent=independence_oracle) -> tuple[int, ...]:
     chosen: list[int] = []
     for s in window:
-        if independence_oracle(sft, a1, a2, chosen + [s], e):
+        if independent(sft, a1, a2, chosen + [s], e):
             chosen.append(s)
     return tuple(chosen)
 
@@ -300,8 +302,6 @@ def test_incremental_chains_match_word_oracle(systems):
     Targets are single words, unions, the whole space or bridged sets; one
     memo serves all cases of a system.
     """
-    import shiftlab.independence as ind
-
     rng = random.Random(41)
     memos: dict = {system.id: {} for system in systems}
     for _ in range(120):
@@ -392,6 +392,38 @@ def test_max_subset_empty_target(golden):
         sft, cylinder(sft, 0, "11"), cylinder(sft, 0, "0"), range(5), full_e(sft)
     )
     assert rep.best == () and rep.ratio == 0
+
+
+def _zero_excludes_one_and_two(sft):
+    """Targets [0]_0, [1]_0 with E(1) = E(2) = {x_0 = 0}, so shift 0 excludes
+    shifts 1 and 2. E is not the whole space, which keeps the gap DP out."""
+    x0_is_0 = cylinder(sft, 0, "1").complement()
+    e = TableE(whole_space(sft), ((1, x0_is_0), (2, x0_is_0)))
+    return cylinder(sft, 0, "0"), cylinder(sft, 0, "1"), e
+
+
+def test_max_subset_past_window_cap_is_greedy(bernoulli):
+    """Greedy keeps shift 0 and ends one short of the maximum, {1, ..., 24}."""
+    sft = bernoulli.sft
+    a1, a2, e = _zero_excludes_one_and_two(sft)
+    window = range(EXHAUSTIVE_WINDOW_CAP + 1)
+    rep = max_independence_subset(sft, a1, a2, window, e)
+    assert not rep.exhaustive
+    # The oracle takes 2^|I| assignments per step: the checker decides instead.
+    assert rep.best == _oracle_greedy(sft, a1, a2, window, e, is_independence_set)
+    assert len(rep.best) == len(window) - 2
+    assert is_independence_set(sft, a1, a2, window[1:], e)
+
+
+@pytest.mark.parametrize("budget", [1, 10])
+def test_max_subset_past_node_budget(bernoulli, monkeypatch, budget):
+    monkeypatch.setattr(ind, "NODE_BUDGET", budget)
+    sft = bernoulli.sft
+    a1, a2, e = _zero_excludes_one_and_two(sft)
+    rep = max_independence_subset(sft, a1, a2, range(12), e)
+    assert not rep.exhaustive
+    assert is_independence_set(sft, a1, a2, rep.best, e)
+    assert len(rep.best) >= len(_oracle_greedy(sft, a1, a2, range(12), e, is_independence_set))
 
 
 def test_max_subset_matches_plain_enumeration(systems):

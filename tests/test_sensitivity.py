@@ -19,9 +19,9 @@ from shiftlab.sensitivity import (
     ra_search,
 )
 from shiftlab.symbolic import cylinder, point_in_set, resolve_constraints, whole_space
-from shiftlab.verdicts import PairParams, Verdict, WitnessParams
+from shiftlab.verdicts import Verdict, WitnessParams
 
-FAST = PairParams(witness=WitnessParams(density_horizon=20_000))
+FAST = WitnessParams(density_horizon=20_000)
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +228,11 @@ def test_classify_ms_symmetry(golden):
 def test_classify_diam_examples(bernoulli, golden, cycle4):
     zeros = periodic_point(bernoulli.sft, "0")
     ones = periodic_point(bernoulli.sft, "1")
-    v = classify_diam_pair(
-        bernoulli.sft, bernoulli.measure, zeros, ones, 1, bernoulli.cell_family, FAST
-    )
+    v = classify_diam_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 1, bernoulli.cell_family)
     assert v.is_positive and v.eps_certified == 0.5
     r0 = periodic_point(cycle4.sft, [0, 1, 2, 3])
     r2 = periodic_point(cycle4.sft, [2, 3, 0, 1])
-    v = classify_diam_pair(
-        cycle4.sft, cycle4.measure, r0, r2, 1, cycle4.cell_family, FAST
-    )
+    v = classify_diam_pair(cycle4.sft, cycle4.measure, r0, r2, 1, cycle4.cell_family)
     assert v.is_negative
 
 
@@ -247,9 +243,7 @@ def test_ms_positive_implies_diam_positive(systems):
                 system.sft, system.measure, x, y, 1, system.cell_family, FAST
             )
             if ms.is_positive:
-                diam = classify_diam_pair(
-                    system.sft, system.measure, x, y, 1, system.cell_family, FAST
-                )
+                diam = classify_diam_pair(system.sft, system.measure, x, y, 1, system.cell_family)
                 assert diam.is_positive, (system.id, label)
 
 
