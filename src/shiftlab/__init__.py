@@ -4,7 +4,6 @@ with Markov measures."""
 
 from .symbolic import (
     BridgedBlocks,
-    Cylinder,
     CylinderUnion,
     DistanceResult,
     EventuallyPeriodic,

@@ -37,7 +37,7 @@ from .sensitivity import (
     pigeonhole_bound,
     pigeonhole_oracle,
 )
-from .symbolic import Cylinder, cylinder, resolve_constraints, whole_space
+from .symbolic import cylinder, resolve_constraints, whole_space
 from .verdicts import WitnessParams
 
 
@@ -104,7 +104,7 @@ def criterion_1() -> CriterionResult:
             start = rng.randrange(-2, 2)
             length = rng.randrange(1, 4)
             word = [rng.randrange(sft.alphabet_size) for _ in range(length)]
-            constraints.append((shift, Cylinder(sft, start, word).as_union()))
+            constraints.append((shift, cylinder(sft, start, word)))
         span_lo = min(s + c.support[0] for s, c in constraints if not c.is_empty) if any(
             not c.is_empty for _s, c in constraints
         ) else 0

@@ -19,7 +19,7 @@ from .entropy import Partition, default_cell_family, generator_partition
 from .errors import ConfigError
 from .measures import MarkovMeasure
 from .panel import PanelSystem, get_system
-from .symbolic import Cylinder, CylinderUnion, EventuallyPeriodic, Sft, whole_space
+from .symbolic import CylinderUnion, EventuallyPeriodic, Sft, cylinder, whole_space
 
 
 def parse_rational(value: Any, field_path: str, context: Any = None) -> Fraction:
@@ -143,15 +143,16 @@ def parse_set(spec: Any, sft: Sft, path: str) -> CylinderUnion:
         spec = [spec]
     if not isinstance(spec, list) or not spec:
         raise ConfigError(path, "expected 'full', a cylinder object, or a list of them")
-    cylinders = []
+    pairs = []
     for i, c in enumerate(spec):
         c = _walk(c, _CYLINDER, f"{path}[{i}]")
         try:
-            cylinders.append(Cylinder(sft, c["start"], c["word"]))
+            cylinder(sft, c["start"], c["word"])  # a bad word fails here, under its own path
         except ValueError as err:
             raise ConfigError(f"{path}[{i}].word", str(err))
+        pairs.append((c["start"], c["word"]))
     try:
-        return CylinderUnion(sft, cylinders)
+        return CylinderUnion(sft, pairs)
     except ValueError as err:  # a union too wide to normalize exactly
         raise ConfigError(path, str(err))
 

@@ -435,10 +435,7 @@ def crosscheck_hms_hap(
     else:
         sensitive = ms_function_test(m, b, cell_family, ms_params).is_positive
 
-    mu_b = measure_of(m, b)
-    eps_sq = mu_b * (1 - mu_b)
-    counts = tuple(separation_count(m, b, h, eps_sq=eps_sq) for h in SEPARATION_HORIZONS)
-    separation_growing = counts[-1] > counts[0] and counts[-1] > counts[-2]
+    counts = separation_counts(m, b)
 
     partition = two_set_partition(b)
     if len(partition) < 2:
@@ -451,12 +448,23 @@ def crosscheck_hms_hap(
 
     return HmsHapReport(
         sensitive=sensitive,
-        separation_growing=separation_growing,
+        separation_growing=separation_growing(counts),
         entropy_growing=entropy_growing,
         separation_counts=counts,
         entropy_profile=profile,
         greedy_sequence=greedy,
     )
+
+
+def separation_counts(m: MarkovMeasure, b: CylinderUnion) -> tuple[int, ...]:
+    """b's separation counts at eps^2 = mu(b)(1 - mu(b)), one per SEPARATION_HORIZONS."""
+    mu_b = measure_of(m, b)
+    return tuple(separation_count(m, b, h, eps_sq=mu_b * (1 - mu_b)) for h in SEPARATION_HORIZONS)
+
+
+def separation_growing(counts: tuple[int, ...]) -> bool:
+    """The Kushnirenko signal: the last separation count exceeds the others."""
+    return counts[-1] > counts[0] and counts[-1] > counts[-2]
 
 
 def default_cell_family(

@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .entropy import HmsHapReport, crosscheck_hms_hap
+from .entropy import separation_counts, separation_growing
 from .errors import EntryTimeNotFoundError
 from .folner import PeriodicPredicate, density_from_indicator, orbit_indicator
 from .independence import (
@@ -473,7 +473,6 @@ def _periodic_and(p1: PeriodicPredicate, p2: PeriodicPredicate) -> PeriodicPredi
 
 
 EQUIVALENCE_WITNESS = WitnessParams(density_horizon=30_000)  # the crosscheck's MS witness search
-EQUIVALENCE_GREEDY_HORIZON = 12  # shifts the crosscheck's greedy entropy sequence draws from
 
 
 @dataclass(frozen=True)
@@ -491,7 +490,7 @@ class CrosscheckRow:
     in_verdict: Verdict
     ms_verdict: Verdict
     diam_verdict: Optional[Verdict]
-    kush_report: Optional[HmsHapReport]
+    kush_counts: Optional[tuple[int, ...]]
 
     @property
     def in_positive(self) -> bool:
@@ -507,7 +506,7 @@ class CrosscheckRow:
 
     @property
     def kush_positive(self) -> Optional[bool]:
-        return None if self.kush_report is None else self.kush_report.separation_growing
+        return None if self.kush_counts is None else separation_growing(self.kush_counts)
 
     @property
     def in_eq_ms(self) -> bool:
@@ -528,10 +527,6 @@ class CrosscheckReport:
     def all_in_eq_ms(self) -> bool:
         return all(r.in_eq_ms for r in self.rows)
 
-    @property
-    def all_ms_imply_diam(self) -> bool:
-        return all(r.ms_implies_diam for r in self.rows)
-
     def disagreements(self) -> list[CrosscheckRow]:
         return [r for r in self.rows if not (r.in_eq_ms and r.ms_implies_diam)]
 
@@ -542,7 +537,7 @@ def equivalence_crosscheck(
     params: EquivalenceParams = EquivalenceParams(),
 ) -> CrosscheckReport:
     """Verdict matrix over (system, pair) rows: IN, MS, DIAM, and the
-    Kushnirenko compactness signal on the separating two-set partition.
+    Kushnirenko signal, the separation counts of x's separating neighbourhood.
 
     Disagreement rows stay in the report with their full verdicts; nothing
     is suppressed.
@@ -571,12 +566,7 @@ def equivalence_crosscheck(
             if params.include_kush:
                 d_star = separating_depth(x, y, params.depth)
                 base = point_neighborhood(x, d_star)
-                kush = crosscheck_hms_hap(
-                    system.measure,
-                    base,
-                    EQUIVALENCE_GREEDY_HORIZON,
-                    cell_family=system.cell_family,
-                )
+                kush = separation_counts(system.measure, base)
             rows.append(
                 CrosscheckRow(
                     system_id=system.id,
@@ -584,7 +574,7 @@ def equivalence_crosscheck(
                     in_verdict=in_v,
                     ms_verdict=ms_v,
                     diam_verdict=diam_v,
-                    kush_report=kush,
+                    kush_counts=kush,
                 )
             )
     return CrosscheckReport(tuple(rows))

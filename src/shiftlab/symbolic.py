@@ -12,14 +12,15 @@ is a set of full-length legal words over one support interval, and
 :func:`resolve_constraints` either enumerates the intersection or returns
 an exact block form with symbolic gaps.
 
-Every set-like (:class:`Cylinder`, :class:`CylinderUnion`,
-:class:`BridgedBlocks`) answers two questions, and nothing else reads its
-class: ``is_empty``, and ``blocks()``, its constraint atoms ``(start,
-words)`` with each block's words sorted. A point lies in the set iff its
-window over every block is one of that block's words, so ``blocks() == ()``
-is the whole space; an empty set is told apart by ``is_empty`` alone.
-Measure (``measures.measure_of``), membership (:func:`point_in_set`) and
-resolution (:func:`constraint_atoms`) are written once over these two.
+Every set-like (a :class:`CylinderUnion`, of which a cylinder is the
+one-word case, or a :class:`BridgedBlocks`) answers two questions, and
+nothing else reads its class: ``is_empty``, and ``blocks()``, its
+constraint atoms ``(start, words)`` with each block's words sorted. A
+point lies in the set iff its window over every block is one of that
+block's words, so ``blocks() == ()`` is the whole space; an empty set is
+told apart by ``is_empty`` alone. Measure (``measures.measure_of``),
+membership (:func:`point_in_set`) and resolution
+(:func:`constraint_atoms`) are written once over these two.
 """
 
 from __future__ import annotations
@@ -370,48 +371,6 @@ def points_provably_equal(x: PointRep, y: PointRep) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Cylinder:
-    """[word]_start. Construction flags emptiness instead of normalizing it away."""
-
-    def __init__(self, sft: Sft, start: int, word):
-        w = parse_word(word)
-        if not w:
-            raise ValueError("cylinder word must be nonempty")
-        if any(not (0 <= s < sft.alphabet_size) for s in w):
-            raise ValueError("cylinder word has out-of-range symbols")
-        self.sft = sft
-        self.start = start
-        self.word = w
-        self.is_empty = not sft.word_allowed(w)
-
-    @property
-    def end(self) -> int:
-        return self.start + len(self.word) - 1
-
-    def translate(self, delta: int) -> "Cylinder":
-        return Cylinder(self.sft, self.start + delta, self.word)
-
-    def as_union(self) -> "CylinderUnion":
-        return CylinderUnion(self.sft, [self])
-
-    def blocks(self) -> tuple[tuple[int, tuple[Word, ...]], ...]:
-        return ((self.start, (self.word,)),)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Cylinder)
-            and self.sft == other.sft
-            and self.start == other.start
-            and self.word == other.word
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.sft, self.start, self.word))
-
-    def __repr__(self) -> str:
-        return f"[{format_word(self.word)}]_{self.start}"
-
-
 class CylinderUnion:
     """A finite union of cylinders in canonical form.
 
@@ -422,46 +381,42 @@ class CylinderUnion:
     have identical normal forms.
     """
 
-    def __init__(self, sft: Sft, cylinders: Iterable[Cylinder]):
-        cyls = list(cylinders)
-        for c in cyls:
-            if c.sft != sft:
-                raise ValueError("cylinder belongs to a different subshift")
-        live = [c for c in cyls if not c.is_empty]
-        self.sft = sft
-        if not live:
-            self.start = 0
-            self.words: tuple[Word, ...] = ()
-            return
-        lo = min(c.start for c in live)
-        hi = max(c.end for c in live)
+    def __init__(self, sft: Sft, cylinders: Iterable[tuple[int, Union[str, Sequence[int]]]]):
+        """The union of the cylinders [word]_start over (start, word) pairs.
+
+        An empty word or an out-of-range symbol raises ValueError; an illegal
+        word is an empty cylinder and drops out.
+        """
+        live = []
+        for start, word in cylinders:
+            w = parse_word(word)
+            if not w:
+                raise ValueError("cylinder word must be nonempty")
+            if sft.word_allowed(w):
+                live.append((start, w))
         words: set[Word] = set()
-        budget = WORD_BUDGET
-        for c in live:
-            for w in _extensions(sft, c, lo, hi):
-                words.add(w)
-                if len(words) > budget:
-                    raise ValueError(
-                        "union too wide for exact normalization "
-                        f"(> {budget} words over [{lo}, {hi}])"
-                    )
-        start, trimmed = _trim(sft, lo, words)
-        self.start = start
-        self.words = tuple(sorted(trimmed))
+        lo = min((start for start, _ in live), default=0)
+        hi = max((start + len(w) - 1 for start, w in live), default=0)
+        for start, w in live:
+            words.update(_extensions(sft, start, w, lo, hi))
+            _check_budget(len(words), lo, hi)
+        self._normalize(sft, lo, words)
 
     @classmethod
     def _from_normal(cls, sft: Sft, start: int, words: Iterable[Word]) -> "CylinderUnion":
         u = cls.__new__(cls)
-        u.sft = sft
-        word_set = set(words)
-        if not word_set:
-            u.start = 0
-            u.words = ()
-        else:
-            s, trimmed = _trim(sft, start, word_set)
-            u.start = s
-            u.words = tuple(sorted(trimmed))
+        u._normalize(sft, start, set(words))
         return u
+
+    def _normalize(self, sft: Sft, start: int, words: set[Word]) -> None:
+        """Set the normal form of the union of `words`, all of one length, placed at `start`."""
+        self.sft = sft
+        if not words:
+            self.start = 0
+            self.words: tuple[Word, ...] = ()
+            return
+        self.start, trimmed = _trim(sft, start, words)
+        self.words = tuple(sorted(trimmed))
 
     # -- structure -------------------------------------------------------
 
@@ -518,8 +473,7 @@ class CylinderUnion:
     def union(self, other: "CylinderUnion") -> "CylinderUnion":
         if self.sft != other.sft:
             raise ValueError("union across different subshifts")
-        cyls = [Cylinder(self.sft, u.start, w) for u in (self, other) for w in u.words]
-        return CylinderUnion(self.sft, cyls)
+        return CylinderUnion(self.sft, [(u.start, w) for u in (self, other) for w in u.words])
 
     def __eq__(self, other) -> bool:
         return (
@@ -549,20 +503,47 @@ def whole_space(sft: Sft) -> CylinderUnion:
 
 
 def cylinder(sft: Sft, start: int, word) -> CylinderUnion:
-    return Cylinder(sft, start, word).as_union()
+    """[word]_start: the points carrying `word` from coordinate `start` on."""
+    return CylinderUnion(sft, [(start, word)])
 
 
-def _extensions(sft: Sft, c: Cylinder, lo: int, hi: int) -> Iterable[Word]:
-    """All legal words over [lo, hi] that restrict to c's word."""
+def _check_budget(count: int, lo: int, hi: int) -> None:
+    if count > WORD_BUDGET:
+        raise ValueError(
+            f"union too wide for exact normalization (> {WORD_BUDGET} words over [{lo}, {hi}])"
+        )
+
+
+def _path_count(symbol: int, steps: int, step) -> int:
+    """The number of walks of `steps` steps from `symbol` along `step` (successors or predecessors)."""
+    counts = {symbol: 1}
+    for _ in range(steps):
+        nxt: dict[int, int] = {}
+        for a, n in counts.items():
+            for b in step(a):
+                nxt[b] = nxt.get(b, 0) + n
+        counts = nxt
+    return sum(counts.values())
+
+
+def _extensions(sft: Sft, start: int, word: Word, lo: int, hi: int) -> Iterable[Word]:
+    """All legal words over [lo, hi] that carry `word` from `start` on.
+
+    More than WORD_BUDGET of them raise before any is listed: each is a
+    distinct word of the union being normalized.
+    """
+    n_left, n_right = start - lo, hi - start - len(word) + 1
+    count = _path_count(word[0], n_left, sft.predecessors) * _path_count(word[-1], n_right, sft.successors)
+    _check_budget(count, lo, hi)
     lefts: list[Word] = [()]
-    for _ in range(c.start - lo):
-        lefts = [(a,) + w for w in lefts for a in sft.predecessors((w + c.word)[0])]
+    for _ in range(n_left):
+        lefts = [(a,) + w for w in lefts for a in sft.predecessors((w + word)[0])]
     rights: list[Word] = [()]
-    for _ in range(hi - c.end):
-        rights = [w + (b,) for w in rights for b in sft.successors((c.word + w)[-1])]
+    for _ in range(n_right):
+        rights = [w + (b,) for w in rights for b in sft.successors((word + w)[-1])]
     for left in lefts:
         for right in rights:
-            yield left + c.word + right
+            yield left + word + right
 
 
 def _trim(sft: Sft, start: int, words: set[Word]) -> tuple[int, set[Word]]:
@@ -600,7 +581,7 @@ def _trim(sft: Sft, start: int, words: set[Word]) -> tuple[int, set[Word]]:
 # Shifted constraint sets and their exact resolution
 # ---------------------------------------------------------------------------
 
-SetLike = Union[Cylinder, CylinderUnion, "BridgedBlocks"]
+SetLike = Union[CylinderUnion, "BridgedBlocks"]
 Constraint = tuple[int, SetLike]
 ShiftedConstraintSet = Sequence[Constraint]
 

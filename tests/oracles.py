@@ -168,15 +168,27 @@ def satisfiable_oracle(sft: Sft, constraints) -> bool:
     if not live:
         return True
     lo, hi = constraint_span(live)
-    # Each block's (offset, width, word set) is built once, not once per word.
-    views = [
-        (start + shift - lo, len(words[0]), _word_set(words))
-        for shift, setlike in live
-        for start, words in setlike.blocks()
-    ]
-    return any(
-        all(word[a : a + n] in words for a, n, words in views) for word in legal_words(sft, lo, hi)
-    )
+    # Each block's (offset, width, word set) is built once and filed under
+    # the offset of its last coordinate.
+    ending: dict = {}
+    for shift, setlike in live:
+        for start, words in setlike.blocks():
+            a = start + shift - lo
+            ending.setdefault(a + len(words[0]) - 1, []).append((a, len(words[0]), _word_set(words)))
+    k = sft.alphabet_size
+
+    def grows(word) -> bool:
+        """Some legal word over [lo, hi] starting with `word` satisfies every block.
+        Words grow one symbol at a time along the raw transition matrix, and a
+        prefix is dropped once a block that ends inside it fails."""
+        p = len(word) - 1
+        if not all(word[a : a + n] in words for a, n, words in ending.get(p, ())):
+            return False
+        if p == hi - lo:
+            return True
+        return any(grows(word + (b,)) for b in range(k) if sft.allowed[word[-1]][b])
+
+    return any(grows((a,)) for a in range(k))
 
 
 def independence_oracle(sft: Sft, a1, a2, i_set, e) -> bool:

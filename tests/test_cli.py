@@ -242,6 +242,9 @@ def _twice(key):
         ),
         (_INDEPENDENCE, _put("params", "a1", {"start": 0.7, "word": "0"}), "i.params.a1[0].start"),
         (_INDEPENDENCE, _put("params", "a1", {"start": 0, "word": 10}), "i.params.a1[0].word"),
+        (_INDEPENDENCE, _put("params", "a1", {"start": 0, "word": "2"}), "i.params.a1[0].word"),
+        (_INDEPENDENCE, _put("params", "a1", {"start": 0, "word": ""}), "i.params.a1[0].word"),
+        (_INDEPENDENCE, _put("params", "a1", {"start": 0, "word": "0a"}), "i.params.a1[0].word"),
         (_ENTROPY, _put("params", "nmax", 7), "e.params.nmax"),
         (_ENTROPY, _twice("kind"), "kind"),
         (_SENSITIVITY, _put("params", "eps", "0"), "s.params.eps"),
@@ -276,6 +279,9 @@ def _twice(key):
         "periodic-right-integer",
         "cylinder-start-float",
         "cylinder-word-integer",
+        "cylinder-word-out-of-range",
+        "cylinder-word-empty",
+        "cylinder-word-not-digits",
         "unknown-param",
         "duplicate-key",
         "eps-zero",

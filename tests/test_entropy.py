@@ -27,7 +27,7 @@ from shiftlab.errors import CapExceededError
 from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of
 from shiftlab.panel import bernoulli_system, cycle4_system, golden_mean_system
-from shiftlab.symbolic import Cylinder, CylinderUnion, EventuallyPeriodic, cylinder, whole_space
+from shiftlab.symbolic import CylinderUnion, EventuallyPeriodic, cylinder, whole_space
 from shiftlab.verdicts import MsFunctionParams
 from .oracles import (
     constraint_span,
@@ -147,10 +147,8 @@ def mixed_support_partition(sft):
     """x_0 = 0 split by x_1 (support [0, 1]), x_0 != 0 split by x_{-1} (support [-1, 0])."""
     k = sft.alphabet_size
     right = [cylinder(sft, 0, [0, 0])]
-    right.append(CylinderUnion(sft, [Cylinder(sft, 0, [0, b]) for b in range(1, k)]))
-    left = [
-        CylinderUnion(sft, [Cylinder(sft, -1, [b, a]) for a in range(1, k)]) for b in range(k)
-    ]
+    right.append(CylinderUnion(sft, [(0, [0, b]) for b in range(1, k)]))
+    left = [CylinderUnion(sft, [(-1, [b, a]) for a in range(1, k)]) for b in range(k)]
     return Partition([a for a in right + left if not a.is_empty])
 
 

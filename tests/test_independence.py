@@ -21,7 +21,7 @@ from shiftlab.independence import (
 )
 from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import periodic_point
-from shiftlab.symbolic import CylinderUnion, Cylinder, cylinder, resolve_constraints, whole_space
+from shiftlab.symbolic import CylinderUnion, cylinder, resolve_constraints, whole_space
 
 from .oracles import independence_oracle
 
@@ -29,8 +29,7 @@ from .oracles import independence_oracle
 def _random_union(rng, sft, max_len=2):
     words = [w for length in range(1, max_len + 1) for w in sft.legal_words(length)]
     picks = [
-        Cylinder(sft, rng.randrange(-2, 2), words[rng.randrange(len(words))])
-        for _ in range(rng.randrange(1, 3))
+        (rng.randrange(-2, 2), words[rng.randrange(len(words))]) for _ in range(rng.randrange(1, 3))
     ]
     return CylinderUnion(sft, picks)
 
@@ -190,7 +189,7 @@ def test_sweep_path_matches_word_oracle(systems, bernoulli):
     # Atoms with many words: a 63-word complement (as E and as a target) and a
     # 126-word union target, every length-7 word that uses both symbols.
     c63 = cylinder(sft, 0, "010011").complement()
-    u126 = CylinderUnion(sft, [Cylinder(sft, i, w) for i in range(6) for w in ("01", "10")])
+    u126 = CylinderUnion(sft, [(i, w) for i in range(6) for w in ("01", "10")])
     zero, one, zeros = cylinder(sft, 0, "0"), cylinder(sft, 0, "1"), cylinder(sft, 0, "0" * 7)
     cases = [
         (zero, one, list(range(6)), ConstantE(c63), False),
@@ -454,7 +453,7 @@ def test_e_map_monotonicity(golden):
         if big.is_empty:
             continue
         smaller_words = big.words[: max(1, len(big.words) - 1)]
-        small = CylinderUnion(sft, [Cylinder(sft, big.start, w) for w in smaller_words])
+        small = CylinderUnion(sft, [(big.start, w) for w in smaller_words])
         rep_big = max_independence_subset(sft, a0, a1, range(7), ConstantE(big))
         rep_small = max_independence_subset(sft, a0, a1, range(7), ConstantE(small))
         assert len(rep_small.best) <= len(rep_big.best)

@@ -29,7 +29,6 @@ from shiftlab.measures import (
 )
 from shiftlab.panel import panel_systems
 from shiftlab.symbolic import (
-    Cylinder,
     CylinderUnion,
     EventuallyPeriodic,
     Sft,
@@ -192,7 +191,7 @@ def _random_constraints(rng, sft, shifts: int, starts: tuple) -> list:
         length = rng.randrange(1, 4)
         word = [rng.randrange(sft.alphabet_size) for _ in range(length)]
         constraints.append(
-            (rng.randrange(0, shifts), Cylinder(sft, rng.randrange(*starts), word).as_union())
+            (rng.randrange(0, shifts), cylinder(sft, rng.randrange(*starts), word))
         )
     return constraints
 
@@ -221,7 +220,7 @@ def test_constraints_match_resolve_path(systems):
             length = rng.randrange(1, 3)
             word = [rng.randrange(sft.alphabet_size) for _ in range(length)]
             constraints.append(
-                (rng.randrange(0, 9), Cylinder(sft, rng.randrange(-2, 2), word).as_union())
+                (rng.randrange(0, 9), cylinder(sft, rng.randrange(-2, 2), word))
             )
         direct = measure_of_constraints(system.measure, constraints)
         via = measure_of(system.measure, resolve_constraints(constraints, sft))
@@ -238,7 +237,7 @@ def test_constraints_monotone_under_refinement(golden):
             length = rng.randrange(1, 3)
             word = [rng.randrange(2) for _ in range(length)]
             constraints.append(
-                (rng.randrange(0, 6), Cylinder(sft, rng.randrange(-1, 2), word).as_union())
+                (rng.randrange(0, 6), cylinder(sft, rng.randrange(-1, 2), word))
             )
             mu = measure_of_constraints(golden.measure, constraints)
             assert mu <= mu_prev
@@ -259,7 +258,7 @@ def _random_union(data, m: MarkovMeasure) -> CylinderUnion:
     for _ in range(data.draw(st.integers(0, 3))):
         width = data.draw(st.integers(1, 3))
         word = data.draw(st.sampled_from(list(m.sft.legal_words(width))))
-        cylinders.append(Cylinder(m.sft, data.draw(st.integers(-3, 3)), word))
+        cylinders.append((data.draw(st.integers(-3, 3)), word))
     return CylinderUnion(m.sft, cylinders)
 
 
@@ -282,7 +281,7 @@ def _gap_set(data, m: MarkovMeasure) -> CylinderUnion:
     cylinders = []
     for _ in range(data.draw(st.integers(1, 2))):
         word = data.draw(st.sampled_from(list(m.sft.legal_words(data.draw(st.integers(1, 2))))))
-        cylinders.append(Cylinder(m.sft, data.draw(st.integers(-1, 0)), word))
+        cylinders.append((data.draw(st.integers(-1, 0)), word))
     return CylinderUnion(m.sft, cylinders)
 
 
@@ -300,26 +299,25 @@ def test_gap_measures_match_oracle(data):
 
 
 def _set_like(data, sft: Sft):
-    """A set-like of any shape: a raw Cylinder (empty included), a union or its
-    complement, the whole space, the empty union, or two blocks kept apart by
-    resolving with gap_cap=0."""
-    kind = data.draw(st.sampled_from(["cylinder", "union", "complement", "whole", "empty", "bridged"]))
+    """A set-like of any shape: a union (empty included) or its complement, the
+    whole space, the empty union, or two blocks kept apart by resolving with
+    gap_cap=0."""
+    kind = data.draw(st.sampled_from(["union", "complement", "whole", "empty", "bridged"]))
     symbols = st.lists(st.integers(0, sft.alphabet_size - 1), min_size=1, max_size=3)
-    if kind == "cylinder":
-        return Cylinder(sft, data.draw(st.integers(-2, 2)), data.draw(symbols))
     if kind in ("union", "complement"):
         pieces = data.draw(st.lists(st.tuples(st.integers(-2, 2), symbols), min_size=1, max_size=3))
-        u = CylinderUnion(sft, [Cylinder(sft, start, word) for start, word in pieces])
+        u = CylinderUnion(sft, pieces)
         return u.complement() if kind == "complement" else u
     if kind == "whole":
         return whole_space(sft)
     if kind == "empty":
         return CylinderUnion(sft, [])
     legal = st.sampled_from([w for n in range(1, 4) for w in sft.legal_words(n)])
-    first = Cylinder(sft, data.draw(st.integers(-2, 2)), data.draw(legal))
-    second = Cylinder(sft, 0, data.draw(legal))
+    start, first = data.draw(st.integers(-2, 2)), data.draw(legal)
+    second = cylinder(sft, 0, data.draw(legal))
     gap = data.draw(st.integers(1, 3))
-    return resolve_constraints([(0, first), (first.end + gap + 1, second)], sft, gap_cap=0)
+    constraints = [(0, cylinder(sft, start, first)), (start + len(first) + gap, second)]
+    return resolve_constraints(constraints, sft, gap_cap=0)
 
 
 def _eventually_periodic(data, sft: Sft) -> EventuallyPeriodic:

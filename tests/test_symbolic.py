@@ -1,15 +1,16 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import symbolic
 from shiftlab.panel import panel_systems
 from shiftlab.symbolic import (
     BridgedBlocks,
     ConstraintAutomaton,
-    Cylinder,
     CylinderUnion,
     EventuallyPeriodic,
     SampledWindow,
@@ -186,12 +187,14 @@ def test_point_membership_examples():
 # ---------------------------------------------------------------------------
 
 
-def test_empty_cylinder_flagged_not_normalized_away():
+def test_cylinder_words_checked_and_illegal_ones_empty():
     sft = golden_sft()
-    c = Cylinder(sft, 0, "11")
-    assert c.is_empty
-    assert c.word == (1, 1)  # representation preserved
     assert cylinder(sft, 0, "11").is_empty
+    # An illegal word drops out of a union; a bad word raises.
+    assert CylinderUnion(sft, [(0, "11"), (1, "0")]) == cylinder(sft, 1, "0")
+    for bad in ("", "2", (0, -1)):
+        with pytest.raises(ValueError):
+            cylinder(sft, 0, bad)
 
 
 def test_whole_space_and_complement():
@@ -207,9 +210,7 @@ def test_whole_space_and_complement():
 def test_normalization_canonicity_trim():
     sft = full_shift(2)
     # [0]_0 expressed via its four length-3 extensions equals the plain form.
-    wide = CylinderUnion(
-        sft, [Cylinder(sft, -1, (a, 0, b)) for a in (0, 1) for b in (0, 1)]
-    )
+    wide = CylinderUnion(sft, [(-1, (a, 0, b)) for a in (0, 1) for b in (0, 1)])
     assert wide == cylinder(sft, 0, "0")
     # Union of all symbols collapses to the canonical whole space.
     assert cylinder(sft, 5, "0").union(cylinder(sft, 5, "1")) == whole_space(sft)
@@ -217,6 +218,32 @@ def test_normalization_canonicity_trim():
     assert whole_space(sft).translate(7) == whole_space(sft)
     empty = cylinder(golden_sft(), 0, "11")
     assert empty.translate(3) == empty
+
+
+def test_too_wide_union_raises_before_listing_words(monkeypatch):
+    """[0]_0 and [0]_18 extend to 2^18 words each over [0, 18]: past the
+    budget the union raises before it lists them."""
+    monkeypatch.setattr(symbolic, "WORD_BUDGET", 1 << 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="union too wide"):
+            CylinderUnion(full_shift(2), [(0, "0"), (18, "0")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_union_at_word_budget_normalizes(monkeypatch):
+    """[0]_0 extends to 2^10 words over [0, 10], the hull of a word inside it:
+    a budget of 2^10 words normalizes the union, one word less raises."""
+    sft = full_shift(2)
+    pairs = [(0, "0"), (0, "0" * 11)]
+    monkeypatch.setattr(symbolic, "WORD_BUDGET", 1 << 10)
+    assert CylinderUnion(sft, pairs) == cylinder(sft, 0, "0")
+    monkeypatch.setattr(symbolic, "WORD_BUDGET", (1 << 10) - 1)
+    with pytest.raises(ValueError, match="union too wide"):
+        CylinderUnion(sft, pairs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -231,9 +258,8 @@ def test_normalization_canonicity_random(data):
             max_size=4,
         )
     )
-    cyls = [Cylinder(sft, start, word) for start, word in picks]
-    shuffled = data.draw(st.permutations(cyls))
-    u1 = CylinderUnion(sft, cyls)
+    shuffled = data.draw(st.permutations(picks))
+    u1 = CylinderUnion(sft, picks)
     u2 = CylinderUnion(sft, list(shuffled))
     assert u1 == u2
 
@@ -267,8 +293,8 @@ def test_resolve_matches_enumeration_oracle():
             for _ in range(rng.randrange(1, 4)):
                 length = rng.randrange(1, 4)
                 word = [rng.randrange(sft.alphabet_size) for _ in range(length)]
-                c = Cylinder(sft, rng.randrange(-2, 3), word)
-                constraints.append((rng.randrange(0, 7), c.as_union()))
+                c = cylinder(sft, rng.randrange(-2, 3), word)
+                constraints.append((rng.randrange(0, 7), c))
             resolved = resolve_constraints(constraints, sft)
             live = [c for c in constraints if not c[1].is_empty]
             if resolved.is_empty:
@@ -311,7 +337,7 @@ def automaton_cases(draw):
                 max_size=3,
             )
         )
-        u = CylinderUnion(sft, [Cylinder(sft, start, word) for start, word in pieces])
+        u = CylinderUnion(sft, pieces)
         if kind == "complement":
             u = u.complement()
         if u.is_empty or u.is_full:
@@ -330,9 +356,7 @@ def automaton_cases(draw):
 # symbols), on the full 2-shift and on the golden-mean shift.
 _FULL2, _GOLDEN = full_shift(2), golden_sft()
 _COMPLEMENT_63 = cylinder(_FULL2, 0, "010011").complement().words
-_UNION_126 = CylinderUnion(
-    _FULL2, [Cylinder(_FULL2, i, w) for i in range(6) for w in ("01", "10")]
-).words
+_UNION_126 = CylinderUnion(_FULL2, [(i, w) for i in range(6) for w in ("01", "10")]).words
 _GOLDEN_COMPLEMENT = cylinder(_GOLDEN, 0, "010010").complement().words
 
 
@@ -467,10 +491,10 @@ def _kernel_set(data, sft: Sft):
         word.append(data.draw(st.sampled_from(sft.successors(word[-1]))))
     start = data.draw(st.integers(-2, 0))
     a, b, c, d = sorted(data.draw(st.lists(st.integers(0, 6), min_size=4, max_size=4, unique=True)))
-    pieces = [Cylinder(sft, start + a, word[a:b]), Cylinder(sft, start + c, word[c:d])]
+    pieces = [(start + a, word[a:b]), (start + c, word[c:d])]
     kind = data.draw(st.sampled_from(["bridged", "union", "complement"]))
     if kind == "bridged":
-        return resolve_constraints([(0, piece) for piece in pieces], sft, gap_cap=0)
+        return resolve_constraints([(0, cylinder(sft, *piece)) for piece in pieces], sft, gap_cap=0)
     u = CylinderUnion(sft, pieces)
     return u.complement() if kind == "complement" else u
 
