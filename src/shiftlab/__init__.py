@@ -50,7 +50,6 @@ from .entropy import (
     two_set_partition,
 )
 from .independence import (
-    ConstantE,
     IndependenceReport,
     TableE,
     bad_constant_e,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Optional
 
 import click
 
@@ -72,10 +73,15 @@ def list_panel():
         click.echo(f"  pairs: {', '.join(labels)}")
 
 
-def _criterion_numbers(ctx, param, value: str) -> list[int]:
-    """The criteria that --only names, each an integer from 1 to the last criterion."""
+def _criterion_numbers(ctx, param, value: Optional[str]) -> Optional[list[int]]:
+    """The criteria that --only names, each an integer from 1 to the last criterion.
+
+    No --only means every criterion (None); an --only that names none is refused.
+    """
     from .acceptance import ALL_CRITERIA
 
+    if value is None:
+        return None
     last = len(ALL_CRITERIA)
     numbers = []
     for item in filter(None, (v.strip() for v in value.split(","))):
@@ -86,14 +92,16 @@ def _criterion_numbers(ctx, param, value: str) -> list[int]:
         if number is None or not 1 <= number <= last:
             raise click.BadParameter(f"{item!r} is not a criterion number (1 to {last})")
         numbers.append(number)
+    if not numbers:
+        raise click.BadParameter(f"{value!r} names no criterion number (1 to {last})")
     return numbers
 
 
 @main.command("selfcheck")
 @click.option(
-    "--only", default="", callback=_criterion_numbers, help="Comma-separated criterion numbers."
+    "--only", default=None, callback=_criterion_numbers, help="Comma-separated criterion numbers."
 )
-def selfcheck(only: list[int]):
+def selfcheck(only: Optional[list[int]]):
     """Run the acceptance suite and print one pass/fail line per criterion."""
     from .acceptance import run_criteria
 

@@ -15,13 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceededError
-from .folner import (
-    DEFAULT_TAIL_FRACTION,
-    FolnerWindows,
-    _tail_range,
-    density_from_indicator,
-    orbit_indicator,
-)
+from .folner import density_from_indicator, orbit_indicator
 from .measures import MarkovMeasure, measure_of, mix_seed, sample_point_in
 from .measures import _carry, _collapse, _gap_measures, _spread
 from .symbolic import (
@@ -31,7 +25,6 @@ from .symbolic import (
     SetLike,
     Sft,
     cylinder,
-    point_in_set,
     resolve_constraints,
     whole_space,
 )
@@ -277,27 +270,14 @@ def separation_count(
     return len(reps)
 
 
-def df_estimate(
-    x: PointRep,
-    y: PointRep,
-    b: SetLike,
-    windows: FolnerWindows,
-    n_max: int,
-) -> float:
+def df_estimate(x: PointRep, y: PointRep, b: SetLike, n_max: int) -> float:
     """Tail-max estimate of d_f(x, y) for f = 1_b.
 
     d_f(x,y) = limsup ((1/|F_n|) sum_s |f(sx) - f(sy)|^2)^{1/2}; the indicator
     difference is 1 exactly when the orbits disagree about membership.
     """
-    if windows.canonical:
-        disagreement = orbit_indicator(x, b, 0, n_max) ^ orbit_indicator(y, b, 0, n_max)
-        return math.sqrt(density_from_indicator(disagreement).upper)
-    averages = []
-    for n in _tail_range(n_max, DEFAULT_TAIL_FRACTION):
-        w = windows.window(n)
-        count = sum(1 for s in w if point_in_set(x, b, s) != point_in_set(y, b, s))
-        averages.append(count / len(w))
-    return math.sqrt(max(averages))
+    disagreement = orbit_indicator(x, b, 0, n_max) ^ orbit_indicator(y, b, 0, n_max)
+    return math.sqrt(density_from_indicator(disagreement).upper)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +390,13 @@ def _greedy(m: MarkovMeasure, p: Partition, length: int, horizon: int):
 
 SEPARATION_HORIZONS = (16, 32, 64)  # separation counts grow iff the last exceeds the others
 GREEDY_LEN = 6  # shifts in the greedy entropy sequence
+GREEDY_HORIZON = 16  # the greedy entropy sequence picks shifts below this
 ENTROPY_INCREMENT_FLOOR = 0.02  # entropy grows iff the greedy sequence's last increment beats this
 
 
 def crosscheck_hms_hap(
     m: MarkovMeasure,
     b: CylinderUnion,
-    greedy_horizon: int = 16,
     cell_family: Optional[Sequence[CylinderUnion]] = None,
     ms_params: MsFunctionParams = MsFunctionParams(),
 ) -> HmsHapReport:
@@ -425,7 +405,7 @@ def crosscheck_hms_hap(
     1_b mean sensitive (witness search) should coincide with unbounded
     L2 separation growth of the shifted indicators and with positive
     sequence entropy of {b, b^c} along a sequence greedily chosen from the
-    shifts below greedy_horizon.
+    shifts below GREEDY_HORIZON.
     """
     if cell_family is None:
         cell_family = default_cell_family(m)
@@ -442,7 +422,7 @@ def crosscheck_hms_hap(
         profile = EntropyProfile(((1, 0.0, 0.0),))
         greedy = (0,)
     else:
-        greedy, join, saved = _greedy(m, partition, GREEDY_LEN, greedy_horizon)
+        greedy, join, saved = _greedy(m, partition, GREEDY_LEN, GREEDY_HORIZON)
         profile = _profile(_readouts(join, greedy, saved))
     entropy_growing = profile.final_increment > ENTROPY_INCREMENT_FLOOR
 

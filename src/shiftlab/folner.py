@@ -1,9 +1,11 @@
-"""Folner windows for Z, temperedness, and upper/lower orbit densities.
+"""Orbit densities and Birkhoff averages over F_n = {0, ..., n-1}, and temperedness.
 
-The canonical windows are F_n = {0, ..., n-1}. Upper and lower densities are
-limsup/liminf of |S intersect F_n| / |F_n|; at desk scale these become the
-max/min of the window averages over a tail of n values, except for
-eventually periodic predicates, which take an exact rational path.
+Every density, Birkhoff average and d_f estimate is taken over the windows
+F_n = {0, ..., n-1}. Upper and lower densities are limsup/liminf of
+|S intersect F_n| / |F_n|; at desk scale these become the max/min of the
+window averages over a tail of n values, except for eventually periodic
+predicates, which take an exact rational path. `FolnerWindows` is a general
+window rule n -> F_n, and `temperedness_constant` checks it.
 """
 
 from __future__ import annotations
@@ -22,16 +24,15 @@ DEFAULT_N_MAX = 100_000
 
 
 class FolnerWindows:
-    """A rule n -> finite subset of Z."""
+    """A rule n -> finite subset of Z, as `temperedness_constant` reads it."""
 
-    def __init__(self, rule: Callable[[int], Sequence[int]], name: str, canonical: bool = False):
+    def __init__(self, rule: Callable[[int], Sequence[int]], name: str):
         self.rule = rule
         self.name = name
-        self.canonical = canonical
 
     @classmethod
     def canonical_windows(cls) -> "FolnerWindows":
-        return cls(lambda n: range(n), "F_n = {0,...,n-1}", canonical=True)
+        return cls(lambda n: range(n), "F_n = {0,...,n-1}")
 
     def window(self, n: int) -> list[int]:
         w = list(self.rule(n))
@@ -49,8 +50,6 @@ class DensityEstimate:
 
     lower: float
     upper: float
-    n_max: int
-    tail_fraction: float
     exact: Optional[Fraction] = None
 
     def __post_init__(self):
@@ -92,9 +91,8 @@ def membership_predicate(p: PointRep, s: SetLike) -> Predicate:
     if isinstance(p, EventuallyPeriodic):
         lo = min((start for start, _ in s.blocks()), default=0)
         burn = max(0, p.core_end() - lo)
-        pre = tuple(point_in_set(p, s, g) for g in range(burn))
-        cyc = tuple(point_in_set(p, s, burn + g) for g in range(p.tail_period()))
-        return PeriodicPredicate(pre, cyc)
+        hits = orbit_indicator(p, s, 0, burn + p.tail_period()).tolist()
+        return PeriodicPredicate(tuple(hits[:burn]), tuple(hits[burn:]))
     return lambda g: point_in_set(p, s, g)
 
 
@@ -105,7 +103,6 @@ def _tail_range(n_max: int, tail_fraction: float) -> range:
 
 def density(
     pred: Predicate,
-    windows: FolnerWindows,
     n_max: int = DEFAULT_N_MAX,
     tail_fraction: float = DEFAULT_TAIL_FRACTION,
 ) -> DensityEstimate:
@@ -114,18 +111,11 @@ def density(
         raise ValueError("n_max must be >= 10")
     if not (0.0 < tail_fraction <= 1.0):
         raise ValueError("tail_fraction must lie in (0, 1]")
-    if isinstance(pred, PeriodicPredicate) and windows.canonical:
+    if isinstance(pred, PeriodicPredicate):
         freq = pred.frequency()
-        return DensityEstimate(float(freq), float(freq), n_max, tail_fraction, exact=freq)
-    if windows.canonical:
-        hits = np.fromiter((bool(pred(s)) for s in range(n_max)), dtype=bool, count=n_max)
-        return density_from_indicator(hits, n_max=n_max, tail_fraction=tail_fraction)
-    tail = _tail_range(n_max, tail_fraction)
-    averages = []
-    for n in tail:
-        w = windows.window(n)
-        averages.append(sum(1 for s in w if pred(s)) / len(w))
-    return DensityEstimate(min(averages), max(averages), n_max, tail_fraction)
+        return DensityEstimate(float(freq), float(freq), exact=freq)
+    hits = np.fromiter((bool(pred(s)) for s in range(n_max)), dtype=bool, count=n_max)
+    return density_from_indicator(hits, n_max=n_max, tail_fraction=tail_fraction)
 
 
 def density_from_indicator(
@@ -144,7 +134,7 @@ def density_from_indicator(
     tail = _tail_range(n_max, tail_fraction)
     counts = np.cumsum(hits[:n_max], dtype=np.int64)[tail.start - 1 :]
     averages = counts / np.arange(tail.start, tail.stop)
-    return DensityEstimate(float(averages.min()), float(averages.max()), n_max, tail_fraction)
+    return DensityEstimate(float(averages.min()), float(averages.max()))
 
 
 def temperedness_constant(windows: FolnerWindows, n_max: int) -> float:
@@ -165,14 +155,11 @@ def temperedness_constant(windows: FolnerWindows, n_max: int) -> float:
     return worst
 
 
-def birkhoff_average(
-    p: PointRep, f_set: SetLike, windows: FolnerWindows, n: int
-) -> Fraction:
-    """(1/|F_n|) sum_{s in F_n} 1_{f_set}(T^s p), exactly."""
-    w = windows.window(n)
-    if windows.canonical:
-        return Fraction(int(orbit_indicator(p, f_set, 0, n).sum()), n)
-    return Fraction(sum(1 for s in w if point_in_set(p, f_set, s)), len(w))
+def birkhoff_average(p: PointRep, f_set: SetLike, n: int) -> Fraction:
+    """(1/n) sum_{0 <= s < n} 1_{f_set}(T^s p), exactly."""
+    if n < 1:
+        raise ValueError(f"window F_{n} is empty")
+    return Fraction(int(orbit_indicator(p, f_set, 0, n).sum()), n)
 
 
 def orbit_indicator(p: PointRep, s: SetLike, lo: int, hi: int) -> np.ndarray:

@@ -14,8 +14,7 @@ from typing import Optional
 from .config import KINDS, Experiment, RunConfig
 from .entropy import sequence_entropy_profile
 from .errors import EntryTimeNotFoundError
-from .folner import FolnerWindows, birkhoff_average, density, density_from_indicator
-from .folner import membership_predicate, orbit_indicator
+from .folner import density, density_from_indicator, membership_predicate, orbit_indicator
 from .independence import full_e, independence_density_profile, random_table_e
 from .measures import measure_of, sample_point
 from .panel import canonical_pairs, panel_systems
@@ -108,18 +107,18 @@ def _run_density(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
     t0 = time.perf_counter()
     m, target, point = exp.system.measure, exp.params["set"], exp.params["point"]
     n_max = exp.params["n_max"]
-    windows = FolnerWindows.canonical_windows()
+    # One orbit read per point gives the Birkhoff average. A sampled point's
+    # density is the tail estimate of that read; a periodic point's is exact.
     if isinstance(point, dict):
         seed = point["seed"] if seed_override is None else seed_override
         point_desc = {"kind": "sampled", "seed": seed}
-        # One window read serves the density estimate and the Birkhoff average.
         hits = orbit_indicator(sample_point(m, point["lo"], point["hi"], seed), target, 0, n_max)
         est = density_from_indicator(hits)
-        avg = Fraction(int(hits.sum()), n_max)
     else:
         point_desc = {"kind": "periodic"}
-        est = density(membership_predicate(point, target), windows, n_max=n_max)
-        avg = birkhoff_average(point, target, windows, n_max)
+        hits = orbit_indicator(point, target, 0, n_max)
+        est = density(membership_predicate(point, target), n_max=n_max)
+    avg = Fraction(int(hits.sum()), n_max)
     outputs = {"birkhoff_average": avg, "density_lower": est.lower, "density_upper": est.upper,
                "measure": measure_of(m, target)}
     inputs = {"point": point_desc, "set": repr(target), "n_max": n_max}

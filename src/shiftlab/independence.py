@@ -54,24 +54,12 @@ from .verdicts import (
 
 
 @dataclass(frozen=True)
-class ConstantE:
-    """E(s) = set for every s (the reduction the ergodic abelian case allows)."""
-
-    set: CylinderUnion
-
-    def at(self, s: int) -> CylinderUnion:
-        return self.set
-
-    def referenced(self, shifts: Sequence[int]) -> tuple[CylinderUnion, ...]:
-        return (self.set,)
-
-    def describe(self) -> str:
-        return f"ConstantE({self.set!r})"
-
-
-@dataclass(frozen=True)
 class TableE:
-    """E(s) from a finite override table on top of a default set."""
+    """E(s) from a finite override table on top of a default set.
+
+    With no overrides it is the constant map E(s) = default, the reduction
+    the ergodic abelian case allows.
+    """
 
     default: CylinderUnion
     overrides: tuple[tuple[int, CylinderUnion], ...] = ()
@@ -90,14 +78,11 @@ class TableE:
         return f"TableE({len(self.overrides)} overrides)"
 
 
-EMap = Union[ConstantE, TableE]
+def full_e(sft: Sft) -> TableE:
+    return TableE(whole_space(sft))
 
 
-def full_e(sft: Sft) -> ConstantE:
-    return ConstantE(whole_space(sft))
-
-
-def e_min_measure(e: EMap, m: MarkovMeasure, shifts: Sequence[int]) -> Fraction:
+def e_min_measure(e: TableE, m: MarkovMeasure, shifts: Sequence[int]) -> Fraction:
     """Smallest measure among the sets E references on the given shifts."""
     values = e.referenced(shifts)
     if not values:
@@ -120,7 +105,7 @@ def is_independence_set(
     a1: SetLike,
     a2: SetLike,
     i_set: Sequence[int],
-    e: EMap,
+    e: TableE,
     *,
     _memo: Optional[dict] = None,
 ) -> bool:
@@ -162,7 +147,7 @@ class _Checker:
     global assignment chain dies.
     """
 
-    def __init__(self, sft: Sft, targets, e: EMap, memo: Optional[dict]):
+    def __init__(self, sft: Sft, targets, e: TableE, memo: Optional[dict]):
         self.sft, self.e = sft, e
         self.memo = {} if memo is None else memo
         if "atoms" not in self.memo:
@@ -441,7 +426,7 @@ def max_independence_subset(
     a1: SetLike,
     a2: SetLike,
     window: Sequence[int],
-    e: EMap,
+    e: TableE,
     *,
     _memo: Optional[dict] = None,
 ) -> IndependenceReport:
@@ -524,7 +509,7 @@ def ratio_meets(
     a1: SetLike,
     a2: SetLike,
     window: Sequence[int],
-    e: EMap,
+    e: TableE,
     threshold: Fraction,
     *,
     _memo: Optional[dict] = None,
@@ -565,7 +550,7 @@ def independence_density_profile(
     a1: SetLike,
     a2: SetLike,
     n_list: Sequence[int],
-    e_family: Sequence[EMap],
+    e_family: Sequence[TableE],
     *,
     _memo: Optional[dict] = None,
 ) -> list[IndependenceReport]:
@@ -591,7 +576,7 @@ def independence_density_profile(
 
 def bad_constant_e(
     m: MarkovMeasure, s: int, t: int, ux: CylinderUnion, uy: CylinderUnion
-) -> ConstantE:
+) -> TableE:
     """The constant map E = (T^{-s} Ux intersect T^{-t} Uy)^c.
 
     Its measure is exactly 1 - mu(s^{-1}Ux ∩ t^{-1}Uy): the cheapest
@@ -599,10 +584,10 @@ def bad_constant_e(
     """
     meet = resolve_constraints([(s, ux), (t, uy)], m.sft, gap_cap=64)
     if meet.is_empty:
-        return ConstantE(whole_space(m.sft))
+        return TableE(whole_space(m.sft))
     if meet.bridged:
         raise ValueError("shifts too far apart for an exact complement")
-    return ConstantE(meet.complement())
+    return TableE(meet.complement())
 
 
 def random_table_e(
@@ -700,7 +685,7 @@ def classify_in_pair(
                     f"(window {len(worst.window)}, best |I| = {len(worst.best)})"
                 ),
             )
-        adversaries: list[EMap] = []
+        adversaries: list[TableE] = []
         for s in range(RA_BOUND + 1):
             for t in range(s + 1, RA_BOUND + 1):
                 adversaries.append(bad_constant_e(m, s, t, ux, uy))

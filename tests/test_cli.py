@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -461,6 +462,50 @@ def test_bundled_csv_bytes_pinned(runner, tmp_path, name):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256[name]
 
 
+@pytest.mark.parametrize(
+    "system, point, target, n_max, outputs",
+    [
+        (
+            "golden_mean",
+            {"kind": "periodic", "right": "01", "core": "000"},
+            {"start": 0, "word": "0"},
+            100,
+            "birkhoff_average=13/25; density_lower=0.500000000000; "
+            "density_upper=0.500000000000; measure=2/3",
+        ),
+        (
+            "golden_mean",
+            {"kind": "periodic", "left": "0", "core": "10", "right": "001"},
+            {"start": -2, "word": "010"},
+            101,
+            "birkhoff_average=33/101; density_lower=0.333333333333; "
+            "density_upper=0.333333333333; measure=1/3",
+        ),
+        (
+            "bernoulli",
+            {"kind": "periodic", "core": "1", "right": "0111"},
+            [{"start": 0, "word": "0"}, {"start": 3, "word": "11"}],
+            10,
+            "birkhoff_average=4/5; density_lower=0.750000000000; "
+            "density_upper=0.750000000000; measure=5/8",
+        ),
+    ],
+    ids=["golden-core", "golden-left-tail", "bernoulli-union"],
+)
+def test_periodic_density_outputs_pinned(runner, tmp_path, system, point, target, n_max, outputs):
+    """A periodic point's density row: the exact Birkhoff average of the first
+    n_max orbit reads and the exact frequency of the periodic predicate."""
+    config = {"experiment_id": "d", "kind": "density", "system": system,
+              "params": {"point": point, "set": target, "n_max": n_max}}
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    (csv_path,) = tmp_path.glob("*.csv")
+    (row,) = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
+    assert row["outputs"] == outputs
+
+
 def test_run_config_in_process():
     config = load_config(bundled_config_path("goldenmean_independence"))
     rows, code = run_config(config)
@@ -480,6 +525,23 @@ def test_selfcheck_refuses_unknown_criteria(runner, only):
     assert isinstance(result.exception, SystemExit), result.exception
     assert "criterion number" in result.output
     assert "[PASS]" not in result.output
+
+
+@pytest.mark.parametrize("only", [",", " ", " , "])
+def test_selfcheck_refuses_empty_criteria_list(runner, monkeypatch, only):
+    """An --only that names no criterion exits 2 before any criterion runs;
+    only a missing --only means every criterion."""
+    from shiftlab import acceptance
+
+    calls = []
+    monkeypatch.setattr(acceptance, "run_criteria", lambda numbers=None: calls.append(numbers) or [])
+    result = runner.invoke(main, ["selfcheck", "--only", only])
+    assert result.exit_code == 2, result.output
+    assert "criterion number" in result.output
+    assert calls == []
+    result = runner.invoke(main, ["selfcheck"])
+    assert result.exit_code == 0, result.output
+    assert calls == [None]
 
 
 def test_inconclusive_verdicts_exit_3(tmp_path, monkeypatch):

@@ -24,7 +24,6 @@ from shiftlab.entropy import (
     two_set_partition,
 )
 from shiftlab.errors import CapExceededError
-from shiftlab.folner import FolnerWindows
 from shiftlab.measures import measure_of
 from shiftlab.panel import bernoulli_system, cycle4_system, golden_mean_system
 from shiftlab.symbolic import CylinderUnion, EventuallyPeriodic, cylinder, whole_space
@@ -35,8 +34,6 @@ from .oracles import (
     join_entropy_oracle,
     three_symbol_chain,
 )
-
-W = FolnerWindows.canonical_windows()
 
 
 def entropy_of(measures):
@@ -281,9 +278,9 @@ def test_df_examples(bernoulli):
     ones = EventuallyPeriodic(sft, "1", "", "1")
     alt = EventuallyPeriodic(sft, "01", "", "01")
     b = cylinder(sft, 0, "0")
-    assert df_estimate(zeros, zeros, b, W, 2000) == 0
-    assert df_estimate(zeros, ones, b, W, 2000) == 1
-    assert df_estimate(alt, zeros, b, W, 2000) == pytest.approx(math.sqrt(0.5), abs=1e-3)
+    assert df_estimate(zeros, zeros, b, 2000) == 0
+    assert df_estimate(zeros, ones, b, 2000) == 1
+    assert df_estimate(alt, zeros, b, 2000) == pytest.approx(math.sqrt(0.5), abs=1e-3)
 
 
 def test_df_symmetric_and_bounded(bernoulli):
@@ -291,8 +288,8 @@ def test_df_symmetric_and_bounded(bernoulli):
     x = EventuallyPeriodic(sft, "011", "00", "101")
     y = EventuallyPeriodic(sft, "0", "11", "10")
     b = cylinder(sft, 0, "01")
-    dxy = df_estimate(x, y, b, W, 3000)
-    dyx = df_estimate(y, x, b, W, 3000)
+    dxy = df_estimate(x, y, b, 3000)
+    dyx = df_estimate(y, x, b, 3000)
     assert dxy == dyx <= 1.0
 
 

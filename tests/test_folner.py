@@ -15,33 +15,38 @@ from shiftlab.folner import (
     temperedness_constant,
 )
 from shiftlab.measures import measure_of, sample_point
-from shiftlab.symbolic import EventuallyPeriodic, cylinder, full_shift, point_in_set
+from shiftlab.symbolic import (
+    CylinderUnion,
+    EventuallyPeriodic,
+    cylinder,
+    full_shift,
+    point_in_set,
+    resolve_constraints,
+    whole_space,
+)
 
 from .oracles import orbit_density_oracle
 
-W = FolnerWindows.canonical_windows()
-
-
 def test_density_trivial_cases():
-    est = density(lambda s: True, W, n_max=1000)
+    est = density(lambda s: True, n_max=1000)
     assert est.lower == est.upper == 1.0
-    est = density(PeriodicPredicate((), (True, False)), W, n_max=1000)
+    est = density(PeriodicPredicate((), (True, False)), n_max=1000)
     assert est.exact == Fraction(1, 2)
-    est = density(PeriodicPredicate((), (True, False, False, False)), W, n_max=100)
+    est = density(PeriodicPredicate((), (True, False, False, False)), n_max=100)
     assert est.exact == Fraction(1, 4)
 
 
 def test_density_bounds_ordered():
     # A slowly alternating set: upper and lower separate.
-    est = density(lambda s: (s // 100) % 2 == 0, W, n_max=2000, tail_fraction=0.25)
+    est = density(lambda s: (s // 100) % 2 == 0, n_max=2000, tail_fraction=0.25)
     assert 0.0 <= est.lower <= est.upper <= 1.0
     assert est.upper - est.lower > 0.01
 
 
 def test_density_complement_law_windowed():
     pred = PeriodicPredicate((True, False, False), (True, True, False))
-    est = density(lambda s: pred(s), W, n_max=600)
-    comp = density(lambda s: not pred(s), W, n_max=600)
+    est = density(lambda s: pred(s), n_max=600)
+    comp = density(lambda s: not pred(s), n_max=600)
     assert abs(est.upper - (1.0 - comp.lower)) < 1e-12
     assert abs(est.lower - (1.0 - comp.upper)) < 1e-12
 
@@ -49,15 +54,15 @@ def test_density_complement_law_windowed():
 def test_density_complement_law_exact():
     pred = PeriodicPredicate((), (True, True, False))
     comp = PeriodicPredicate((), (False, False, True))
-    assert density(pred, W, n_max=600).exact + density(comp, W, n_max=600).exact == 1
+    assert density(pred, n_max=600).exact + density(comp, n_max=600).exact == 1
 
 
 def test_density_subadditive():
     p1 = PeriodicPredicate((), (True, False, False))
     p2 = PeriodicPredicate((), (False, True, False, False))
-    union = density(lambda s: p1(s) or p2(s), W, n_max=900)
-    d1 = density(p1, W, n_max=900)
-    d2 = density(p2, W, n_max=900)
+    union = density(lambda s: p1(s) or p2(s), n_max=900)
+    d1 = density(p1, n_max=900)
+    d2 = density(p2, n_max=900)
     assert union.upper <= d1.upper + d2.upper + 1e-12
 
 
@@ -93,7 +98,7 @@ def test_density_from_indicator_rejects_bad_arguments(length, kwargs, field):
 
 
 def test_temperedness_canonical_bounded():
-    assert temperedness_constant(W, 100) <= 2.0
+    assert temperedness_constant(FolnerWindows.canonical_windows(), 100) <= 2.0
 
 
 def test_temperedness_singleton_windows():
@@ -114,8 +119,8 @@ def test_birkhoff_trivial():
     c0 = cylinder(sft, 0, "0")
     c1 = cylinder(sft, 0, "1")
     for n in (10, 33, 100):
-        assert birkhoff_average(zeros, c0, W, n) == 1
-        assert birkhoff_average(zeros, c1, W, n) == 0
+        assert birkhoff_average(zeros, c0, n) == 1
+        assert birkhoff_average(zeros, c1, n) == 0
 
 
 def test_birkhoff_period_two():
@@ -123,13 +128,19 @@ def test_birkhoff_period_two():
     alternating = EventuallyPeriodic(sft, "01", "", "01")
     c0 = cylinder(sft, 0, "0")
     for n in (10, 50, 200):
-        assert birkhoff_average(alternating, c0, W, n) == Fraction(1, 2)
+        assert birkhoff_average(alternating, c0, n) == Fraction(1, 2)
+
+
+def test_birkhoff_rejects_empty_window():
+    sft = full_shift(2)
+    with pytest.raises(ValueError, match="empty"):
+        birkhoff_average(EventuallyPeriodic(sft, "0", "", "0"), cylinder(sft, 0, "0"), 0)
 
 
 def test_birkhoff_matches_loop_oracle(golden):
     p = sample_point(golden.measure, -3, 600, seed=21)
     target = cylinder(golden.sft, -1, "010")
-    avg = birkhoff_average(p, target, W, 500)
+    avg = birkhoff_average(p, target, 500)
     assert avg == orbit_density_oracle(p, target, 500)
 
 
@@ -141,6 +152,41 @@ def test_membership_predicate_periodic_exact():
     assert isinstance(pred, PeriodicPredicate)
     for s in range(40):
         assert pred(s) == point_in_set(p, target, s)
+
+
+def _random_periodic_point(rng, sft):
+    """A legal point with random left tail, core and right tail, shifted by -6..6."""
+    legal = [w for n in range(1, 5) for w in sft.legal_words(n)]
+    while True:
+        left, right = rng.choice(legal), rng.choice(legal)
+        core = rng.choice([()] + legal)
+        try:
+            return EventuallyPeriodic(sft, left, core, right).shifted(rng.randint(-6, 6))
+        except ValueError:
+            continue
+
+
+def test_membership_predicate_matches_point_in_set(systems):
+    """The periodic form agrees with point_in_set at every g < 60, on empty,
+    full, single-cylinder and bridged sets of the three panel systems."""
+    rng = random.Random(19)
+    for system in systems:
+        sft = system.sft
+        legal = [w for n in range(1, 4) for w in sft.legal_words(n)]
+        for _ in range(50):
+            p = _random_periodic_point(rng, sft)
+            single = cylinder(sft, rng.randint(-3, 3), rng.choice(legal))
+            first, second = rng.choice(legal), rng.choice(legal)
+            start = rng.randint(-3, 3)
+            apart = start + len(first) + rng.randint(1, 3)
+            bridged = resolve_constraints(
+                [(0, cylinder(sft, start, first)), (apart, cylinder(sft, 0, second))], sft, gap_cap=0
+            )
+            for target in (CylinderUnion(sft, []), whole_space(sft), single, bridged):
+                pred = membership_predicate(p, target)
+                assert isinstance(pred, PeriodicPredicate)
+                for g in range(60):
+                    assert pred(g) == point_in_set(p, target, g), (system.id, p, target, g)
 
 
 def test_ergodic_theorem_desk_scale(systems):
@@ -157,7 +203,7 @@ def test_ergodic_theorem_desk_scale(systems):
         for seed in range(20):
             p = sample_point(system.measure, -3, n + 3, seed=1_000_000 + seed)
             good = all(
-                abs(float(birkhoff_average(p, c, W, n) - measure_of(system.measure, c)))
+                abs(float(birkhoff_average(p, c, n) - measure_of(system.measure, c)))
                 <= 0.02
                 for c in cylinders
             )

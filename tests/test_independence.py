@@ -6,7 +6,6 @@ import pytest
 import shiftlab.independence as ind
 from shiftlab.independence import (
     EXHAUSTIVE_WINDOW_CAP,
-    ConstantE,
     TableE,
     bad_constant_e,
     classify_in_pair,
@@ -81,7 +80,7 @@ def test_union_targets_past_assignment_enumeration(bernoulli):
     u = cylinder(sft, 0, "00").union(cylinder(sft, 0, "11"))
     v = cylinder(sft, 0, "01").union(cylinder(sft, 0, "10"))
     assert is_independence_set(sft, u, v, range(21), full_e(sft))
-    assert not is_independence_set(sft, u, v, range(21), ConstantE(u))
+    assert not is_independence_set(sft, u, v, range(21), TableE(u))
 
 
 def test_whole_space_target_imposes_nothing(golden):
@@ -103,8 +102,8 @@ def test_checker_matches_word_oracle(systems):
         if rng.random() < 0.4:
             e = full_e(sft)
         else:
-            e = ConstantE(_random_union(rng, sft).complement())
-            if e.set.is_empty:
+            e = TableE(_random_union(rng, sft).complement())
+            if e.default.is_empty:
                 continue
         got = is_independence_set(sft, a1, a2, i_set, e)
         want = independence_oracle(sft, a1, a2, i_set, e)
@@ -165,8 +164,8 @@ def test_sweep_path_matches_word_oracle(systems, bernoulli):
         if rng.random() < 0.5:
             e = full_e(sft)
         else:
-            e = ConstantE(_random_union(rng, sft).complement())
-            if e.set.is_empty:
+            e = TableE(_random_union(rng, sft).complement())
+            if e.default.is_empty:
                 continue
         got = is_independence_set(sft, a1, a2, i_set, e)
         want = independence_oracle(sft, a1, a2, i_set, e)
@@ -178,9 +177,9 @@ def test_sweep_path_matches_word_oracle(systems, bernoulli):
     pinned = resolve_constraints([(0, cylinder(sft, 0, "0")), (0, cylinder(sft, 7, "0"))], sft)
     cases = [
         (list(range(7)) + [9], full_e(sft), True),
-        (list(range(7)) + [9], ConstantE(cylinder(sft, 9, "1")), True),
-        (list(range(7)), ConstantE(pinned), False),
-        (list(range(7)) + [10], ConstantE(pinned), False),
+        (list(range(7)) + [9], TableE(cylinder(sft, 9, "1")), True),
+        (list(range(7)), TableE(pinned), False),
+        (list(range(7)) + [10], TableE(pinned), False),
     ]
     for i_set, e, want in cases:
         assert independence_oracle(sft, a1, a2, i_set, e) == want, (i_set, e.describe())
@@ -192,12 +191,12 @@ def test_sweep_path_matches_word_oracle(systems, bernoulli):
     u126 = CylinderUnion(sft, [(i, w) for i in range(6) for w in ("01", "10")])
     zero, one, zeros = cylinder(sft, 0, "0"), cylinder(sft, 0, "1"), cylinder(sft, 0, "0" * 7)
     cases = [
-        (zero, one, list(range(6)), ConstantE(c63), False),
-        (zero, one, [0, 1, 2, 3, 4, 6], ConstantE(c63), True),
+        (zero, one, list(range(6)), TableE(c63), False),
+        (zero, one, [0, 1, 2, 3, 4, 6], TableE(c63), True),
         (u126, c63, [0, 3, 7], full_e(sft), True),
-        (u126, c63, [0, 2, 5], ConstantE(c63.translate(1)), True),
-        (u126, zeros, [0, 1], ConstantE(c63), True),
-        (u126, zeros, [0, 1, 2], ConstantE(c63), False),
+        (u126, c63, [0, 2, 5], TableE(c63.translate(1)), True),
+        (u126, zeros, [0, 1], TableE(c63), True),
+        (u126, zeros, [0, 1, 2], TableE(c63), False),
     ]
     for a1, a2, i_set, e, want in cases:
         assert independence_oracle(sft, a1, a2, i_set, e) == want, (a1, a2, i_set, e.describe())
@@ -311,7 +310,7 @@ def test_incremental_chains_match_word_oracle(systems):
         if roll < 0.2:
             e = full_e(sft)
         elif roll < 0.4:
-            e = ConstantE(_random_union(rng, sft).complement())
+            e = TableE(_random_union(rng, sft).complement())
         else:
             overrides = tuple(
                 (s, _random_union(rng, sft).complement())
@@ -454,8 +453,8 @@ def test_e_map_monotonicity(golden):
             continue
         smaller_words = big.words[: max(1, len(big.words) - 1)]
         small = CylinderUnion(sft, [(big.start, w) for w in smaller_words])
-        rep_big = max_independence_subset(sft, a0, a1, range(7), ConstantE(big))
-        rep_small = max_independence_subset(sft, a0, a1, range(7), ConstantE(small))
+        rep_big = max_independence_subset(sft, a0, a1, range(7), TableE(big))
+        rep_small = max_independence_subset(sft, a0, a1, range(7), TableE(small))
         assert len(rep_small.best) <= len(rep_big.best)
 
 
@@ -500,17 +499,17 @@ def test_bad_constant_e_examples(bernoulli):
     m = bernoulli.measure
     sft = bernoulli.sft
     x = whole_space(sft)
-    assert bad_constant_e(m, 0, 1, x, x).set.is_empty
+    assert bad_constant_e(m, 0, 1, x, x).default.is_empty
     e = bad_constant_e(m, 0, 1, cylinder(sft, 0, "0"), cylinder(sft, 0, "1"))
-    assert measure_of(m, e.set) == Fraction(3, 4)
+    assert measure_of(m, e.default) == Fraction(3, 4)
     target = measure_of_constraints(m, [(0, cylinder(sft, 0, "0")), (1, cylinder(sft, 0, "1"))])
-    assert measure_of(m, e.set) == 1 - target
+    assert measure_of(m, e.default) == 1 - target
 
 
 def test_bad_constant_e_infeasible_pair(golden):
     one = cylinder(golden.sft, 0, "1")
     e = bad_constant_e(golden.measure, 0, 1, one, one)
-    assert e.set.is_full and measure_of(golden.measure, e.set) == 1
+    assert e.default.is_full and measure_of(golden.measure, e.default) == 1
 
 
 def test_random_table_e_measure_floor(systems):
