@@ -17,10 +17,15 @@ searches extend saved states, and each search (a pair classification, a
 density profile) shares one memo of translation-relative segment sweeps,
 greedy chains and compiled atoms. It is property-tested against the 2^|I|
 word-enumeration oracle in the test suite.
+
+A threshold test (`ratio_meets`) only decides |I| / |F| >= threshold, so its
+greedy chain stops at ceil(threshold * |F|) chosen shifts. The chain it saves
+is a prefix of the full greedy, which later windows resume.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -373,7 +378,6 @@ class IndependenceReport:
     window: tuple[int, ...]
     best: tuple[int, ...]
     ratio: Fraction
-    e_map: str
     exhaustive: bool
 
     def __post_init__(self):
@@ -444,9 +448,7 @@ def max_independence_subset(
         raise ValueError("window must be nonempty")
 
     def report(best: tuple[int, ...], exhaustive: bool) -> IndependenceReport:
-        return IndependenceReport(
-            f_sorted, best, Fraction(len(best), len(f_sorted)), e.describe(), exhaustive
-        )
+        return IndependenceReport(f_sorted, best, Fraction(len(best), len(f_sorted)), exhaustive)
 
     targets = (_target_atoms(a1), _target_atoms(a2))
     if None in targets:
@@ -469,7 +471,7 @@ def max_independence_subset(
     gamma = next((g for g in gaps if free.extend(first, g) is not None), None)
 
     if len(f_sorted) > EXHAUSTIVE_WINDOW_CAP:
-        return report(_greedy_subset(f_sorted, checker, []), False)
+        return report(_greedy_subset(f_sorted, checker, [], len(f_sorted)), False)
 
     best, nodes, exhausted = (), 0, False
 
@@ -500,7 +502,7 @@ def max_independence_subset(
 
     dfs(0, checker.empty)
     if exhausted:  # ties keep the search's subset
-        best = max(best, _greedy_subset(f_sorted, checker, []), key=len)
+        best = max(best, _greedy_subset(f_sorted, checker, [], len(f_sorted)), key=len)
     return report(best, not exhausted)
 
 
@@ -516,29 +518,38 @@ def ratio_meets(
 ) -> bool:
     """Decide best-ratio >= threshold without always paying for the exact max.
 
-    The greedy chain is a sound lower bound (greedy sets are independence
-    sets), so a greedy hit answers yes immediately; otherwise the exact
-    search settles it.
+    A ratio of |I| / |F| meets the threshold iff |I| >= need =
+    ceil(threshold * |F|), computed exactly. The greedy chain is a sound
+    lower bound (greedy sets are independence sets), so it stops at `need`
+    chosen shifts and a hit answers yes; otherwise the exact search settles
+    it. The saved chain is a prefix of the full greedy that later windows
+    resume.
     """
     f_sorted = tuple(sorted(set(int(s) for s in window)))
+    if not f_sorted:
+        raise ValueError("window must be nonempty")
+    need = math.ceil(Fraction(threshold) * len(f_sorted))
     targets = (_target_atoms(a1), _target_atoms(a2))
     checker = _Checker(sft, targets, e, _memo)
     # The search's memo keeps the greedy chain per (targets, E) for the next window.
     chain = checker.memo.setdefault(("greedy", targets, e), [])
-    if Fraction(len(_greedy_subset(f_sorted, checker, chain)), len(f_sorted)) >= threshold:
+    if len(_greedy_subset(f_sorted, checker, chain, need)) >= need:
         return True
     return max_independence_subset(sft, a1, a2, f_sorted, e, _memo=checker.memo).ratio >= threshold
 
 
-def _greedy_subset(f_sorted, checker: _Checker, chain: list) -> tuple[int, ...]:
-    """Greedy over f_sorted. Resumes the steps of `chain`, a list of (shift, state),
-    where they agree with f_sorted, and leaves the new chain in it."""
+def _greedy_subset(f_sorted, checker: _Checker, chain: list, need: int) -> tuple[int, ...]:
+    """Greedy over f_sorted, stopped once it holds `need` shifts. Resumes the steps
+    of `chain`, a list of (shift, state), where they agree with f_sorted, and
+    leaves the new chain in it."""
     i = 0
     while i < min(len(chain), len(f_sorted)) and chain[i][0] == f_sorted[i]:
         i += 1
     del chain[i:]
     state = chain[-1][1] if chain else checker.empty
     for s in f_sorted[i:]:
+        if len(state.shifts) >= need:
+            break
         state = checker.extend(state, s) or state
         chain.append((s, state))
     return state.shifts

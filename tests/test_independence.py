@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shiftlab.independence as ind
 from shiftlab.independence import (
@@ -16,6 +18,7 @@ from shiftlab.independence import (
     max_independence_subset,
     point_neighborhood,
     random_table_e,
+    ratio_meets,
     separating_depth,
 )
 from shiftlab.measures import measure_of, measure_of_constraints
@@ -335,7 +338,7 @@ def test_incremental_chains_match_word_oracle(systems):
             state, chosen = nxt, chosen + [s]
         chain: list = []  # the second window resumes the first one's chain where they agree
         for window in (range(rng.randrange(0, 2), 4), range(6)):
-            got = ind._greedy_subset(window, checker, chain)
+            got = ind._greedy_subset(window, checker, chain, len(window))
             assert got == _oracle_greedy(sft, a1, a2, window, e)
 
 
@@ -440,6 +443,68 @@ def test_max_subset_matches_plain_enumeration(systems):
             if len(subset) > brute and is_independence_set(sft, a1, a2, subset, e):
                 brute = len(subset)
         assert len(rep.best) == brute, (system.id, a1, a2, n)
+
+
+# ---------------------------------------------------------------------------
+# ratio_meets
+# ---------------------------------------------------------------------------
+
+
+def test_ratio_meets_rejects_empty_window(bernoulli):
+    sft = bernoulli.sft
+    a0, a1 = cylinder(sft, 0, "0"), cylinder(sft, 0, "1")
+    with pytest.raises(ValueError, match="window must be nonempty"):
+        ratio_meets(sft, a0, a1, [], full_e(sft), ind.C_MIN)
+
+
+def test_ratio_meets_stops_greedy_at_need(bernoulli):
+    """On Bernoulli every shift is independent, so ceil(24 / 20) = 2 chosen
+    shifts decide the 24-window: the saved chain holds 2 steps, not 24."""
+    sft = bernoulli.sft
+    a0, a1 = cylinder(sft, 0, "0"), cylinder(sft, 0, "1")
+    e = full_e(sft)
+    memo: dict = {}
+    assert ratio_meets(sft, a0, a1, range(24), e, ind.C_MIN, _memo=memo)
+    chain = memo[("greedy", (ind._target_atoms(a0), ind._target_atoms(a1)), e)]
+    assert [s for s, _ in chain] == [0, 1]
+
+
+_THRESHOLDS = [Fraction(0), Fraction(1, 20), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ratio_meets_matches_exact_max(systems, data):
+    """ratio_meets equals max_independence_subset(...).ratio >= threshold on the
+    classifier's windows, asked through one memo in ascending order (each
+    window resumes the last one's chain) and then in descending order (each
+    window truncates it)."""
+    system = data.draw(st.sampled_from(systems), label="system")
+    sft, m = system.sft, system.measure
+    rng = random.Random(data.draw(st.integers(0, 2**16), label="seed"))
+    words = sft.legal_words(rng.randrange(1, 3))
+
+    def target():  # a cylinder or a two-word union at one start: width <= 2 keeps the exact max cheap
+        start = rng.randrange(-1, 2)
+        picks = rng.sample(words, data.draw(st.integers(1, min(2, len(words))), label="words"))
+        return CylinderUnion(sft, [(start, w) for w in picks])
+
+    a1, a2 = target(), target()
+    kind = data.draw(st.sampled_from(["full", "random_table", "bad_constant"]), label="e")
+    if kind == "full":
+        e = full_e(sft)
+    elif kind == "random_table":
+        e = random_table_e(m, Fraction(1, 4), rng.randrange(1000))
+    else:
+        s = rng.randrange(0, 3)
+        e = bad_constant_e(m, s, s + rng.randrange(1, 3), a1, a2)
+    want = {n: max_independence_subset(sft, a1, a2, range(n), e).ratio for n in ind.N_LIST}
+    memo: dict = {}
+    for order in (ind.N_LIST, ind.N_LIST[::-1]):
+        for n in order:
+            for threshold in _THRESHOLDS:
+                got = ratio_meets(sft, a1, a2, range(n), e, threshold, _memo=memo)
+                assert got == (want[n] >= threshold), (system.id, a1, a2, kind, n, threshold)
 
 
 def test_e_map_monotonicity(golden):
