@@ -30,7 +30,7 @@ from .symbolic import (
 )
 from .verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, MsFunctionParams, Verdict
 
-JOIN_ASSIGNMENT_CAP = 1 << 14  # |atoms|^|S| refusal point (14 for 2-atom partitions)
+JOIN_ASSIGNMENT_CAP = 1 << 14  # join atoms, counted with multiplicity, before refusal (14 terms of a 2-atom partition)
 
 
 class Partition:
@@ -86,23 +86,38 @@ def validate_sequence(s: Sequence[int]) -> tuple[int, ...]:
     return seq
 
 
-def _entropy(pairs) -> float:
-    """-sum (n/d) log(n/d) in nats over reduced (n, d) pairs of positive measures."""
-    return -math.fsum((n / d) * (math.log(n) - math.log(d)) for n, d in pairs)
+def _entropy(terms) -> float:
+    """-sum k (n/d) log(n/d) in nats over (n, d, k): reduced (n, d) pairs of
+    positive measures, each counted k times.
+
+    Bit for bit -math.fsum over the k-fold expanded terms: k times a term is
+    summed exactly as the term doubled once per binary digit of k (doubling
+    a float is exact), and fsum rounds the exact sum once.
+    """
+    parts = []
+    for n, d, k in terms:
+        t = (n / d) * (math.log(n) - math.log(d))
+        while k:
+            if k & 1:
+                parts.append(t)
+            t *= 2.0
+            k >>= 1
+    return -math.fsum(parts)
 
 
 def entropy_from_measures(measures: Sequence[Fraction]) -> float:
     """H = -sum mu log mu in nats, with 0 log 0 = 0."""
-    return _entropy((mu.numerator, mu.denominator) for mu in measures if mu > 0)
+    return _entropy((mu.numerator, mu.denominator, 1) for mu in measures if mu > 0)
 
 
-def _mass_entropy(masses: Sequence[int], den: int) -> float:
-    """entropy_from_measures of the measures mass / den, each reduced once."""
-    pairs = []
-    for x in masses:
+def _mass_entropy(masses, den: int) -> float:
+    """entropy_from_measures of count measures mass / den per (mass, count)
+    pair, each measure reduced once."""
+    terms = []
+    for x, k in masses:
         g = math.gcd(x, den)
-        pairs.append((x // g, den // g))
-    return _entropy(pairs)
+        terms.append((x // g, den // g, k))
+    return _entropy(terms)
 
 
 def shannon_entropy(m: MarkovMeasure, p: Partition) -> float:
@@ -110,20 +125,30 @@ def shannon_entropy(m: MarkovMeasure, p: Partition) -> float:
 
 
 class _Join:
-    """The join of a partition's shifts as a forward pass, recoded once.
+    """The join of a partition's shifts as a forward pass, recoded once and lumped.
 
     Higher-block recoding (Lind & Marcus, §1.4 and §2.3): every atom becomes
     a set of legal words over the partition's common support [lo, hi] (width
-    w; whole-space atoms do not widen it), and each live assignment carries
-    one integer vector v with v[u] / den = mu(assignment and word u on
-    [t+lo, t+hi]) at the last sequence coordinate t. The window at t holds
-    every coordinate a later window shares with earlier ones, so extending
-    by a gap g never revisits the constraints: for g >= w the vector
-    collapses to its last symbol and crosses the free coordinates by
-    P^(g-w+1); for g < w it steps the overlapping window g symbols forward.
-    Restricting to an atom keeps its words, and zero-measure assignments are
-    dropped. A pass along seq crosses w - 1 + (seq[-1] - seq[0]) transitions,
-    whatever its gaps, so all live vectors share one denominator.
+    w; whole-space atoms do not widen it), and each assignment of atoms to
+    the sequence so far has one integer vector v with v[u] / den =
+    mu(assignment and word u on [t+lo, t+hi]) at the last sequence
+    coordinate t. The window at t holds every coordinate a later window
+    shares with earlier ones, so extending by a gap g never revisits the
+    constraints: for g >= w the vector collapses to its last symbol and
+    crosses the free coordinates by P^(g-w+1); for g < w it steps the
+    overlapping window g symbols forward. Restricting to an atom keeps its
+    words, and zero-measure assignments are dropped. A pass along seq
+    crosses w - 1 + (seq[-1] - seq[0]) transitions, whatever its gaps, so
+    all vectors share one denominator.
+
+    Every step is linear, so an assignment's future depends on its vector
+    only through its direction (lumpability; Kemeny & Snell, §6.3). The live
+    state is a list of (u, scales) pairs: u is a primitive vector (its
+    entries have gcd 1), and scales maps each integer factor g to the number
+    of assignments whose vector is g·u. A step works out each direction's
+    children once and merges the children that share a direction, so a
+    Bernoulli generator profile holds 2 directions, not 2^n vectors. A
+    yielded state is never changed afterwards: greedy trials resume from it.
     """
 
     def __init__(self, m: MarkovMeasure, p: Partition):
@@ -158,50 +183,81 @@ class _Join:
         self.m = m
         self.width = width
 
-    def run(self, seq: Sequence[int], live: list[dict[int, int]], start: int):
-        """The live vectors after each of seq[start:], resuming from the live
-        vectors after seq[:start] (ignored when start is 0)."""
+    def run(self, seq: Sequence[int], live: list, start: int):
+        """The lumped states after each of seq[start:], resuming from the
+        state after seq[:start] (ignored when start is 0)."""
         for n in range(start, len(seq)):
             if n == 0:
-                nxt = [_spread(self.m.pi_num, atom) for atom in self.atoms]
+                families = [([_spread(self.m.pi_num, atom) for atom in self.atoms], {1: 1})]
             else:
-                nxt = self._advance(live, seq[n] - seq[n - 1])
-            live = [v for v in nxt if v]
-            if len(live) > JOIN_ASSIGNMENT_CAP:
+                families = self._advance(live, seq[n] - seq[n - 1])
+            live = _lump(families)
+            if sum(k for _u, scales in live for k in scales.values()) > JOIN_ASSIGNMENT_CAP:
                 raise CapExceededError(
                     f"join refinement exceeds {JOIN_ASSIGNMENT_CAP} live atoms"
                 )
             yield live
 
-    def _advance(self, live: list[dict[int, int]], gap: int) -> list[dict[int, int]]:
-        nxt = []
+    def _advance(self, live: list, gap: int) -> list:
+        """(children, scales) per live direction: its vector's child under
+        each atom after the gap, and the scales they inherit."""
+        families = []
         if gap >= self.width:
             power = self.m.power_num(gap - self.width + 1)
-            for v in live:
-                entry = _carry(_collapse(v, self.last), power)
-                nxt.extend(_spread(entry, atom) for atom in self.atoms)
-            return nxt
+            for u, scales in live:
+                entry = _carry(_collapse(u, self.last), power)
+                families.append(([_spread(entry, atom) for atom in self.atoms], scales))
+            return families
         step = self.step
-        for v in live:
+        for v, scales in live:
             for _ in range(gap):
                 moved: dict[int, int] = {}
                 for i, x in v.items():
                     for j, pr in step[i]:
                         moved[j] = moved.get(j, 0) + x * pr
                 v = moved
-            nxt.extend({i: x for i, x in v.items() if i in members} for members in self.member_sets)
-        return nxt
+            children = [{i: x for i, x in v.items() if i in members} for members in self.member_sets]
+            families.append((children, scales))
+        return families
 
     def den(self, seq: Sequence[int]) -> int:
-        """The common denominator of the live vectors after all of seq."""
+        """The common denominator of the vectors after all of seq."""
         return self.m.den(self.width - 1 + seq[-1] - seq[0])
 
 
+def _lump(families) -> list:
+    """The lumped state of (children, scales) families: a nonzero child c·u,
+    with u primitive, of a direction with scales {g: k} stands for k
+    assignments with vector (g·c)·u. Children that share u are merged."""
+    live = []
+    at: dict[frozenset, dict[int, int]] = {}
+    for children, scales in families:
+        for v in children:
+            if not v:
+                continue
+            c = math.gcd(*v.values())
+            if c > 1:
+                v = {i: x // c for i, x in v.items()}
+            key = frozenset(v.items())
+            merged = at.get(key)
+            if merged is None:
+                at[key] = merged = {g * c: k for g, k in scales.items()}
+                live.append((v, merged))
+            else:
+                for g, k in scales.items():
+                    merged[g * c] = merged.get(g * c, 0) + k
+    return live
+
+
+def _masses(live) -> list[tuple[int, int]]:
+    """(mass, count) pairs of a lumped state: count assignments of measure mass / den."""
+    return [(g * total, k) for u, scales in live for total in (sum(u.values()),) for g, k in scales.items()]
+
+
 def _readouts(join: _Join, seq: Sequence[int], states):
-    """(masses, denominator) of the positive join atoms from the live vectors
-    after each prefix of seq: the measures are mass / denominator."""
+    """(lumped state, denominator) after each prefix of seq."""
     for n, live in enumerate(states, start=1):
-        yield [sum(v.values()) for v in live], join.den(seq[:n])
+        yield live, join.den(seq[:n])
 
 
 def _join_profile(m: MarkovMeasure, p: Partition, seq: Sequence[int]):
@@ -212,9 +268,11 @@ def _join_profile(m: MarkovMeasure, p: Partition, seq: Sequence[int]):
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """(n, H_n, H_n / n) rows along the prefixes of a sequence."""
+    """(n, H_n, H_n / n) rows along the prefixes of a sequence, and the
+    (live directions, assignments) of the lumped join after each prefix."""
 
     rows: tuple[tuple[int, float, float], ...]
+    join_sizes: tuple[tuple[int, int], ...]
 
     @property
     def final_increment(self) -> float:
@@ -231,11 +289,13 @@ def sequence_entropy_profile(
 
 
 def _profile(readouts) -> EntropyProfile:
-    rows = []
-    for n, (masses, den) in enumerate(readouts, start=1):
+    rows, sizes = [], []
+    for n, (live, den) in enumerate(readouts, start=1):
+        masses = _masses(live)
         h = _mass_entropy(masses, den)
         rows.append((n, h, h / n))
-    return EntropyProfile(tuple(rows))
+        sizes.append((len(live), sum(k for _x, k in masses)))
+    return EntropyProfile(tuple(rows), tuple(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +424,14 @@ def greedy_entropy_sequence(
 
 
 def _greedy(m: MarkovMeasure, p: Partition, length: int, horizon: int):
-    """The greedy sequence, its _Join and the live vectors after each of its prefixes."""
+    """The greedy sequence, its _Join and the lumped states after each of its prefixes."""
     if length > horizon:
         raise ValueError(f"cannot choose {length} distinct shifts below horizon {horizon}")
     join = _Join(m, p)
     chosen: list[int] = []
-    # saved[i]: the live vectors after chosen[: i + 1]. A trial shift s
-    # resumes from those of the chosen shifts below it.
-    saved: list[list[dict[int, int]]] = []
+    # saved[i]: the lumped state after chosen[: i + 1]. A trial shift s
+    # resumes from that of the chosen shifts below it.
+    saved: list[list] = []
     for _ in range(length):
         best_h = best = None
         for s in range(horizon):
@@ -380,7 +440,7 @@ def _greedy(m: MarkovMeasure, p: Partition, length: int, horizon: int):
             i = bisect(chosen, s)
             trial = chosen[:i] + [s] + chosen[i:]
             states = list(join.run(trial, saved[i - 1] if i else [], i))
-            h = _mass_entropy([sum(v.values()) for v in states[-1]], join.den(trial))
+            h = _mass_entropy(_masses(states[-1]), join.den(trial))
             if best_h is None or h > best_h + 1e-12:
                 best_h, best = h, (i, trial, states)
         i, chosen, states = best
@@ -419,7 +479,7 @@ def crosscheck_hms_hap(
 
     partition = two_set_partition(b)
     if len(partition) < 2:
-        profile = EntropyProfile(((1, 0.0, 0.0),))
+        profile = EntropyProfile(((1, 0.0, 0.0),), ((1, 1),))
         greedy = (0,)
     else:
         greedy, join, saved = _greedy(m, partition, GREEDY_LEN, GREEDY_HORIZON)

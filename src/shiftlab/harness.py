@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import KINDS, Experiment, RunConfig
-from .entropy import sequence_entropy_profile
+from .entropy import JOIN_ASSIGNMENT_CAP, sequence_entropy_profile
 from .errors import EntryTimeNotFoundError
 from .folner import density, density_from_indicator, membership_predicate, orbit_indicator
 from .independence import full_e, independence_density_profile, random_table_e
@@ -48,8 +48,14 @@ def _run_entropy(exp: Experiment, seed_override: Optional[int]) -> list[ReportRo
             inputs = {"sequence": list(seq), "n": n, "partition": partition_spec}
             operation = f"sequence_entropy_profile[s{si}][n{n:02d}]"
             rows.append(_row(exp, operation, inputs, {"H_n": h, "H_n_over_n": rate}))
-        # One profile is one measured span: it lands on the sequence's last row.
+        # One profile is one measured span: it lands on the sequence's last
+        # row, with the lumped join's size after each prefix.
         rows[-1].runtime_ms = dt
+        rows[-1].details = {
+            "join_directions": [d for d, _a in profile.join_sizes],
+            "join_assignments": [a for _d, a in profile.join_sizes],
+            "join_assignment_cap": JOIN_ASSIGNMENT_CAP,
+        }
     return rows
 
 

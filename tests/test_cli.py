@@ -655,3 +655,36 @@ def test_entropy_runtime_on_final_row_only(runner, tmp_path):
         assert len(timed) == 1 and timed[0]["inputs"]["n"] == length
     csv_lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
     assert len(csv_lines) == 5 and all(line.endswith(",") for line in csv_lines)
+
+
+@pytest.mark.parametrize("length", [14, 15])
+def test_join_cap_exits_3(runner, tmp_path, length):
+    """A Bernoulli generator profile holds 2^n join atoms after n terms: 14
+    terms reach JOIN_ASSIGNMENT_CAP and run, 15 pass it and exit 3. The last
+    row's JSON details carry the lumped join's size per prefix."""
+    config = {
+        "experiment_id": "cap",
+        "kind": "entropy",
+        "system": "bernoulli",
+        "params": {"partition": "generators", "sequences": [list(range(length))]},
+        "output": {"csv": "cap.csv", "json": "cap.json"},
+    }
+    path = tmp_path / "cap_config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
+    assert "Traceback" not in result.output
+    if length == 15:
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "cap exhausted" in result.output
+        assert not (tmp_path / "cap.csv").exists()
+        return
+    assert result.exit_code == 0, result.output
+    assert "H_n=9.704060527839" in (tmp_path / "cap.csv").read_text()
+    rows = json.loads((tmp_path / "cap.json").read_text())["rows"]
+    assert [r["details"] for r in rows[:-1]] == [{}] * 13
+    assert rows[-1]["details"] == {
+        "join_directions": [2] * 14,
+        "join_assignments": [2**n for n in range(1, 15)],
+        "join_assignment_cap": 2**14,
+    }

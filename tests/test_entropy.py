@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,10 @@ from shiftlab.entropy import (
     GREEDY_LEN,
     JOIN_ASSIGNMENT_CAP,
     Partition,
+    _Join,
     _join_profile,
+    _mass_entropy,
+    _masses,
     crosscheck_hms_hap,
     default_cell_family,
     df_estimate,
@@ -41,8 +45,12 @@ def entropy_of(measures):
 
 
 def join_measures(m, p, seq):
-    """The exact join measures after every prefix of seq, from the integer engine."""
-    return [[Fraction(x, den) for x in masses] for masses, den in _join_profile(m, p, seq)]
+    """The exact join measures after every prefix of seq, from the integer
+    engine, with each lumped mass repeated once per assignment it stands for."""
+    return [
+        [Fraction(x, den) for x, count in _masses(live) for _ in range(count)]
+        for live, den in _join_profile(m, p, seq)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +240,82 @@ def test_profile_cap_refuses(bernoulli):
         sequence_entropy_profile(
             bernoulli.measure, generator_partition(bernoulli.sft), range(15)
         )
+
+
+def expanded_entropy(masses, den):
+    """-math.fsum over the terms of the reduced measures mass / den, each
+    listed once per count: the sum a lumped readout must reproduce."""
+    terms = []
+    for x, count in masses:
+        g = math.gcd(x, den)
+        n, d = x // g, den // g
+        terms += [(n / d) * (math.log(n) - math.log(d))] * count
+    return -math.fsum(terms)
+
+
+@st.composite
+def weighted_masses(draw):
+    # Denominators up to 2^1130 put mass / den, and the terms, below the
+    # smallest normal float (2^-1022) and into the subnormals.
+    shift = draw(st.one_of(st.integers(0, 1130), st.integers(1020, 1130)))
+    den = draw(st.integers(1, 1 << 20)) << shift
+    small = st.integers(1, min(den, 1 << 64))
+    masses = draw(st.lists(
+        st.tuples(st.one_of(small, st.integers(1, den)), st.integers(1, JOIN_ASSIGNMENT_CAP)),
+        min_size=1, max_size=4,
+    ))
+    return masses, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_masses())
+def test_mass_entropy_weights_counts_exactly(case):
+    masses, den = case
+    assert _mass_entropy(masses, den).hex() == expanded_entropy(masses, den).hex()
+
+
+def test_mass_entropy_near_underflow():
+    den = 1 << 1100
+    masses = [(1, JOIN_ASSIGNMENT_CAP), (3, 7), ((1 << 60) + 1, 1), (den - (1 << 80), 2)]
+    assert _mass_entropy(masses, den).hex() == expanded_entropy(masses, den).hex()
+    assert _mass_entropy([(den, 1)], den).hex() == expanded_entropy([(den, 1)], den).hex()
+
+
+LUMP_SEQUENCE = (0, 1, 2, 3, 5, 8, 9, 12, 13, 17, 20, 21, 25, 30)
+
+
+@pytest.mark.parametrize("system, directions, h14", [
+    (bernoulli_system(), 2, "0x1.3687a9f1af2b1p+3"),
+    (golden_mean_system(), 2, "0x1.f3905444216a5p+2"),
+    (cycle4_system(), 4, "0x1.62e42fefa39efp+0"),
+])
+def test_generator_join_stays_lumped(system, directions, h14):
+    # H_14 is the value of the unlumped engine, which held one vector per
+    # join atom (2^14 on Bernoulli).
+    m, p = system.measure, generator_partition(system.sft)
+    profile = sequence_entropy_profile(m, p, LUMP_SEQUENCE)
+    assert profile.rows[-1][1].hex() == h14
+    assert len(profile.join_sizes) == 14
+    assert all(d <= directions for d, _a in profile.join_sizes)
+    if system.id == "bernoulli":
+        assert profile.join_sizes == tuple((2, 2**n) for n in range(1, 15))
+
+
+def test_yielded_join_states_never_change():
+    # Greedy trials resume from saved states, so a later step must build
+    # new directions and scales, never edit the ones it started from.
+    m = three_symbol_chain()
+    p = mixed_support_partition(m.sft)
+    seq = (0, 1, 2, 4, 5, 9)
+    join = _Join(m, p)
+    states, copies = [], []
+    for live in join.run(seq, [], 0):
+        states.append(live)
+        copies.append(copy.deepcopy(live))
+    assert states == copies
+    for i in range(1, len(seq)):
+        list(join.run(seq, states[i - 1], i))
+    assert states == copies
 
 
 def test_one_atom_partition_zero(cycle4):
