@@ -61,7 +61,6 @@ from .independence import (
     random_table_e,
 )
 from .sensitivity import (
-    RAPair,
     Verdict,
     classify_diam_pair,
     classify_ms_pair,
@@ -71,7 +70,6 @@ from .sensitivity import (
     find_sensitivity_witnesses,
     pigeonhole_bound,
     pigeonhole_oracle,
-    ra_search,
 )
 from .panel import canonical_pairs, get_system, panel_systems
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 from .errors import CapExceededError
 from .folner import density_from_indicator, orbit_indicator
 from .measures import MarkovMeasure, measure_of, mix_seed, sample_point_in
-from .measures import _carry, _collapse, _gap_measures, _spread
+from .measures import _carry, _collapse, _gap_nums, _spread
 from .symbolic import (
     ConstraintAutomaton,
     CylinderUnion,
@@ -321,13 +321,32 @@ def separation_count(
         if eps is None or eps <= 0:
             raise ValueError("eps must be positive")
         eps_sq = Fraction(eps) ** 2
-    mu_base = measure_of(m, base)
-    separated = [2 * mu_base - 2 * mu > eps_sq for mu in _gap_measures(m, base, base, horizon)]
+    return len(_separated_reps(m, base, measure_of(m, base), horizon, Fraction(eps_sq)))
+
+
+def _separated_reps(
+    m: MarkovMeasure, base: SetLike, mu_base: Fraction, horizon: int, eps_sq: Fraction
+) -> list[int]:
+    """The greedy eps-separated shifts below the horizon, in order. The greedy
+    over a shorter horizon is the prefix of this list below it.
+
+    ||1_B - 1_{T^-g B}||^2 = 2 mu(B) - 2 mu(B ∩ T^-g B) > eps_sq is decided by
+    integer cross-multiplication, and each chosen shift r forbids r + g for
+    every gap g that does not separate.
+    """
+    n_b, d_b = mu_base.numerator, mu_base.denominator
+    p, q = eps_sq.numerator, eps_sq.denominator
+    nonsep = 0
+    for g, (n, d) in enumerate(_gap_nums(m, base, base, horizon)):
+        if 2 * q * (n_b * d - n * d_b) <= p * d_b * d:
+            nonsep |= 1 << g
     reps: list[int] = []
+    forbidden = 0
     for s in range(horizon):
-        if all(separated[s - r] for r in reps):
+        if not forbidden >> s & 1:
             reps.append(s)
-    return len(reps)
+            forbidden |= nonsep << s
+    return reps
 
 
 def df_estimate(x: PointRep, y: PointRep, b: SetLike, n_max: int) -> float:
@@ -499,7 +518,8 @@ def crosscheck_hms_hap(
 def separation_counts(m: MarkovMeasure, b: CylinderUnion) -> tuple[int, ...]:
     """b's separation counts at eps^2 = mu(b)(1 - mu(b)), one per SEPARATION_HORIZONS."""
     mu_b = measure_of(m, b)
-    return tuple(separation_count(m, b, h, eps_sq=mu_b * (1 - mu_b)) for h in SEPARATION_HORIZONS)
+    reps = _separated_reps(m, b, mu_b, max(SEPARATION_HORIZONS), mu_b * (1 - mu_b))
+    return tuple(sum(r < h for r in reps) for h in SEPARATION_HORIZONS)
 
 
 def separation_growing(counts: tuple[int, ...]) -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -284,30 +285,56 @@ def _blocks_measure(
     return Fraction(sum(ends.values()), m.den(e))
 
 
-def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[Fraction]:
-    """[mu(a ∩ T^{-g} b) for 0 <= g < horizon] from one pass over the gaps.
+def _gap_nums(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[tuple[int, int]]:
+    """[(num, den) with mu(a ∩ T^{-g} b) = num / den for 0 <= g < horizon],
+    each den an unreduced m.den(...), from one pass over the gaps.
 
     While the shifted b starts inside a's span the two cluster into one block
-    chain; past it, a's last-symbol masses (one chain) are carried to b's
-    first coordinate and chained through b's blocks.
+    chain. Past it the measure is ends_a . P^steps . beta over one
+    denominator, where ends_a are a's last-symbol masses (one chain) and
+    beta[j] is the numerator of b's blocks entered at symbol j (one chain per
+    symbol). r = P^steps . beta is carried one transition per gap.
     """
     atoms_a, atoms_b = (constraint_atoms([(0, s)], m.sft) for s in (a, b))
     if not atoms_a or not atoms_b:
         # One side is empty or the whole space, so one set contains the other.
-        return [min(measure_of(m, a), measure_of(m, b))] * horizon
+        mu = min(measure_of(m, a), measure_of(m, b))
+        return [(mu.numerator, mu.denominator)] * horizon
     blocks_a, blocks_b = (_cluster_constraints(m.sft, atoms) for atoms in (atoms_a, atoms_b))
-    ends_a, e_a = _chain(m, blocks_a, m.pi_num, 0)
     a_end = blocks_a[-1][0] + len(blocks_a[-1][1][0]) - 1
+    b_start = blocks_b[0][0]
+    # The first gap whose shifted b starts past a's span.
+    split = min(horizon, max(0, a_end - b_start + 1))
     out = []
-    for g in range(horizon):
-        steps = g + blocks_b[0][0] - a_end
-        if steps > 0:
-            entry = _carry(ends_a, m.power_num(steps))
-            out.append(_blocks_measure(m, blocks_b, entry, e_a + steps))
+    for g in range(split):
+        blocks = _cluster_constraints(m.sft, atoms_a + [(s + g, w) for s, w in atoms_b])
+        if blocks is None:
+            out.append((0, 1))
         else:
-            blocks = _cluster_constraints(m.sft, atoms_a + [(s + g, w) for s, w in atoms_b])
-            out.append(Fraction(0) if blocks is None else _blocks_measure(m, blocks))
+            ends, e = _chain(m, blocks, m.pi_num, 0)
+            out.append((sum(ends.values()), m.den(e)))
+    if split == horizon:
+        return out
+    k = m.sft.alphabet_size
+    ends, e_a = _chain(m, blocks_a, m.pi_num, 0)
+    ends_a = [ends.get(c, 0) for c in range(k)]
+    units = [[int(c == j) for c in range(k)] for j in range(k)]
+    beta = [sum(_chain(m, blocks_b, unit, 0)[0].values()) for unit in units]
+    steps = split + b_start - a_end
+    b_span = blocks_b[-1][0] + len(blocks_b[-1][1][0]) - 1 - b_start
+    r = [sum(map(operator.mul, row, beta)) for row in m.power_num(steps)]
+    den = m.den(e_a + steps + b_span)
+    P_num = m.power_num(1)
+    for _ in range(split, horizon):
+        out.append((sum(map(operator.mul, ends_a, r)), den))
+        r = [sum(map(operator.mul, row, r)) for row in P_num]
+        den *= m._d
     return out
+
+
+def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[Fraction]:
+    """The gap measures of `_gap_nums`, reduced."""
+    return [Fraction(n, d) for n, d in _gap_nums(m, a, b, horizon)]
 
 
 def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) -> Fraction:

@@ -30,7 +30,7 @@ from .independence import (
 )
 from .measures import (
     MarkovMeasure,
-    _gap_measures,
+    _gap_nums,
     measure_of,
     mix_seed,
     sample_point,
@@ -126,35 +126,8 @@ def disjoint_family_counterexample(a) -> tuple[list[int], list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# R_A search and sensitivity witnesses
+# Best shift pair and sensitivity witnesses
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RAPair:
-    """A shift pair whose pulled-back copies of A overlap positively."""
-
-    s: int
-    t: int
-    intersection_measure: Fraction
-
-    def __post_init__(self):
-        if self.intersection_measure <= 0:
-            raise ValueError("RAPair requires positive intersection measure")
-
-
-def ra_search(m: MarkovMeasure, a: SetLike, bound: int) -> list[RAPair]:
-    """All 0 <= s < t <= bound with mu(s^{-1}A ∩ t^{-1}A) > 0, sorted by (s, t)."""
-    if measure_of(m, a) == 0:
-        raise ValueError("A must have positive measure")
-    # By shift invariance mu(s^{-1}A ∩ t^{-1}A) = mu(A ∩ T^{-(t-s)}A).
-    by_gap = _gap_measures(m, a, a, bound + 1)
-    return [
-        RAPair(s, t, by_gap[t - s])
-        for s in range(bound + 1)
-        for t in range(s + 1, bound + 1)
-        if by_gap[t - s] > 0
-    ]
 
 
 def _best_gap(
@@ -163,14 +136,16 @@ def _best_gap(
     """The first gap 0 < g <= bound with mu(A ∩ T^{-g}A) > 0 maximizing
     mu(Ux ∩ T^{-g}Uy), with that measure, or None. By shift invariance the
     measures of (s, t) depend on t - s only, so (0, g) is the first best pair
-    of the search over 0 <= s < t <= bound in (s, t) order."""
-    admissible = _gap_measures(m, a, a, bound + 1)
-    targets = _gap_measures(m, ux, uy, bound + 1)
+    of the search over 0 <= s < t <= bound in (s, t) order. Gap measures are
+    compared as integer cross-products."""
+    admissible = _gap_nums(m, a, a, bound + 1)
+    targets = _gap_nums(m, ux, uy, bound + 1)
     best = None
     for g in range(1, bound + 1):
-        if admissible[g] and (best is None or targets[g] > best[1]):
-            best = (g, targets[g])
-    return best
+        n, d = targets[g]
+        if admissible[g][0] and (best is None or n * targets[best][1] > targets[best][0] * d):
+            best = g
+    return None if best is None else (best, Fraction(*targets[best]))
 
 
 PAIR_BOUND = 6  # shift pairs (s, t) are searched over 0 <= s < t <= PAIR_BOUND

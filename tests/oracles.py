@@ -160,6 +160,51 @@ def constraint_measure_oracle(m: MarkovMeasure, constraints) -> Fraction:
     return total
 
 
+def gap_measures_oracle(m: MarkovMeasure, a, b, horizon: int) -> list[Fraction]:
+    """[mu(a ∩ T^{-g} b) for 0 <= g < horizon]. Gaps where the shifted b starts
+    inside a's window enumerate covering words; past it, each (word of a, word
+    of b) pair is weighted through the Fraction matrix P^steps, raised by one
+    plain product per gap."""
+    if a.is_empty or b.is_empty:
+        return [Fraction(0)] * horizon
+    (a_lo, a_hi), (b_lo, b_hi) = constraint_span([(0, a)]), constraint_span([(0, b)])
+    words_a = [(w, x) for w, x in weighted_words(m, a_lo, a_hi) if satisfies((0, a), w, a_lo)]
+    words_b = [(w, x) for w, x in weighted_words(m, b_lo, b_hi) if satisfies((0, b), w, b_lo)]
+    k = m.sft.alphabet_size
+    power, power_steps = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)], 0
+    out = []
+    for g in range(horizon):
+        steps = g + b_lo - a_hi
+        if steps <= 0:
+            out.append(constraint_measure_oracle(m, [(0, a), (g, b)]))
+            continue
+        while power_steps < steps:
+            power = [
+                [sum(power[i][c] * m.transition[c][j] for c in range(k)) for j in range(k)]
+                for i in range(k)
+            ]
+            power_steps += 1
+        out.append(sum(
+            (x * power[u[-1]][v[0]] * y / m.stationary[v[0]]
+             for u, x in words_a for v, y in words_b),
+            Fraction(0),
+        ))
+    return out
+
+
+def separation_count_oracle(m: MarkovMeasure, base, horizon: int, eps_sq: Fraction) -> int:
+    """The greedy eps-separated subset of the shifts below the horizon: s is
+    kept iff 2 mu(B) - 2 mu(B ∩ T^{-(s - r)} B) > eps_sq for every kept r,
+    every measure a Fraction from `gap_measures_oracle`."""
+    mu = constraint_measure_oracle(m, [(0, base)])
+    gaps = gap_measures_oracle(m, base, base, horizon)
+    reps: list[int] = []
+    for s in range(horizon):
+        if all(2 * mu - 2 * gaps[s - r] > eps_sq for r in reps):
+            reps.append(s)
+    return len(reps)
+
+
 def satisfiable_oracle(sft: Sft, constraints) -> bool:
     """Nonemptiness of the constrained set by direct word enumeration."""
     if any(setlike.is_empty for _s, setlike in constraints):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from shiftlab.entropy import (
     GREEDY_LEN,
     JOIN_ASSIGNMENT_CAP,
+    SEPARATION_HORIZONS,
     Partition,
     _Join,
     _join_profile,
@@ -23,6 +24,7 @@ from shiftlab.entropy import (
     greedy_entropy_sequence,
     ms_function_test,
     separation_count,
+    separation_counts,
     sequence_entropy_profile,
     shannon_entropy,
     two_set_partition,
@@ -34,8 +36,10 @@ from shiftlab.symbolic import CylinderUnion, EventuallyPeriodic, cylinder, whole
 from shiftlab.verdicts import MsFunctionParams
 from .oracles import (
     constraint_span,
+    gap_measures_oracle,
     greedy_entropy_oracle,
     join_entropy_oracle,
+    separation_count_oracle,
     three_symbol_chain,
 )
 
@@ -349,6 +353,57 @@ def test_separation_exact_threshold(bernoulli):
     # Pairwise squared distance is exactly 1/2: eps^2 below it keeps all.
     assert separation_count(bernoulli.measure, base, 40, eps_sq=Fraction(49, 100) / 2) == 40
     assert separation_count(bernoulli.measure, base, 40, eps_sq=Fraction(1, 2)) == 1
+
+
+def _separation_base(data, m):
+    """The whole space, the empty set, or a union of one to three cylinders of
+    width <= 3 at starts -2 to 1."""
+    pick = data.draw(st.integers(0, 9))
+    if pick < 2:
+        return whole_space(m.sft) if pick else CylinderUnion(m.sft, [])
+    cylinders = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        word = data.draw(st.sampled_from(list(m.sft.legal_words(data.draw(st.integers(1, 3))))))
+        cylinders.append((data.draw(st.integers(-2, 1)), word))
+    return CylinderUnion(m.sft, cylinders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_separation_count_matches_fraction_greedy_oracle(data):
+    # eps^2 is the crosscheck's mu(1 - mu), a drawn fraction, or a squared
+    # distance the base reaches exactly, where only strict separation counts.
+    m = data.draw(st.sampled_from(JOIN_MEASURES))
+    base = _separation_base(data, m)
+    horizon = data.draw(st.integers(1, 64))
+    mu = measure_of(m, base)
+    distances = [2 * mu - 2 * g for g in gap_measures_oracle(m, base, base, horizon)]
+    eps_sq = data.draw(
+        st.one_of(
+            st.just(mu * (1 - mu)),
+            st.fractions(min_value=Fraction(1, 1000), max_value=2),
+            st.sampled_from(distances),
+        )
+    )
+    expected = separation_count_oracle(m, base, horizon, eps_sq)
+    assert separation_count(m, base, horizon, eps_sq=eps_sq) == expected
+
+
+def test_separation_counts_equal_separate_counts():
+    for m in JOIN_MEASURES:
+        bases = [
+            cylinder(m.sft, start, w)
+            for start in (-1, 0)
+            for n in (1, 2, 3)
+            for w in m.sft.legal_words(n)
+        ]
+        bases += [c.union(d) for c, d in zip(bases, bases[2:])]
+        for base in bases:
+            mu = measure_of(m, base)
+            expected = tuple(
+                separation_count(m, base, h, eps_sq=mu * (1 - mu)) for h in SEPARATION_HORIZONS
+            )
+            assert separation_counts(m, base) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from shiftlab.independence import (
 from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import periodic_point
 from shiftlab.symbolic import CylinderUnion, cylinder, resolve_constraints, whole_space
+from shiftlab.verdicts import DEFAULT_EPS_GRID, InPairParams
 
 from .oracles import independence_oracle
 
@@ -602,6 +603,38 @@ def test_classify_panel_signs(bernoulli, cycle4):
     r0 = periodic_point(cycle4.sft, [0, 1, 2, 3])
     r1 = periodic_point(cycle4.sft, [1, 2, 3, 0])
     assert classify_in_pair(cycle4.sft, cycle4.measure, r0, r1, 1).is_negative
+
+
+def _blocking_e(sft, u) -> TableE:
+    """E(s) = the complement of T^-s U at every shift of the largest window:
+    no shift can take U, and every E set has measure 1 - mu(U)."""
+    ((start, words),) = u.blocks()
+    return TableE(
+        whole_space(sft),
+        tuple(
+            (s, CylinderUnion(sft, [(start + s, w) for w in words]).complement())
+            for s in range(max(ind.N_LIST))
+        ),
+    )
+
+
+def test_classify_thin_blocking_map_fails_every_eps(bernoulli):
+    # At depth 3 the blocking map's sets have measure 127/128, so it takes
+    # part at the smallest grid eps (and every larger one) and empties every
+    # window at level 3. At depth 2 its sets measure 31/32 < 1 - 0.02, so it
+    # takes part at no eps and the verdict matches the map-free one.
+    zeros = periodic_point(bernoulli.sft, "0")
+    ones = periodic_point(bernoulli.sft, "1")
+    for depth, thin in ((3, True), (2, False)):
+        e = _blocking_e(bernoulli.sft, point_neighborhood(zeros, depth))
+        params = InPairParams(extra_e_maps=(e,))
+        got = classify_in_pair(bernoulli.sft, bernoulli.measure, zeros, ones, depth, params)
+        if thin:
+            assert got.is_negative
+            assert got.note == "level 3: no eps in the grid keeps the floor above c_min"
+        else:
+            free = classify_in_pair(bernoulli.sft, bernoulli.measure, zeros, ones, depth)
+            assert got == free and got.eps_certified == min(DEFAULT_EPS_GRID)
 
 
 def test_separating_depth(bernoulli):

@@ -15,6 +15,7 @@ from shiftlab.measures import (
     _draw,
     _draw_bounds,
     _gap_measures,
+    _gap_nums,
     _path,
     _pick,
     _stream,
@@ -296,6 +297,21 @@ def test_gap_measures_match_oracle(data):
     horizon = hi - lo + 1 + data.draw(st.integers(0, 2))
     expected = [constraint_measure_oracle(m, [(0, a), (g, b)]) for g in range(horizon)]
     assert _gap_measures(m, a, b, horizon) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gap_kernel_far_gaps_match_measure_of_constraints(data):
+    # Gaps 30 to 40 past the common window of a and b, where the kernel has
+    # carried its vector one transition per gap for 30 or more gaps; checked
+    # against measure_of_constraints, which crosses the gap by one matrix power.
+    m = data.draw(st.sampled_from(SAMPLER_MEASURES[:4]))
+    a, b = _gap_set(data, m), _gap_set(data, m)
+    lo, hi = constraint_span([(0, a), (0, b)])
+    far = hi - lo + 1 + 30
+    got = _gap_nums(m, a, b, far + 11)[far:]
+    expected = [measure_of_constraints(m, [(0, a), (g, b)]) for g in range(far, far + 11)]
+    assert [Fraction(n, d) for n, d in got] == expected
 
 
 def _set_like(data, sft: Sft):

@@ -6,7 +6,6 @@ import pytest
 from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.sensitivity import (
-    RAPair,
     _best_gap,
     _visit_predicate,
     classify_diam_pair,
@@ -16,7 +15,6 @@ from shiftlab.sensitivity import (
     find_sensitivity_witnesses,
     pigeonhole_bound,
     pigeonhole_oracle,
-    ra_search,
 )
 from shiftlab.symbolic import cylinder, point_in_set, resolve_constraints, whole_space
 from shiftlab.verdicts import Verdict, WitnessParams
@@ -62,28 +60,8 @@ def test_pigeonhole_minimality():
 
 
 # ---------------------------------------------------------------------------
-# R_A search
+# Best shift pair
 # ---------------------------------------------------------------------------
-
-
-def test_ra_search_whole_space(bernoulli):
-    pairs = ra_search(bernoulli.measure, whole_space(bernoulli.sft), 3)
-    assert len(pairs) == 6
-    assert all(p.intersection_measure == 1 for p in pairs)
-    assert [(p.s, p.t) for p in pairs] == sorted((p.s, p.t) for p in pairs)
-
-
-def test_ra_search_bernoulli_cylinder(bernoulli):
-    pairs = ra_search(bernoulli.measure, cylinder(bernoulli.sft, 0, "0"), 3)
-    assert all(p.intersection_measure == Fraction(1, 4) for p in pairs)
-
-
-def test_ra_search_golden_excludes_adjacent(golden):
-    one = cylinder(golden.sft, 0, "1")
-    pairs = ra_search(golden.measure, one, 2)
-    assert (0, 1) not in [(p.s, p.t) for p in pairs]
-    p02 = next(p for p in pairs if (p.s, p.t) == (0, 2))
-    assert p02.intersection_measure == Fraction(1, 6)
 
 
 def _shift_pair_sets(system) -> list:
@@ -100,16 +78,8 @@ def _per_pair(m, a, ux, uy, bound):
     """The (s, t) double loop the gap readouts replace: admissible pairs with their targets."""
     for s in range(bound + 1):
         for t in range(s + 1, bound + 1):
-            admissible = measure_of_constraints(m, [(s, a), (t, a)])
-            if admissible > 0:
-                yield s, t, admissible, measure_of_constraints(m, [(s, ux), (t, uy)])
-
-
-def test_ra_search_matches_per_pair_measures(systems):
-    for system in systems:
-        for a in _shift_pair_sets(system):
-            expected = [RAPair(s, t, mu) for s, t, mu, _ in _per_pair(system.measure, a, a, a, 5)]
-            assert ra_search(system.measure, a, 5) == expected
+            if measure_of_constraints(m, [(s, a), (t, a)]) > 0:
+                yield s, t, measure_of_constraints(m, [(s, ux), (t, uy)])
 
 
 def test_best_gap_is_first_best_shift_pair(systems):
@@ -120,16 +90,11 @@ def test_best_gap_is_first_best_shift_pair(systems):
         a, ux, uy = (rng.choice(sets) for _ in range(3))
         bound = rng.randrange(0, 7)
         best = None
-        for s, t, _admissible, target in _per_pair(system.measure, a, ux, uy, bound):
+        for s, t, target in _per_pair(system.measure, a, ux, uy, bound):
             if best is None or target > best[2]:
                 best = (s, t, target)
         got = _best_gap(system.measure, a, ux, uy, bound)
         assert best == (None if got is None else (0, *got))
-
-
-def test_ra_pair_requires_positive_measure():
-    with pytest.raises(ValueError):
-        RAPair(0, 1, Fraction(0))
 
 
 # ---------------------------------------------------------------------------
