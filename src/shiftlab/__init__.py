@@ -21,7 +21,6 @@ from .symbolic import (
 )
 from .measures import (
     MarkovMeasure,
-    l2_distance_sq,
     measure_of,
     measure_of_constraints,
     sample_point,

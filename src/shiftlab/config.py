@@ -357,8 +357,3 @@ def load_config(source: Union[str, Path, dict]) -> RunConfig:
 
 def bundled_config_path(name: str) -> Path:
     return Path(__file__).parent / "configs" / f"{name}.json"
-
-
-def roundtrip_system(system: PanelSystem) -> PanelSystem:
-    """Serialize and re-parse a bundled system (round-trip identity check)."""
-    return parse_system(serialize_system(system), "roundtrip")

@@ -18,9 +18,10 @@ density profile) shares one memo of translation-relative segment sweeps,
 greedy chains and compiled atoms. It is property-tested against the 2^|I|
 word-enumeration oracle in the test suite.
 
-A threshold test (`ratio_meets`) only decides |I| / |F| >= threshold, so its
-greedy chain stops at ceil(threshold * |F|) chosen shifts. The chain it saves
-is a prefix of the full greedy, which later windows resume.
+A threshold test only decides |I| / |F| >= threshold, so its greedy chain
+stops at ceil(threshold * |F|) chosen shifts, and one greedy over nested
+windows decides them all. The chain it saves is a prefix of the full
+greedy, which later tests resume.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .measures import MarkovMeasure, measure_of
+from .measures import MarkovMeasure, _gap_nums, measure_of
 from .symbolic import (
     ConstraintAutomaton,
     CylinderUnion,
@@ -389,7 +390,7 @@ EXHAUSTIVE_WINDOW_CAP = 24  # widest window searched exactly; wider ones get the
 NODE_BUDGET = 500_000  # branch-and-bound nodes a search visits before it falls back to greedy
 
 
-def _gap_dp_max(free: _Checker, first: _Prefix, f_sorted) -> tuple[int, ...]:
+def _gap_dp_max(compatible, f_sorted) -> tuple[int, ...]:
     """Exact maximum via pairwise-gap DP when placements cannot overlap.
 
     Valid for single-word targets when every gap smaller than the placement
@@ -398,10 +399,10 @@ def _gap_dp_max(free: _Checker, first: _Prefix, f_sorted) -> tuple[int, ...]:
     consecutive pairs (Markov chaining across determined words). With union
     targets pairwise-compatible pairs can need different words at a shared
     placement, so callers keep unions out and check the precondition.
-    `free` is a checker with E ignored and `first` its state of {0}.
+    `compatible(g)` says whether {0, g} is an independence set with E ignored.
     """
-    gaps = sorted({b - a for a in f_sorted for b in f_sorted if b > a})
-    compat = {g: free.extend(first, g) is not None for g in gaps}
+    gaps = {b - a for a in f_sorted for b in f_sorted if b > a}
+    compat = {g: compatible(g) for g in gaps}
     n = len(f_sorted)
     # best[i] = largest subset size starting at position i and going right.
     best = [1] * n
@@ -454,21 +455,28 @@ def max_independence_subset(
     if None in targets:
         return report((), True)
     checker = _Checker(sft, targets, e, _memo)
-    # With E ignored a single placement of nonempty targets always holds.
     free = _Checker(sft, targets, full_e(sft), checker.memo)
-    first = free.extend(free.empty, 0)
+    # With E ignored {a, a + g} is independent or not whatever a is: the memo keeps each gap.
+    compat = checker.memo.setdefault(("gaps", free.targets), {})
+    first = None  # the state of {0}: with E ignored a single placement always holds
+
+    def compatible(g: int) -> bool:
+        nonlocal first
+        if g not in compat:
+            first = first or free.extend(free.empty, 0)
+            compat[g] = free.extend(first, g) is not None
+        return compat[g]
 
     span = free.hi - free.lo + 1
     single_word = all(len(t) == 1 and len(t[0][1]) == 1 for t in targets)
     if single_word and all(e.at(s).is_full for s in f_sorted):
-        if not any(free.extend(first, g) is not None for g in range(1, span)):
-            return report(_gap_dp_max(free, first, f_sorted), True)
+        if not any(compatible(g) for g in range(1, span)):
+            return report(_gap_dp_max(compatible, f_sorted), True)
     # Smallest assignment-universally feasible gap ignoring E: every gap
     # inside any independence set is at least gamma, since subsets of
     # independence sets are independence sets, E only shrinks, and with E
     # ignored the check on {a, a + g} does not depend on a.
-    gaps = range(1, span + 4 * sft.alphabet_size + 1)
-    gamma = next((g for g in gaps if free.extend(first, g) is not None), None)
+    gamma = next((g for g in range(1, span + 4 * sft.alphabet_size + 1) if compatible(g)), None)
 
     if len(f_sorted) > EXHAUSTIVE_WINDOW_CAP:
         return report(_greedy_subset(f_sorted, checker, [], len(f_sorted)), False)
@@ -516,26 +524,34 @@ def ratio_meets(
     *,
     _memo: Optional[dict] = None,
 ) -> bool:
-    """Decide best-ratio >= threshold without always paying for the exact max.
-
-    A ratio of |I| / |F| meets the threshold iff |I| >= need =
-    ceil(threshold * |F|), computed exactly. The greedy chain is a sound
-    lower bound (greedy sets are independence sets), so it stops at `need`
-    chosen shifts and a hit answers yes; otherwise the exact search settles
-    it. The saved chain is a prefix of the full greedy that later windows
-    resume.
-    """
+    """Decide best-ratio >= threshold: `_prefixes_meet` on the one window."""
     f_sorted = tuple(sorted(set(int(s) for s in window)))
     if not f_sorted:
         raise ValueError("window must be nonempty")
-    need = math.ceil(Fraction(threshold) * len(f_sorted))
+    return _prefixes_meet(sft, a1, a2, f_sorted, (len(f_sorted),), e, threshold, _memo)
+
+
+def _prefixes_meet(sft, a1, a2, f_sorted, sizes, e: TableE, threshold, memo) -> bool:
+    """Decide best-ratio >= threshold on every prefix f_sorted[:n], n in sizes.
+
+    A ratio |I| / n meets it iff |I| >= need(n) = ceil(threshold * n). The
+    greedy is a sound lower bound and on a prefix chooses the full greedy's
+    shifts inside it, so one greedy stopped at the largest need decides each
+    prefix where it chose need(n) shifts (need grows with n); each miss
+    falls back to the exact search. The memo keeps the chain per (targets, E).
+    """
+    needs = [math.ceil(Fraction(threshold) * n) for n in sizes]
     targets = (_target_atoms(a1), _target_atoms(a2))
-    checker = _Checker(sft, targets, e, _memo)
-    # The search's memo keeps the greedy chain per (targets, E) for the next window.
+    checker = _Checker(sft, targets, e, memo)
     chain = checker.memo.setdefault(("greedy", targets, e), [])
-    if len(_greedy_subset(f_sorted, checker, chain, need)) >= need:
-        return True
-    return max_independence_subset(sft, a1, a2, f_sorted, e, _memo=checker.memo).ratio >= threshold
+    chosen = _greedy_subset(f_sorted[: max(sizes)], checker, chain, max(needs))
+    for n, need in zip(sizes, needs):
+        if sum(s <= f_sorted[n - 1] for s in chosen) >= need:
+            continue
+        exact = max_independence_subset(sft, a1, a2, f_sorted[:n], e, _memo=checker.memo)
+        if exact.ratio < threshold:
+            return False
+    return True
 
 
 def _greedy_subset(f_sorted, checker: _Checker, chain: list, need: int) -> tuple[int, ...]:
@@ -672,14 +688,23 @@ def classify_in_pair(
     maps built from all shift pairs up to the search bound (the constant-map
     reduction valid for ergodic abelian actions), plus any configured extras;
     only maps whose sets have measure >= 1 - eps participate at a given eps.
-    Positive needs every level to keep its profile floor at or above C_MIN
-    for some eps in the grid.
+    They grow with eps, so the floor is checked at min(DEFAULT_EPS_GRID)
+    only, and a positive verdict certifies that eps, not the largest that
+    would pass. Positive needs every level's profile floor >= C_MIN there.
+
+    By shift invariance the map of (s, t) has measure 1 - mu(Ux ∩ T^-(t-s)
+    Uy), so one gap-kernel readout qualifies all of them before any is
+    built; one whose meet is empty is E = X, whose windows repeat the base
+    profile. The extras qualify once per call: nothing there depends on d.
     """
     if separating_depth(x, y, depth) is None:
         raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
     memo: dict = {}  # one translation-relative sweep memo for every search of the pair
+    level_eps = min(DEFAULT_EPS_GRID)
+    floor = 1 - Fraction(level_eps)
+    window = tuple(range(max(N_LIST)))
+    extras = None  # qualified once, at the first level past its base profile
     level_witnesses = []
-    certified_epses = []
     for d in range(depth + 1):
         ux = point_neighborhood(x, d)
         uy = point_neighborhood(y, d)
@@ -696,28 +721,21 @@ def classify_in_pair(
                     f"(window {len(worst.window)}, best |I| = {len(worst.best)})"
                 ),
             )
-        adversaries: list[TableE] = []
+        if extras is None:
+            extras = [e for e in params.extra_e_maps if e_min_measure(e, m, window) >= floor]
+        meets = _gap_nums(m, ux, uy, RA_BOUND + 1)
+        qualifying = []
         for s in range(RA_BOUND + 1):
             for t in range(s + 1, RA_BOUND + 1):
-                adversaries.append(bad_constant_e(m, s, t, ux, uy))
-        adversaries.extend(params.extra_e_maps)
-
-        # The maps that qualify at eps grow with eps, so if the family fails
-        # at the smallest grid eps it fails at every eps: one check decides.
-        level_eps = min(DEFAULT_EPS_GRID)
-        qualifying = [
-            e
-            for e in adversaries
-            if e_min_measure(e, m, range(max(N_LIST))) >= 1 - Fraction(level_eps)
-        ]
-        family_ok = all(
-            ratio_meets(sft, ux, uy, range(n), e, C_MIN, _memo=memo)
-            for e in qualifying
-            for n in N_LIST
-        )
-        if not family_ok:
+                num, den = meets[t - s]
+                if 1 - Fraction(num, den) >= floor:
+                    e = bad_constant_e(m, s, t, ux, uy)
+                    if not e.default.is_full:  # not just mu = 0: allowed moves can have probability 0
+                        qualifying.append(e)
+        if not all(
+            _prefixes_meet(sft, ux, uy, window, N_LIST, e, C_MIN, memo) for e in qualifying + extras
+        ):
             return Verdict(NEGATIVE, note=f"level {d}: no eps in the grid keeps the floor above c_min")
-        certified_epses.append(level_eps)
         level_witnesses.append(
             {
                 "level": d,
@@ -728,4 +746,4 @@ def classify_in_pair(
                 ),
             }
         )
-    return Verdict(POSITIVE, eps_certified=min(certified_epses), witnesses=tuple(level_witnesses))
+    return Verdict(POSITIVE, eps_certified=level_eps, witnesses=tuple(level_witnesses))

@@ -350,20 +350,6 @@ def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) 
     return Fraction(0) if blocks is None else _blocks_measure(m, blocks)
 
 
-def l2_distance_sq(
-    m: MarkovMeasure, a: ShiftedConstraintSet, b: ShiftedConstraintSet
-) -> Fraction:
-    """||1_A - 1_B||_2^2 = mu(A) + mu(B) - 2 mu(A intersect B), exactly.
-
-    A and B are given as shifted constraint sets; zero iff they agree up to
-    a mu-null set.
-    """
-    mu_a = measure_of_constraints(m, a)
-    mu_b = measure_of_constraints(m, b)
-    mu_ab = measure_of_constraints(m, list(a) + list(b))
-    return mu_a + mu_b - 2 * mu_ab
-
-
 def mix_seed(*parts: int) -> int:
     """One sampling seed from a tuple of integers (base seed, loop indices)."""
     value = 0

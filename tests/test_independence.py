@@ -21,10 +21,10 @@ from shiftlab.independence import (
     ratio_meets,
     separating_depth,
 )
-from shiftlab.measures import measure_of, measure_of_constraints
-from shiftlab.panel import periodic_point
+from shiftlab.measures import _gap_nums, measure_of, measure_of_constraints
+from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.symbolic import CylinderUnion, cylinder, resolve_constraints, whole_space
-from shiftlab.verdicts import DEFAULT_EPS_GRID, InPairParams
+from shiftlab.verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, InPairParams, Verdict
 
 from .oracles import independence_oracle
 
@@ -506,6 +506,47 @@ def test_ratio_meets_matches_exact_max(systems, data):
             for threshold in _THRESHOLDS:
                 got = ratio_meets(sft, a1, a2, range(n), e, threshold, _memo=memo)
                 assert got == (want[n] >= threshold), (system.id, a1, a2, kind, n, threshold)
+    # One greedy over the largest window decides every window, on a fresh memo and a used one.
+    window = tuple(range(max(ind.N_LIST)))
+    for threshold in _THRESHOLDS:
+        for prefix_memo in ({}, memo):
+            got = ind._prefixes_meet(sft, a1, a2, window, ind.N_LIST, e, threshold, prefix_memo)
+            assert got == all(want[n] >= threshold for n in ind.N_LIST), (system.id, kind, threshold)
+
+
+def test_profile_shares_gap_checks_across_windows(systems):
+    """One memo over the windows 1..24 gives the reports of a fresh memo per
+    window: the gap compatibilities it keeps per target are the same for every
+    window and E map. Each system's memo also serves every target pair drawn
+    for it, so a gap answer kept for one pair must not leak into another."""
+    rng = random.Random(23)
+    memos: dict = {}
+    for _ in range(8):
+        system = systems[rng.randrange(3)]
+        sft, m = system.sft, system.measure
+        a1, a2 = _random_union(rng, sft), _random_union(rng, sft)
+        family = [full_e(sft), random_table_e(m, Fraction(1, 8), rng.randrange(1000))]
+        if rng.random() < 0.5:
+            family.append(TableE(_random_union(rng, sft).complement()))
+        family = [e for e in family if not e.default.is_empty]
+        memo = memos.setdefault(system.id, {})
+        shared = independence_density_profile(sft, m, a1, a2, range(1, 25), family, _memo=memo)
+        fresh = [independence_density_profile(sft, m, a1, a2, [n], family)[0] for n in range(1, 25)]
+        assert shared == fresh, (system.id, a1, a2)
+
+
+def test_prefixes_meet_counts_each_window_inside_it(bernoulli):
+    """E is empty at shifts 0..3, so the 4-window holds no independence set
+    while the 8-window holds 4 of 8: the greedy's shift 4 must not count
+    for the 4-window."""
+    sft = bernoulli.sft
+    a0, a1 = cylinder(sft, 0, "0"), cylinder(sft, 0, "1")
+    empty = whole_space(sft).complement()
+    e = TableE(whole_space(sft), tuple((s, empty) for s in range(4)))
+    window = tuple(range(8))
+    assert not ind._prefixes_meet(sft, a0, a1, window, (4, 8), e, ind.C_MIN, {})
+    assert ind._prefixes_meet(sft, a0, a1, window, (8,), e, ind.C_MIN, {})
+    assert not ratio_meets(sft, a0, a1, range(4), e, ind.C_MIN)
 
 
 def test_e_map_monotonicity(golden):
@@ -578,6 +619,23 @@ def test_bad_constant_e_infeasible_pair(golden):
     assert e.default.is_full and measure_of(golden.measure, e.default) == 1
 
 
+def test_gap_kernel_measures_constant_complements(systems):
+    """mu(Ux ∩ T^-(t-s) Uy) from one gap-kernel readout is 1 - the measure of
+    the constant complement map of (s, t), for every 0 <= s < t <= RA_BOUND."""
+    rng = random.Random(41)
+    for _ in range(20):
+        system = systems[rng.randrange(3)]
+        sft, m = system.sft, system.measure
+        words = sft.legal_words(rng.randrange(1, 4))
+        ux, uy = (cylinder(sft, rng.randrange(-2, 1), rng.choice(words)) for _ in range(2))
+        meets = _gap_nums(m, ux, uy, ind.RA_BOUND + 1)
+        for s in range(ind.RA_BOUND + 1):
+            for t in range(s + 1, ind.RA_BOUND + 1):
+                e = bad_constant_e(m, s, t, ux, uy)
+                num, den = meets[t - s]
+                assert 1 - Fraction(num, den) == e_min_measure(e, m, range(24)), (system.id, ux, uy, s, t)
+
+
 def test_random_table_e_measure_floor(systems):
     for system in systems:
         for seed in range(8):
@@ -603,6 +661,77 @@ def test_classify_panel_signs(bernoulli, cycle4):
     r0 = periodic_point(cycle4.sft, [0, 1, 2, 3])
     r1 = periodic_point(cycle4.sft, [1, 2, 3, 0])
     assert classify_in_pair(cycle4.sft, cycle4.measure, r0, r1, 1).is_negative
+
+
+def test_classify_level_zero_builds_no_constant_map(bernoulli, monkeypatch):
+    """Every level-0 meet on Bernoulli has mu = 1/4 > 1/50, so the gap kernel
+    disqualifies all fifteen constant complements before any is built."""
+    built = []
+    real = ind.bad_constant_e
+    monkeypatch.setattr(ind, "bad_constant_e", lambda *args: built.append(args) or real(*args))
+    zeros = periodic_point(bernoulli.sft, "0")
+    ones = periodic_point(bernoulli.sft, "1")
+    assert classify_in_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 0).is_positive
+    assert built == []
+    # At level 1 the meets at gaps 3..5 measure 1/64 and qualify; gaps 1 and 2 are empty.
+    assert classify_in_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 1).is_positive
+    assert sorted(t - s for _m, s, t, _ux, _uy in built) == [1] * 5 + [2] * 4 + [3] * 3 + [4] * 2 + [5]
+
+
+def _reference_classify(sft, m, x, y, depth, params) -> Verdict:
+    """classify_in_pair's level loop before it qualified maps from the gap
+    kernel: every constant complement built and measured with e_min_measure,
+    then one ratio_meets per qualifying map and window."""
+    memo: dict = {}
+    eps = min(DEFAULT_EPS_GRID)
+    witnesses = []
+    for d in range(depth + 1):
+        ux, uy = point_neighborhood(x, d), point_neighborhood(y, d)
+        base = independence_density_profile(sft, m, ux, uy, ind.N_LIST, [full_e(sft)], _memo=memo)
+        floor = min(rep.ratio for rep in base)
+        if floor < ind.C_MIN:
+            worst = min(base, key=lambda r: r.ratio)
+            return Verdict(
+                NEGATIVE,
+                note=(
+                    f"level {d}: unconstrained profile floor {floor} < c_min "
+                    f"(window {len(worst.window)}, best |I| = {len(worst.best)})"
+                ),
+            )
+        adversaries = [
+            bad_constant_e(m, s, t, ux, uy)
+            for s in range(ind.RA_BOUND + 1)
+            for t in range(s + 1, ind.RA_BOUND + 1)
+        ]
+        adversaries.extend(params.extra_e_maps)
+        qualifying = [
+            e for e in adversaries if e_min_measure(e, m, range(max(ind.N_LIST))) >= 1 - Fraction(eps)
+        ]
+        if not all(
+            ratio_meets(sft, ux, uy, range(n), e, ind.C_MIN, _memo=memo)
+            for e in qualifying
+            for n in ind.N_LIST
+        ):
+            return Verdict(NEGATIVE, note=f"level {d}: no eps in the grid keeps the floor above c_min")
+        profile = tuple((len(rep.window), tuple(rep.best), rep.ratio) for rep in base)
+        witnesses.append({"level": d, "eps": eps, "floor": floor, "profile": profile})
+    return Verdict(POSITIVE, eps_certified=eps, witnesses=tuple(witnesses))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_classify_matches_reference_loop(systems, data):
+    """Equal verdicts (class, eps, notes and witnesses) from the one-pass
+    levels and the reference loop, on the panel pairs at depths 1-2 with
+    0-4 random_table_e extras of measure >= 49/50."""
+    system = data.draw(st.sampled_from(systems), label="system")
+    _label, x, y = data.draw(st.sampled_from(canonical_pairs(system, 10)), label="pair")
+    depth = data.draw(st.integers(1, 2), label="depth")
+    seeds = data.draw(st.lists(st.integers(0, 63), max_size=4), label="extras")
+    extras = tuple(random_table_e(system.measure, Fraction(1, 50), seed) for seed in seeds)
+    params = InPairParams(extra_e_maps=extras)
+    got = classify_in_pair(system.sft, system.measure, x, y, depth, params)
+    assert got == _reference_classify(system.sft, system.measure, x, y, depth, params)
 
 
 def _blocking_e(sft, u) -> TableE:
@@ -635,6 +764,9 @@ def test_classify_thin_blocking_map_fails_every_eps(bernoulli):
         else:
             free = classify_in_pair(bernoulli.sft, bernoulli.measure, zeros, ones, depth)
             assert got == free and got.eps_certified == min(DEFAULT_EPS_GRID)
+        assert got == _reference_classify(
+            bernoulli.sft, bernoulli.measure, zeros, ones, depth, params
+        )
 
 
 def test_separating_depth(bernoulli):

@@ -21,7 +21,6 @@ from shiftlab.measures import (
     _stream,
     _uniforms,
     _walk,
-    l2_distance_sq,
     measure_of,
     measure_of_constraints,
     sample_point,
@@ -375,11 +374,17 @@ def test_set_protocol_matches_oracles(data):
 
 
 def test_l2_examples(bernoulli):
+    """||1_A - 1_B||^2 = mu(A) + mu(B) - 2 mu(A ∩ B) from exact constraint measures."""
     b0 = cylinder(bernoulli.sft, 0, "0")
     b1 = cylinder(bernoulli.sft, 0, "1")
-    assert l2_distance_sq(bernoulli.measure, [(0, b0)], [(0, b0)]) == 0
-    assert l2_distance_sq(bernoulli.measure, [(0, b0)], [(1, b0)]) == Fraction(1, 2)
-    assert l2_distance_sq(bernoulli.measure, [(0, b0)], [(0, b1)]) == 1
+
+    def l2_distance_sq(a, b):
+        mu = functools.partial(measure_of_constraints, bernoulli.measure)
+        return mu(a) + mu(b) - 2 * mu(a + b)
+
+    assert l2_distance_sq([(0, b0)], [(0, b0)]) == 0
+    assert l2_distance_sq([(0, b0)], [(1, b0)]) == Fraction(1, 2)
+    assert l2_distance_sq([(0, b0)], [(0, b1)]) == 1
 
 
 # ---------------------------------------------------------------------------

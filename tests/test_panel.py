@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.config import roundtrip_system, serialize_system
+from shiftlab.config import parse_system, serialize_system
 from shiftlab.measures import measure_of
 from shiftlab.panel import canonical_pairs, get_system, panel_systems
 from shiftlab.symbolic import points_provably_equal
@@ -54,7 +54,7 @@ def test_cell_families_positive_measure(systems):
 
 def test_system_roundtrip(systems):
     for system in systems:
-        back = roundtrip_system(system)
+        back = parse_system(serialize_system(system), "roundtrip")
         assert back.sft == system.sft
         assert back.measure.transition == system.measure.transition
         assert back.measure.stationary == system.measure.stationary
