@@ -7,7 +7,6 @@ bounds are fixed here, not configurable.
 
 from __future__ import annotations
 
-import dataclasses
 import filecmp
 import functools
 import math
@@ -21,24 +20,24 @@ from pathlib import Path
 from . import entropy as ent
 from .config import bundled_config_path
 from .independence import (
+    classify_in_pair,
     full_e,
     is_independence_set,
     max_independence_subset,
-    random_table_e,
 )
 from .measures import measure_of, measure_of_constraints
 from .panel import canonical_pairs, panel_systems
 from .sensitivity import (
-    EquivalenceParams,
     diam_mean_profile,
     disjoint_family_counterexample,
     equivalence_crosscheck,
+    extra_table_e,
     find_sensitivity_witnesses,
     pigeonhole_bound,
     pigeonhole_oracle,
 )
 from .symbolic import cylinder, resolve_constraints, whole_space
-from .verdicts import WitnessParams
+from .verdicts import InPairParams, WitnessParams
 
 
 @dataclass
@@ -64,26 +63,9 @@ def _panel():
 
 @functools.lru_cache(maxsize=1)
 def _crosscheck_base():
-    pairs = {system.id: canonical_pairs(system) for system in _panel()}
-    return equivalence_crosscheck(_panel(), pairs, EquivalenceParams())
-
-
-@functools.lru_cache(maxsize=1)
-def _crosscheck_extended():
-    """Criterion 6 rerun with the adversarial family enlarged by 50 TableE maps."""
-    rows = []
-    base = EquivalenceParams(include_kush=False, include_diam=False)
-    for system in _panel():
-        extras = tuple(
-            random_table_e(system.measure, Fraction(1, 50), seed=900 + j)
-            for j in range(50)
-        )
-        params = dataclasses.replace(
-            base, in_params=dataclasses.replace(base.in_params, extra_e_maps=extras)
-        )
-        report = equivalence_crosscheck([system], {system.id: canonical_pairs(system)}, params)
-        rows.extend(report.rows)
-    return rows
+    return [
+        row for system in _panel() for row in equivalence_crosscheck(system, canonical_pairs(system))
+    ]
 
 
 # -- criteria ----------------------------------------------------------------
@@ -235,20 +217,19 @@ def criterion_5() -> CriterionResult:
 def criterion_6() -> CriterionResult:
     title = "equivalence at desk scale: IN-verdict == MS-verdict on the 3x10 panel"
     t0 = time.perf_counter()
-    report = _crosscheck_base()
-    if len(report.rows) != 30:
-        return _result(6, title, False, f"{len(report.rows)} rows != 30", t0)
-    disagreements = report.disagreements()
-    if not report.all_in_eq_ms:
-        rows = ", ".join(f"{r.system_id}/{r.pair_label}" for r in disagreements)
-        return _result(6, title, False, f"IN != MS on: {rows}", t0)
-    cycle_rows = [r for r in report.rows if r.system_id == "cycle4"]
+    rows = _crosscheck_base()
+    if len(rows) != 30:
+        return _result(6, title, False, f"{len(rows)} rows != 30", t0)
+    disagreements = [f"{r.system_id}/{r.pair_label}" for r in rows if not r.in_eq_ms]
+    if disagreements:
+        return _result(6, title, False, "IN != MS on: " + ", ".join(disagreements), t0)
+    cycle_rows = [r for r in rows if r.system_id == "cycle4"]
     if any(
         r.in_positive or r.ms_positive or r.diam_positive or r.kush_positive
         for r in cycle_rows
     ):
         return _result(6, title, False, "a periodic row was not all-negative", t0)
-    generator = report.rows[0]
+    generator = rows[0]
     if not (
         generator.system_id == "bernoulli"
         and generator.pair_label == "per(0)|per(1)"
@@ -267,12 +248,14 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     title = "constant-map reduction: 50 extra TableE adversaries change no verdict"
     t0 = time.perf_counter()
-    base = {(r.system_id, r.pair_label): r.in_positive for r in _crosscheck_base().rows}
-    changed = [
-        f"{r.system_id}/{r.pair_label}"
-        for r in _crosscheck_extended()
-        if base[(r.system_id, r.pair_label)] != r.in_positive
-    ]
+    base = {(r.system_id, r.pair_label): r.in_positive for r in _crosscheck_base()}
+    changed = []
+    for system in _panel():
+        params = InPairParams(extra_e_maps=extra_table_e(system.measure, 50, Fraction(1, 50)))
+        for label, x, y in canonical_pairs(system):
+            verdict = classify_in_pair(system.sft, system.measure, x, y, 1, params)
+            if base[(system.id, label)] != verdict.is_positive:
+                changed.append(f"{system.id}/{label}")
     if changed:
         return _result(7, title, False, "verdicts changed: " + ", ".join(changed), t0)
     return _result(7, title, True, "30/30 independence verdicts unchanged", t0)
@@ -304,10 +287,9 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     title = "mean-sensitive implies diam-sensitive; diam profile of X is exactly 1"
     t0 = time.perf_counter()
-    report = _crosscheck_base()
     bad = [
         f"{r.system_id}/{r.pair_label}"
-        for r in report.rows
+        for r in _crosscheck_base()
         if r.ms_positive and not r.diam_positive
     ]
     if bad:

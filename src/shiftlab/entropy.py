@@ -376,11 +376,7 @@ def ms_function_test(
     positive-measure cell; the verdict certifies the largest grid eps beaten
     by every cell, or is negative naming the first failing cell.
     """
-    if not cell_family:
-        raise ValueError("cell family must be nonempty")
-    for cell in cell_family:
-        if measure_of(m, cell) == 0:
-            raise ValueError(f"cell {cell!r} has measure zero")
+    check_cell_family(m, cell_family)
     if b.is_empty or b.is_full:
         return Verdict(NEGATIVE, note="indicator is a.e. constant")
 
@@ -538,3 +534,13 @@ def default_cell_family(
             if measure_of(m, c) > 0:
                 cells.append(c)
     return cells
+
+
+def check_cell_family(m: MarkovMeasure, cell_family: Sequence[CylinderUnion]) -> None:
+    """Refuse an empty cell family or a cell of measure zero: the MS tests
+    quantify over positive-measure cells."""
+    if not cell_family:
+        raise ValueError("cell family must be nonempty")
+    for cell in cell_family:
+        if measure_of(m, cell) == 0:
+            raise ValueError(f"cell {cell!r} has measure zero")

@@ -96,44 +96,25 @@ def membership_predicate(p: PointRep, s: SetLike) -> Predicate:
     return lambda g: point_in_set(p, s, g)
 
 
-def _tail_range(n_max: int, tail_fraction: float) -> range:
-    start = max(1, math.ceil(tail_fraction * n_max))
-    return range(start, n_max + 1)
-
-
-def density(
-    pred: Predicate,
-    n_max: int = DEFAULT_N_MAX,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-) -> DensityEstimate:
+def density(pred: Predicate, n_max: int = DEFAULT_N_MAX) -> DensityEstimate:
     """Upper/lower density estimates from the tail of the window averages."""
     if n_max < 10:
         raise ValueError("n_max must be >= 10")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ValueError("tail_fraction must lie in (0, 1]")
     if isinstance(pred, PeriodicPredicate):
         freq = pred.frequency()
         return DensityEstimate(float(freq), float(freq), exact=freq)
     hits = np.fromiter((bool(pred(s)) for s in range(n_max)), dtype=bool, count=n_max)
-    return density_from_indicator(hits, n_max=n_max, tail_fraction=tail_fraction)
+    return density_from_indicator(hits)
 
 
-def density_from_indicator(
-    hits: np.ndarray,
-    n_max: Optional[int] = None,
-    tail_fraction: float = DEFAULT_TAIL_FRACTION,
-) -> DensityEstimate:
-    """Tail density of a precomputed indicator over {0, ..., n_max - 1}."""
+def density_from_indicator(hits: np.ndarray) -> DensityEstimate:
+    """Tail density of a precomputed indicator over {0, ..., len(hits) - 1}:
+    the window averages for n from ceil(DEFAULT_TAIL_FRACTION * len(hits))."""
     if not len(hits):
         raise ValueError("hits must not be empty")
-    n_max = len(hits) if n_max is None else n_max
-    if not (1 <= n_max <= len(hits)):
-        raise ValueError(f"n_max must lie in [1, len(hits)] = [1, {len(hits)}], got {n_max}")
-    if not (0.0 < tail_fraction <= 1.0):
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    tail = _tail_range(n_max, tail_fraction)
-    counts = np.cumsum(hits[:n_max], dtype=np.int64)[tail.start - 1 :]
-    averages = counts / np.arange(tail.start, tail.stop)
+    start = max(1, math.ceil(DEFAULT_TAIL_FRACTION * len(hits)))
+    counts = np.cumsum(hits, dtype=np.int64)[start - 1 :]
+    averages = counts / np.arange(start, len(hits) + 1)
     return DensityEstimate(float(averages.min()), float(averages.max()))
 
 

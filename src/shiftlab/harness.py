@@ -15,11 +15,11 @@ from .config import KINDS, Experiment, RunConfig
 from .entropy import JOIN_ASSIGNMENT_CAP, sequence_entropy_profile
 from .errors import EntryTimeNotFoundError
 from .folner import density, density_from_indicator, membership_predicate, orbit_indicator
-from .independence import full_e, independence_density_profile, random_table_e
+from .independence import full_e, independence_density_profile
 from .measures import measure_of, sample_point
 from .panel import canonical_pairs, panel_systems
 from .reports import ReportRow
-from .sensitivity import EquivalenceParams, equivalence_crosscheck, find_sensitivity_witnesses
+from .sensitivity import equivalence_crosscheck, extra_table_e, find_sensitivity_witnesses
 from .verdicts import INCONCLUSIVE, InPairParams, Verdict, WitnessParams
 
 
@@ -135,23 +135,21 @@ def _run_crosscheck(exp: Experiment, seed_override: Optional[int]) -> list[Repor
     depth, extra, eps = exp.params["depth"], exp.params["extra_table_e"], exp.params["table_e_eps"]
     rows = []
     for system in panel_systems():
-        extras = tuple(random_table_e(system.measure, eps, seed=900 + j) for j in range(extra))
-        in_params = InPairParams(extra_e_maps=extras)
-        params = EquivalenceParams(depth, in_params, include_kush=exp.params["include_kush"])
+        in_params = InPairParams(extra_e_maps=extra_table_e(system.measure, extra, eps))
         t0 = time.perf_counter()
-        pairs = {system.id: canonical_pairs(system, exp.params["pairs"])}
-        report = equivalence_crosscheck([system], pairs, params)
+        pairs = canonical_pairs(system, exp.params["pairs"])
+        report = equivalence_crosscheck(system, pairs, depth, in_params, exp.params["include_kush"])
         dt = _ms_since(t0)
-        for r in report.rows:
+        for r in report:
             outputs = {"in_positive": r.in_positive, "ms_positive": r.ms_positive,
-                       "diam_positive": bool(r.diam_positive), "in_eq_ms": r.in_eq_ms,
+                       "diam_positive": r.diam_positive, "in_eq_ms": r.in_eq_ms,
                        "ms_implies_diam": r.ms_implies_diam}
             if r.kush_positive is not None:
                 outputs["kush_positive"] = bool(r.kush_positive)
             inputs = {"pair": r.pair_label, "depth": depth, "extra_table_e": extra}
             rows.append(_row(exp, f"equivalence_crosscheck[{r.pair_label}]", inputs, outputs,
                              system_id=system.id, verdict="agree" if r.in_eq_ms else "disagree"))
-        if report.rows:
+        if report:
             rows[-1].runtime_ms = dt
     return rows
 

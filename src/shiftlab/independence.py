@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .measures import MarkovMeasure, _gap_nums, measure_of
 from .symbolic import (
@@ -669,6 +669,20 @@ def separating_depth(x: PointRep, y: PointRep, depth: int) -> Optional[int]:
     return None
 
 
+def neighbourhood_levels(
+    x: PointRep, y: PointRep, depth: int
+) -> Iterator[tuple[int, CylinderUnion, CylinderUnion]]:
+    """The ladder every pair classifier walks: (d, U_x, U_y) for d = 0..depth,
+    each level's neighbourhoods built only when it is reached.
+
+    Refuses x and y that agree on [-depth, depth] at the call, before any
+    level is built.
+    """
+    if separating_depth(x, y, depth) is None:
+        raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
+    return ((d, point_neighborhood(x, d), point_neighborhood(y, d)) for d in range(depth + 1))
+
+
 N_LIST = (4, 8, 16, 24)  # window sizes N of the profiles on {0, ..., N-1}
 C_MIN = Fraction(1, 20)  # independence density every level's profile floor must reach
 RA_BOUND = 5  # constant complement adversaries come from 0 <= s < t <= RA_BOUND
@@ -697,17 +711,14 @@ def classify_in_pair(
     built; one whose meet is empty is E = X, whose windows repeat the base
     profile. The extras qualify once per call: nothing there depends on d.
     """
-    if separating_depth(x, y, depth) is None:
-        raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
+    levels = neighbourhood_levels(x, y, depth)
     memo: dict = {}  # one translation-relative sweep memo for every search of the pair
     level_eps = min(DEFAULT_EPS_GRID)
     floor = 1 - Fraction(level_eps)
     window = tuple(range(max(N_LIST)))
     extras = None  # qualified once, at the first level past its base profile
     level_witnesses = []
-    for d in range(depth + 1):
-        ux = point_neighborhood(x, d)
-        uy = point_neighborhood(y, d)
+    for d, ux, uy in levels:
         base_profile = independence_density_profile(
             sft, m, ux, uy, N_LIST, [full_e(sft)], _memo=memo
         )

@@ -16,7 +16,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -262,10 +262,10 @@ def _carry(ends: dict[int, int], power) -> list[int]:
     return out or [0] * len(power)
 
 
-def _chain(m: MarkovMeasure, blocks, entry: Sequence[int], e: int) -> tuple[dict[int, int], int]:
-    """Last-symbol masses, and their transition count, after disjoint (start,
-    words) blocks sorted by start, entering the first block with the symbol
-    masses `entry` after `e` transitions."""
+def _chain(m: MarkovMeasure, blocks, entry: Sequence[int]) -> tuple[dict[int, int], int]:
+    """Last-symbol masses, and the transitions they crossed, after disjoint
+    (start, words) blocks sorted by start, entering the first block with the
+    symbol masses `entry`."""
     prev_end = None
     for start, words in blocks:
         if prev_end is not None:
@@ -273,15 +273,12 @@ def _chain(m: MarkovMeasure, blocks, entry: Sequence[int], e: int) -> tuple[dict
         table = [(n, w[0], m.inner_num(w)) for n, w in enumerate(words)]
         ends = _collapse(_spread(entry, table), [w[-1] for w in words])
         prev_end = start + len(words[0]) - 1
-    return ends, e + prev_end - blocks[0][0]
+    return ends, prev_end - blocks[0][0]
 
 
-def _blocks_measure(
-    m: MarkovMeasure, blocks, entry: Optional[Sequence[int]] = None, e: int = 0
-) -> Fraction:
-    """The measure of disjoint blocks entered with `entry` after `e`
-    transitions (from pi by default), reduced once."""
-    ends, e = _chain(m, blocks, m.pi_num if entry is None else entry, e)
+def _blocks_measure(m: MarkovMeasure, blocks) -> Fraction:
+    """The measure of disjoint blocks entered from pi, reduced once."""
+    ends, e = _chain(m, blocks, m.pi_num)
     return Fraction(sum(ends.values()), m.den(e))
 
 
@@ -311,15 +308,15 @@ def _gap_nums(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[tu
         if blocks is None:
             out.append((0, 1))
         else:
-            ends, e = _chain(m, blocks, m.pi_num, 0)
+            ends, e = _chain(m, blocks, m.pi_num)
             out.append((sum(ends.values()), m.den(e)))
     if split == horizon:
         return out
     k = m.sft.alphabet_size
-    ends, e_a = _chain(m, blocks_a, m.pi_num, 0)
+    ends, e_a = _chain(m, blocks_a, m.pi_num)
     ends_a = [ends.get(c, 0) for c in range(k)]
     units = [[int(c == j) for c in range(k)] for j in range(k)]
-    beta = [sum(_chain(m, blocks_b, unit, 0)[0].values()) for unit in units]
+    beta = [sum(_chain(m, blocks_b, unit)[0].values()) for unit in units]
     steps = split + b_start - a_end
     b_span = blocks_b[-1][0] + len(blocks_b[-1][1][0]) - 1 - b_start
     r = [sum(map(operator.mul, row, beta)) for row in m.power_num(steps)]
@@ -330,11 +327,6 @@ def _gap_nums(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[tu
         r = [sum(map(operator.mul, row, r)) for row in P_num]
         den *= m._d
     return out
-
-
-def _gap_measures(m: MarkovMeasure, a: SetLike, b: SetLike, horizon: int) -> list[Fraction]:
-    """The gap measures of `_gap_nums`, reduced."""
-    return [Fraction(n, d) for n, d in _gap_nums(m, a, b, horizon)]
 
 
 def measure_of_constraints(m: MarkovMeasure, constraints: ShiftedConstraintSet) -> Fraction:

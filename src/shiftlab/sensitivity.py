@@ -15,17 +15,20 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .entropy import separation_counts, separation_growing
+from .entropy import check_cell_family, separation_counts, separation_growing
 from .errors import EntryTimeNotFoundError
 from .folner import PeriodicPredicate, density_from_indicator, orbit_indicator
 from .independence import (
     InPairParams,
+    TableE,
     classify_in_pair,
+    neighbourhood_levels,
     point_neighborhood,
+    random_table_e,
     separating_depth,
 )
 from .measures import (
@@ -152,6 +155,7 @@ PAIR_BOUND = 6  # shift pairs (s, t) are searched over 0 <= s < t <= PAIR_BOUND
 ENTRY_HORIZON = 10_000  # steps scanned for the first entry into s^-1 A ∩ t^-1 A
 WITNESS_TOLERANCE = 0.02  # the witness density may fall short of eps by this much
 WITNESS_SEED = 7  # root seed of the points classify_ms_pair samples
+EQUIVALENCE_WITNESS = WitnessParams(density_horizon=30_000)  # classify_ms_pair's witness search
 
 
 @dataclass(frozen=True)
@@ -245,7 +249,6 @@ def classify_ms_pair(
     y: PointRep,
     depth: int,
     cell_family: Sequence[CylinderUnion],
-    witness: WitnessParams = WitnessParams(),
 ) -> Verdict:
     """Mean-sensitivity pair verdict over nested canonical neighbourhoods.
 
@@ -254,20 +257,12 @@ def classify_ms_pair(
     achievable intersection measures (deep levels certify tiny exact
     targets the fixed grid cannot express).
     """
-    if separating_depth(x, y, depth) is None:
-        raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
-    if not cell_family:
-        raise ValueError("cell family must be nonempty")
-    for cell in cell_family:
-        if measure_of(m, cell) == 0:
-            raise ValueError(f"cell {cell!r} has measure zero")
-
+    levels = neighbourhood_levels(x, y, depth)
+    check_cell_family(m, cell_family)
     level_epses: list[float] = []
     witnesses = []
     inconclusive_notes = []
-    for d in range(depth + 1):
-        ux = point_neighborhood(x, d)
-        uy = point_neighborhood(y, d)
+    for d, ux, uy in levels:
         cell_epses: list[float] = []
         for idx, cell in enumerate(cell_family):
             best = _best_gap(m, cell, ux, uy, PAIR_BOUND)
@@ -289,7 +284,8 @@ def classify_ms_pair(
             )
             try:
                 verdict = find_sensitivity_witnesses(
-                    sft, m, cell, ux, uy, eps_candidate, mix_seed(WITNESS_SEED, d, idx), witness
+                    sft, m, cell, ux, uy, eps_candidate, mix_seed(WITNESS_SEED, d, idx),
+                    EQUIVALENCE_WITNESS,
                 )
             except EntryTimeNotFoundError as err:
                 inconclusive_notes.append(f"level {d}, cell {cell!r}: {err}")
@@ -403,19 +399,13 @@ def classify_diam_pair(
     with s); positive needs the upper density of S above some grid eps at
     every level for every cell.
     """
-    if separating_depth(x, y, depth) is None:
-        raise ValueError(f"points agree on [-{depth}, {depth}]; pairs need x != y")
-    if not cell_family:
-        raise ValueError("cell family must be nonempty")
+    levels = neighbourhood_levels(x, y, depth)
+    check_cell_family(m, cell_family)
     level_epses = []
     witnesses = []
-    for d in range(depth + 1):
-        ux = point_neighborhood(x, d)
-        uy = point_neighborhood(y, d)
+    for d, ux, uy in levels:
         floor: Optional[Fraction] = None
         for cell in cell_family:
-            if measure_of(m, cell) == 0:
-                raise ValueError(f"cell {cell!r} has measure zero")
             px = _visit_predicate(sft, cell, ux)
             py = _visit_predicate(sft, cell, uy)
             dens = _periodic_and(px, py).frequency()
@@ -447,15 +437,13 @@ def _periodic_and(p1: PeriodicPredicate, p2: PeriodicPredicate) -> PeriodicPredi
 # ---------------------------------------------------------------------------
 
 
-EQUIVALENCE_WITNESS = WitnessParams(density_horizon=30_000)  # the crosscheck's MS witness search
+EXTRA_TABLE_E_SEED = 900  # seed of the crosscheck's first extra TableE adversary
 
 
-@dataclass(frozen=True)
-class EquivalenceParams:
-    depth: int = 1
-    in_params: InPairParams = InPairParams()
-    include_kush: bool = True
-    include_diam: bool = True
+def extra_table_e(m: MarkovMeasure, count: int, eps: Union[float, Fraction]) -> tuple[TableE, ...]:
+    """The `count` extra TableE adversaries the crosscheck adds to the IN
+    family: the j-th is random_table_e(m, eps) at seed EXTRA_TABLE_E_SEED + j."""
+    return tuple(random_table_e(m, eps, seed=EXTRA_TABLE_E_SEED + j) for j in range(count))
 
 
 @dataclass(frozen=True)
@@ -464,7 +452,7 @@ class CrosscheckRow:
     pair_label: str
     in_verdict: Verdict
     ms_verdict: Verdict
-    diam_verdict: Optional[Verdict]
+    diam_verdict: Verdict
     kush_counts: Optional[tuple[int, ...]]
 
     @property
@@ -476,8 +464,8 @@ class CrosscheckRow:
         return self.ms_verdict.is_positive
 
     @property
-    def diam_positive(self) -> Optional[bool]:
-        return None if self.diam_verdict is None else self.diam_verdict.is_positive
+    def diam_positive(self) -> bool:
+        return self.diam_verdict.is_positive
 
     @property
     def kush_positive(self) -> Optional[bool]:
@@ -489,67 +477,31 @@ class CrosscheckRow:
 
     @property
     def ms_implies_diam(self) -> bool:
-        if self.diam_positive is None:
-            return True
         return (not self.ms_positive) or self.diam_positive
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    rows: tuple[CrosscheckRow, ...]
-
-    @property
-    def all_in_eq_ms(self) -> bool:
-        return all(r.in_eq_ms for r in self.rows)
-
-    def disagreements(self) -> list[CrosscheckRow]:
-        return [r for r in self.rows if not (r.in_eq_ms and r.ms_implies_diam)]
-
-
 def equivalence_crosscheck(
-    systems: Sequence,
-    pairs: Mapping[str, Sequence[tuple[str, PointRep, PointRep]]],
-    params: EquivalenceParams = EquivalenceParams(),
-) -> CrosscheckReport:
-    """Verdict matrix over (system, pair) rows: IN, MS, DIAM, and the
-    Kushnirenko signal, the separation counts of x's separating neighbourhood.
+    system,
+    pairs: Sequence[tuple[str, PointRep, PointRep]],
+    depth: int = 1,
+    in_params: InPairParams = InPairParams(),
+    include_kush: bool = True,
+) -> list[CrosscheckRow]:
+    """Verdict rows of one panel system's (label, x, y) pairs: IN, MS, DIAM,
+    and the Kushnirenko signal, the separation counts of x's separating
+    neighbourhood.
 
-    Disagreement rows stay in the report with their full verdicts; nothing
+    Disagreement rows stay in the result with their full verdicts; nothing
     is suppressed.
     """
+    sft, m, cells = system.sft, system.measure, system.cell_family
     rows = []
-    for system in systems:
-        for label, x, y in pairs[system.id]:
-            in_v = classify_in_pair(
-                system.sft, system.measure, x, y, params.depth, params.in_params
-            )
-            ms_v = classify_ms_pair(
-                system.sft,
-                system.measure,
-                x,
-                y,
-                params.depth,
-                system.cell_family,
-                EQUIVALENCE_WITNESS,
-            )
-            diam_v = None
-            if params.include_diam:
-                diam_v = classify_diam_pair(
-                    system.sft, system.measure, x, y, params.depth, system.cell_family
-                )
-            kush = None
-            if params.include_kush:
-                d_star = separating_depth(x, y, params.depth)
-                base = point_neighborhood(x, d_star)
-                kush = separation_counts(system.measure, base)
-            rows.append(
-                CrosscheckRow(
-                    system_id=system.id,
-                    pair_label=label,
-                    in_verdict=in_v,
-                    ms_verdict=ms_v,
-                    diam_verdict=diam_v,
-                    kush_counts=kush,
-                )
-            )
-    return CrosscheckReport(tuple(rows))
+    for label, x, y in pairs:
+        in_v = classify_in_pair(sft, m, x, y, depth, in_params)
+        ms_v = classify_ms_pair(sft, m, x, y, depth, cells)
+        diam_v = classify_diam_pair(sft, m, x, y, depth, cells)
+        kush = None
+        if include_kush:
+            kush = separation_counts(m, point_neighborhood(x, separating_depth(x, y, depth)))
+        rows.append(CrosscheckRow(system.id, label, in_v, ms_v, diam_v, kush))
+    return rows

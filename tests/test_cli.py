@@ -462,6 +462,23 @@ def test_bundled_csv_bytes_pinned(runner, tmp_path, name):
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256[name]
 
 
+def test_crosscheck_csv_bytes_pinned(runner, tmp_path):
+    """A crosscheck with the Kushnirenko column and two extra TableE
+    adversaries: 30 rows, all agreeing, at one pinned digest."""
+    config = {"experiment_id": "xc", "kind": "crosscheck",
+              "params": {"pairs": 10, "depth": 1, "include_kush": True, "extra_table_e": 2}}
+    path = tmp_path / "xc.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    result = runner.invoke(main, ["run", str(path), "--out-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    (csv_path,) = tmp_path.glob("*.csv")
+    text = csv_path.read_text(encoding="utf-8")
+    assert text.count(",agree,") == 30 and "kush_positive=" in text
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+        "7dd34427662d8669f754eda3d848c06688ca533c69fb0de4d5b66f359e7ba275"
+    )
+
+
 @pytest.mark.parametrize(
     "system, point, target, n_max, outputs",
     [

@@ -38,7 +38,7 @@ def test_density_trivial_cases():
 
 def test_density_bounds_ordered():
     # A slowly alternating set: upper and lower separate.
-    est = density(lambda s: (s // 100) % 2 == 0, n_max=2000, tail_fraction=0.25)
+    est = density(lambda s: (s // 100) % 2 == 0, n_max=2000)
     assert 0.0 <= est.lower <= est.upper <= 1.0
     assert est.upper - est.lower > 0.01
 
@@ -67,34 +67,27 @@ def test_density_subadditive():
 
 
 def test_density_from_indicator_matches_loop():
+    # A shorter window is a slice of hits; the tail starts at half of it.
     rng = random.Random(5)
-    for n, n_max, tail_fraction in ((1, None, 0.5), (10, 7, 1.0), (1000, None, 0.25), (999, 998, 0.1)):
+    for n, n_max in ((1, 1), (10, 7), (1000, 1000), (999, 998), (2, 2)):
         hits = np.array([rng.random() < 0.3 for _ in range(n)])
-        est = density_from_indicator(hits, n_max=n_max, tail_fraction=tail_fraction)
-        n_max = n if n_max is None else n_max
-        start = max(1, math.ceil(tail_fraction * n_max))
+        est = density_from_indicator(hits[:n_max])
+        start = max(1, math.ceil(n_max / 2))
         averages = [int(hits[:m].sum()) / m for m in range(start, n_max + 1)]
         assert (est.lower, est.upper) == (min(averages), max(averages))
 
 
 @pytest.mark.parametrize(
-    "length, kwargs, field",
+    "hits, field",
     [
-        (10, {"n_max": 12}, "n_max"),
-        (10, {"n_max": 11}, "n_max"),
-        (10, {"n_max": 0}, "n_max"),
-        (10, {"n_max": -3}, "n_max"),
-        (0, {}, "hits"),
-        (0, {"n_max": 0}, "hits"),
-        (10, {"tail_fraction": 0.0}, "tail_fraction"),
-        (10, {"tail_fraction": 1.5}, "tail_fraction"),
-        (10, {"tail_fraction": -0.5}, "tail_fraction"),
-        (10, {"tail_fraction": math.nan}, "tail_fraction"),
+        pytest.param(np.ones(0, dtype=bool), "hits", id="0-kwargs4-hits"),
+        # A zero-length window is an empty slice of a longer indicator.
+        pytest.param(np.ones(10, dtype=bool)[:0], "hits", id="0-kwargs5-hits"),
     ],
 )
-def test_density_from_indicator_rejects_bad_arguments(length, kwargs, field):
+def test_density_from_indicator_rejects_bad_arguments(hits, field):
     with pytest.raises(ValueError, match=field):
-        density_from_indicator(np.ones(length, dtype=bool), **kwargs)
+        density_from_indicator(hits)
 
 
 def test_temperedness_canonical_bounded():

@@ -3,23 +3,27 @@ from fractions import Fraction
 
 import pytest
 
+from shiftlab import independence, sensitivity
+from shiftlab.entropy import separation_counts
+from shiftlab.independence import classify_in_pair, point_neighborhood, separating_depth
 from shiftlab.measures import measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.sensitivity import (
+    CrosscheckRow,
     _best_gap,
     _visit_predicate,
     classify_diam_pair,
     classify_ms_pair,
     diam_mean_profile,
     disjoint_family_counterexample,
+    equivalence_crosscheck,
+    extra_table_e,
     find_sensitivity_witnesses,
     pigeonhole_bound,
     pigeonhole_oracle,
 )
-from shiftlab.symbolic import cylinder, point_in_set, resolve_constraints, whole_space
-from shiftlab.verdicts import Verdict, WitnessParams
-
-FAST = WitnessParams(density_horizon=20_000)
+from shiftlab.symbolic import CylinderUnion, cylinder, point_in_set, resolve_constraints, whole_space
+from shiftlab.verdicts import InPairParams, Verdict, WitnessParams
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +174,21 @@ def test_classify_ms_examples(bernoulli, cycle4):
         for length in (1, 2)
         for w in bernoulli.sft.legal_words(length)
     ]
-    v = classify_ms_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 2, cells, FAST)
+    v = classify_ms_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 2, cells)
     assert v.is_positive
     r0 = periodic_point(cycle4.sft, [0, 1, 2, 3])
     r1 = periodic_point(cycle4.sft, [1, 2, 3, 0])
-    v = classify_ms_pair(
-        cycle4.sft, cycle4.measure, r0, r1, 1, cycle4.cell_family, FAST
-    )
+    v = classify_ms_pair(cycle4.sft, cycle4.measure, r0, r1, 1, cycle4.cell_family)
     assert v.is_negative
     with pytest.raises(ValueError):
-        classify_ms_pair(bernoulli.sft, bernoulli.measure, zeros, zeros, 2, cells, FAST)
+        classify_ms_pair(bernoulli.sft, bernoulli.measure, zeros, zeros, 2, cells)
 
 
 def test_classify_ms_symmetry(golden):
     x = periodic_point(golden.sft, "0")
     y = periodic_point(golden.sft, "01")
-    fwd = classify_ms_pair(golden.sft, golden.measure, x, y, 1, golden.cell_family, FAST)
-    rev = classify_ms_pair(golden.sft, golden.measure, y, x, 1, golden.cell_family, FAST)
+    fwd = classify_ms_pair(golden.sft, golden.measure, x, y, 1, golden.cell_family)
+    rev = classify_ms_pair(golden.sft, golden.measure, y, x, 1, golden.cell_family)
     assert fwd.classification == rev.classification == "positive"
 
 
@@ -204,12 +206,54 @@ def test_classify_diam_examples(bernoulli, golden, cycle4):
 def test_ms_positive_implies_diam_positive(systems):
     for system in systems:
         for label, x, y in canonical_pairs(system, 4):
-            ms = classify_ms_pair(
-                system.sft, system.measure, x, y, 1, system.cell_family, FAST
-            )
+            ms = classify_ms_pair(system.sft, system.measure, x, y, 1, system.cell_family)
             if ms.is_positive:
                 diam = classify_diam_pair(system.sft, system.measure, x, y, 1, system.cell_family)
                 assert diam.is_positive, (system.id, label)
+
+
+def test_classifiers_refuse_before_any_level_work(monkeypatch, bernoulli):
+    # x = y and a zero-measure cell are refused at the call: the kernels of
+    # each classifier's first level fail if they run.
+    def level_work(*args, **kwargs):
+        raise AssertionError("level work before the refusal")
+
+    monkeypatch.setattr(sensitivity, "_best_gap", level_work)
+    monkeypatch.setattr(sensitivity, "_visit_predicate", level_work)
+    monkeypatch.setattr(independence, "independence_density_profile", level_work)
+    sft, m = bernoulli.sft, bernoulli.measure
+    zeros, ones = periodic_point(sft, "0"), periodic_point(sft, "1")
+    cells = list(bernoulli.cell_family) + [CylinderUnion(sft, [])]
+    with pytest.raises(ValueError, match="pairs need x != y"):
+        classify_in_pair(sft, m, zeros, zeros, 2)
+    for classify in (classify_ms_pair, classify_diam_pair):
+        with pytest.raises(ValueError, match="pairs need x != y"):
+            classify(sft, m, zeros, zeros, 2, cells)
+        with pytest.raises(ValueError, match="has measure zero"):
+            classify(sft, m, zeros, ones, 2, cells)
+        with pytest.raises(ValueError, match="cell family must be nonempty"):
+            classify(sft, m, zeros, ones, 2, [])
+
+
+def test_crosscheck_rows_are_the_classifier_verdicts(golden):
+    # Each column is the verdict of a direct classifier call; the crosscheck
+    # adds nothing of its own.
+    sft, m, cells = golden.sft, golden.measure, golden.cell_family
+    pairs = canonical_pairs(golden, 6)
+    in_params = InPairParams(extra_e_maps=extra_table_e(m, 2, Fraction(1, 50)))
+    rows = equivalence_crosscheck(golden, pairs, 2, in_params)
+    expected = [
+        CrosscheckRow(
+            golden.id,
+            label,
+            classify_in_pair(sft, m, x, y, 2, in_params),
+            classify_ms_pair(sft, m, x, y, 2, cells),
+            classify_diam_pair(sft, m, x, y, 2, cells),
+            separation_counts(m, point_neighborhood(x, separating_depth(x, y, 2))),
+        )
+        for label, x, y in pairs
+    ]
+    assert [repr(r) for r in rows] == [repr(r) for r in expected]
 
 
 def test_visit_predicate_matches_resolve(systems):
