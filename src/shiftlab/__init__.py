@@ -12,7 +12,6 @@ from .symbolic import (
     cylinder,
     diam_of_set,
     full_shift,
-    metric_distance,
     parse_word,
     point_in_set,
     resolve_constraints,

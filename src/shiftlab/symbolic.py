@@ -866,20 +866,6 @@ class DistanceResult:
         return self.value
 
 
-def metric_distance(x: PointRep, y: PointRep, horizon: int) -> DistanceResult:
-    """d(x, y) = 2^{-min{|n| : x_n != y_n}} scanned outward to |n| <= horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
-    if points_provably_equal(x, y):
-        return DistanceResult(0.0, False)
-    if x.eval(0) != y.eval(0):
-        return DistanceResult(1.0, False)
-    for n in range(1, horizon + 1):
-        if x.eval(n) != y.eval(n) or x.eval(-n) != y.eval(-n):
-            return DistanceResult(2.0 ** (-n), False)
-    return DistanceResult(2.0 ** (-horizon - 1), True)
-
-
 def realizable_symbols(s: SetLike, n: int) -> frozenset[int]:
     """{x_n : x in s} for a nonempty block-form set (exact).
 

@@ -6,7 +6,7 @@ import pytest
 from shiftlab import independence, sensitivity
 from shiftlab.entropy import separation_counts
 from shiftlab.independence import classify_in_pair, point_neighborhood, separating_depth
-from shiftlab.measures import measure_of, measure_of_constraints
+from shiftlab.measures import MarkovMeasure, measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.sensitivity import (
     CrosscheckRow,
@@ -22,8 +22,16 @@ from shiftlab.sensitivity import (
     pigeonhole_bound,
     pigeonhole_oracle,
 )
-from shiftlab.symbolic import CylinderUnion, cylinder, point_in_set, resolve_constraints, whole_space
+from shiftlab.symbolic import (
+    CylinderUnion,
+    Sft,
+    cylinder,
+    point_in_set,
+    resolve_constraints,
+    whole_space,
+)
 from shiftlab.verdicts import InPairParams, Verdict, WitnessParams
+from .oracles import gap_measures_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,54 @@ def test_classify_ms_symmetry(golden):
     assert fwd.classification == rev.classification == "positive"
 
 
+def test_classify_ms_certifies_grid_eps_at_exact_target():
+    # pi = (1/5, 4/5); the best gap is t = 1 with target mu([0]_0 ∩ [1]_1) =
+    # 1/5 exactly, which certifies the grid value 0.2 (Fraction(0.2) > 1/5).
+    sft = Sft(2, [[False, True], [True, True]])
+    m = MarkovMeasure(sft, [["0", "1"], ["1/4", "3/4"]])
+    x, y = periodic_point(sft, "01"), periodic_point(sft, "1")
+    v = classify_ms_pair(sft, m, x, y, 0, [whole_space(sft)])
+    assert v.is_positive and v.eps_certified == 0.2
+    assert [(w["t"], w["target"]) for w in v.witnesses] == [(1, Fraction(1, 5))]
+
+
+def _panel_ms_verdicts(systems):
+    """(system, x, y, MS verdict) on criterion 6's 30 panel pairs at depth 2."""
+    return [
+        (system, x, y, classify_ms_pair(system.sft, system.measure, x, y, 2, system.cell_family))
+        for system in systems
+        for _label, x, y in canonical_pairs(system)
+    ]
+
+
+def test_classify_ms_samples_nothing(monkeypatch, systems):
+    def sampled(*args, **kwargs):
+        raise AssertionError("classify_ms_pair sampled")
+
+    for name in ("sample_point", "find_sensitivity_witnesses", "orbit_indicator"):
+        monkeypatch.setattr(sensitivity, name, sampled)
+    verdicts = _panel_ms_verdicts(systems)
+    assert len(verdicts) == 30
+    assert all(v.is_negative == (system.id == "cycle4") for system, _x, _y, v in verdicts)
+
+
+def test_classify_ms_witnesses_match_gap_oracle(systems):
+    # Each witness is the first gap 1 <= t <= PAIR_BOUND with mu(A ∩ T^-t A) > 0
+    # maximizing mu(Ux ∩ T^-t Uy), and its target is that measure.
+    horizon = sensitivity.PAIR_BOUND + 1
+    for system, x, y, v in _panel_ms_verdicts(systems):
+        cells = {repr(c): c for c in system.cell_family}
+        if v.is_positive:
+            assert len(v.witnesses) == 3 * len(cells)
+        for w in v.witnesses:
+            cell = cells[w["cell"]]
+            ux, uy = point_neighborhood(x, w["level"]), point_neighborhood(y, w["level"])
+            admissible = gap_measures_oracle(system.measure, cell, cell, horizon)
+            targets = gap_measures_oracle(system.measure, ux, uy, horizon)
+            t = max((g for g in range(1, horizon) if admissible[g] > 0), key=targets.__getitem__)
+            assert (w["s"], w["t"], w["target"]) == (0, t, targets[t]), (system.id, w)
+
+
 def test_classify_diam_examples(bernoulli, golden, cycle4):
     zeros = periodic_point(bernoulli.sft, "0")
     ones = periodic_point(bernoulli.sft, "1")
@@ -253,7 +309,7 @@ def test_crosscheck_rows_are_the_classifier_verdicts(golden):
         )
         for label, x, y in pairs
     ]
-    assert [repr(r) for r in rows] == [repr(r) for r in expected]
+    assert rows == expected
 
 
 def test_visit_predicate_matches_resolve(systems):

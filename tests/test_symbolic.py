@@ -19,7 +19,6 @@ from shiftlab.symbolic import (
     cylinder,
     diam_of_set,
     full_shift,
-    metric_distance,
     point_in_set,
     realizable_symbols,
     resolve_constraints,
@@ -424,50 +423,8 @@ def test_resolve_bridged_respects_reachability():
 
 
 # ---------------------------------------------------------------------------
-# Metric and diameters
+# Diameters
 # ---------------------------------------------------------------------------
-
-
-def test_metric_examples():
-    sft = full_shift(2)
-    zeros = all_zeros(sft)
-    ones = EventuallyPeriodic(sft, "1", "", "1")
-    assert metric_distance(zeros, zeros, 10).value == 0.0
-    assert metric_distance(zeros, ones, 10).value == 1.0
-    # agree on |n| <= 2, differ first at n = 3
-    x = EventuallyPeriodic(sft, "0", "0000000", "0", offset=3)
-    y = EventuallyPeriodic(sft, "0", "0000001", "0", offset=3)
-    assert y.eval(3) == 1 and y.eval(2) == 0
-    d = metric_distance(x, y, 10)
-    assert d.value == 0.125 and not d.truncated
-
-
-def test_metric_symmetry_and_triangle():
-    sft = full_shift(2)
-    pts = [
-        all_zeros(sft),
-        EventuallyPeriodic(sft, "1", "", "1"),
-        EventuallyPeriodic(sft, "01", "", "01"),
-        EventuallyPeriodic(sft, "0", "0110", "0"),
-        EventuallyPeriodic(sft, "10", "1", "10"),
-    ]
-    for x in pts:
-        for y in pts:
-            dxy = metric_distance(x, y, 24)
-            dyx = metric_distance(y, x, 24)
-            assert dxy.value == dyx.value
-            for z in pts:
-                dxz = metric_distance(x, z, 24).value
-                dzy = metric_distance(z, y, 24).value
-                assert dxy.value <= dxz + dzy + 1e-15
-
-
-def test_metric_truncation():
-    sft = full_shift(2)
-    x = all_zeros(sft)
-    y = EventuallyPeriodic(sft, "0", "0" * 41, "1")  # differs far to the right
-    d = metric_distance(x, y, 10)
-    assert d.truncated and d.value == 2.0 ** (-11)
 
 
 def test_diam_examples():
