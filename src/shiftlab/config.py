@@ -17,8 +17,9 @@ from typing import Any, Optional, Union
 
 from .entropy import Partition, default_cell_family, generator_partition
 from .errors import ConfigError
+from .independence import separating_depth
 from .measures import MarkovMeasure
-from .panel import PanelSystem, get_system
+from .panel import PanelSystem, canonical_pairs, get_system, panel_systems
 from .symbolic import CylinderUnion, EventuallyPeriodic, Sft, cylinder, whole_space
 
 
@@ -280,6 +281,16 @@ def _check_window(params: dict, path: str) -> None:
             raise ConfigError(f"{path}.point", msg)
 
 
+def _check_pairs(params: dict, path: str) -> None:
+    """Every crosscheck pair must differ on [-depth, depth], where its neighbourhoods live."""
+    depth = params["depth"]
+    for system in panel_systems():
+        for label, x, y in canonical_pairs(system, params["pairs"]):
+            if separating_depth(x, y, depth) is None:
+                msg = f"{system.id} pair {label} agrees on [-{depth}, {depth}]"
+                raise ConfigError(f"{path}.pairs", f"{msg}; raise depth or lower pairs")
+
+
 @dataclass(frozen=True)
 class Experiment:
     experiment_id: str
@@ -302,6 +313,8 @@ def _experiment(e: dict) -> Experiment:
     params = _walk(e["params"], FIELDS[e["kind"]], path, e.get("system"))
     if e["kind"] == "density":
         _check_window(params, path)
+    elif e["kind"] == "crosscheck":
+        _check_pairs(params, path)
     return Experiment(e["experiment_id"], e["kind"], e.get("system"), params)
 
 

@@ -382,7 +382,6 @@ def ms_function_test(
 
     horizon = params.density_horizon
     b_lo, b_hi = b.support
-    comp = b.complement()
     per_cell: list[tuple[CylinderUnion, float, dict]] = []
     for idx, cell in enumerate(cell_family):
         c_lo, c_hi = (0, 0) if cell.is_full else cell.support
@@ -393,7 +392,7 @@ def ms_function_test(
         for attempt in range(params.pair_attempts):
             p = sample_point_in(m, cell, lo, hi, mix_seed(params.seed, idx, attempt, 0))
             q = sample_point_in(m, cell, lo, hi, mix_seed(params.seed, idx, attempt, 1))
-            split = orbit_indicator(p, b, 0, horizon) & orbit_indicator(q, comp, 0, horizon)
+            split = orbit_indicator(p, b, 0, horizon) & ~orbit_indicator(q, b, 0, horizon)
             est = density_from_indicator(split)
             if est.upper > best:
                 best = est.upper

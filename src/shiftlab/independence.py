@@ -11,12 +11,12 @@ decomposition, valid because the SFT is a topological Markov chain, so
 feasibility factors through symbol states at the boundaries of constrained
 segments. A target enters as its constraint atoms, shifted per element of I;
 a whole-space target imposes nothing and drops out. Each segment is solved by
-one coordinate sweep over the constraint automaton from its entry symbols,
-all assignments at once. The checker is incremental over sorted prefixes:
-searches extend saved states, and each search (a pair classification, a
-density profile) shares one memo of translation-relative segment sweeps,
-greedy chains and compiled atoms. It is property-tested against the 2^|I|
-word-enumeration oracle in the test suite.
+one coordinate sweep from its entry symbols, all assignments at once, every
+atom (E's and the targets') stepped through one transition rule. The checker
+is incremental over sorted prefixes: searches extend saved states, and each
+search (a pair classification, a density profile) shares one memo of
+translation-relative segment sweeps, greedy chains and compiled atoms. It is
+property-tested against the 2^|I| word-enumeration oracle in the test suite.
 
 A threshold test only decides |I| / |F| >= threshold, so its greedy chain
 stops at ceil(threshold * |F|) chosen shifts, and one greedy over nested
@@ -34,7 +34,6 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .measures import MarkovMeasure, _gap_nums, measure_of
 from .symbolic import (
-    ConstraintAutomaton,
     CylinderUnion,
     PointRep,
     SetLike,
@@ -43,6 +42,7 @@ from .symbolic import (
     compile_atom,
     cylinder,
     resolve_constraints,
+    step,
     whole_space,
 )
 from .verdicts import (
@@ -249,8 +249,8 @@ class _Checker:
                 placements = [
                     (p + self.lo, [tuple([(a + p, atom) for a, atom in t]) for t in self.choices])
                     for p in rel_pins
-                ]
-                self.memo[key] = _sweep(self.sft, self.atoms, placements, rel_atoms, span, firsts)
+                ] + [(start, [((start, atom),)]) for start, atom in rel_atoms]
+                self.memo[key] = _sweep(self.sft, self.atoms, placements, span, firsts)
             ends = self.memo[key]
             if ends is None:
                 return None
@@ -285,45 +285,30 @@ class _Atoms:
             hit = self.seen[id(words)] = (words, atom)
         return hit[1]
 
-    def compiled(self, words):
-        return self.rows[self.id(words)]
 
-
-def _sweep(sft, atoms: _Atoms, placements, e_atoms, span, firsts) -> Optional[frozenset]:
+def _sweep(sft, atoms: _Atoms, placements, span, firsts) -> Optional[frozenset]:
     """Universal feasibility of one segment over [0, span], entered at `firsts`.
 
     Coordinates are relative to the segment's first one, and atoms are
-    (start, atom id): placements are (first coordinate, options) and
-    `e_atoms` are the E atoms. A belief pairs the target atoms the
-    assignment has opened and not yet passed (in placement order) with the
-    set of feasible frontier configurations: previous symbol, then the
-    residual state of every E atom and of every open target atom with more
-    than one word. Assignment choices split beliefs at each placement's
-    first coordinate, where the opened atoms enter in state 0; existential
-    symbol choices evolve configurations along the automaton's moves, the
-    open target atoms stepped with the E atoms, kept to the symbols that the
-    open one-word atoms (and `firsts`, at coordinate 0) allow. A belief
-    groups the assignment paths with equal configuration sets, so its last
-    symbols are theirs. Returns the set of last-symbol sets, one per belief
-    at coordinate span, or None when some assignment path empties.
+    (start, atom id); placements are (first coordinate, options), an E atom
+    being a placement with one option. A belief pairs the atoms the
+    assignment has opened and not yet passed (in opening order) with the set
+    of feasible frontier configurations: previous symbol, then the residual
+    state of every such atom. Assignment choices split beliefs at each
+    placement's first coordinate, where the opened atoms enter in state 0;
+    existential symbol choices evolve configurations by :func:`step` through
+    the open atoms that cover the coordinate (from `firsts` at coordinate 0),
+    and an atom's slot is dropped after its last coordinate. A belief groups
+    the assignment paths with equal configuration sets, so its last symbols
+    are theirs. Returns the set of last-symbol sets, one per belief at
+    coordinate span, or None when some assignment path empties.
     """
-    automaton = ConstraintAutomaton(
-        sft, [(start, atoms.words[atom]) for start, atom in e_atoms], 0, span, atoms.compiled
-    )
-    alphabet = frozenset(range(sft.alphabet_size))
-    n = len(e_atoms)
-
     starts_at: dict[int, list] = {}
     for first, options in placements:
-        starts_at.setdefault(first, []).append(
-            [
-                (option, (0,) * sum(len(atoms.words[atom]) > 1 for _, atom in option))
-                for option in options
-            ]
-        )
+        starts_at.setdefault(first, []).append([(option, (0,) * len(option)) for option in options])
 
-    # A belief: (open target atoms, frozenset of (prev symbol, states)).
-    beliefs: set = {((), frozenset({(None, automaton.initial)}))}
+    # A belief: (open atoms, frozenset of (prev symbol, states)).
+    beliefs: set = {((), frozenset({(None, ())}))}
     for c in range(span + 1):
         # Adversary choices for placements opening at c.
         for options in starts_at.get(c, ()):
@@ -334,35 +319,22 @@ def _sweep(sft, atoms: _Atoms, placements, e_atoms, span, firsts) -> Optional[fr
             }
         nxt: set = set()
         for opened, configs in beliefs:
-            column = firsts if c == 0 else alphabet
-            extra = []  # (slot, rows) of the open atoms with several words that cover c
-            keep = list(range(n))  # the slots still open after c
-            slot = n
-            still_open = []
-            for start, atom in opened:
-                words = atoms.words[atom]
-                end = start + len(words[0]) - 1
-                if len(words) > 1:
-                    if start <= c:
-                        extra.append((slot, atoms.rows[atom]))
-                    if c < end:
-                        keep.append(slot)
-                    slot += 1
-                elif start <= c:
-                    column = column & {words[0][c - start]}
-                if c < end:
-                    still_open.append((start, atom))
+            active = []  # (slot, rows) of the open atoms that cover c
+            keep = []  # the slots still open after c
+            for slot, (start, atom) in enumerate(opened):
+                if start <= c:
+                    active.append((slot, atoms.rows[atom]))
+                if c < start + len(atoms.words[atom][0]) - 1:
+                    keep.append(slot)
             new_configs = {
-                (sym, moved)
-                for prev, states in configs
-                for sym, moved in automaton.moves(c, prev, states, extra)
-                if sym in column
+                moved for prev, states in configs for moved in step(sft, prev, states, active, firsts)
             }
             if not new_configs:
                 return None
-            if len(keep) < slot:  # atoms complete at c are back in state 0: drop them
+            if len(keep) < len(opened):  # atoms complete at c are back in state 0: drop them
                 new_configs = {(sym, tuple([s[i] for i in keep])) for sym, s in new_configs}
-            nxt.add((tuple(still_open), frozenset(new_configs)))
+                opened = tuple([opened[i] for i in keep])
+            nxt.add((opened, frozenset(new_configs)))
         beliefs = nxt
     return frozenset([frozenset([sym for sym, _ in configs]) for _, configs in beliefs])
 

@@ -669,51 +669,55 @@ def _residual_row(words, lo: int, hi: int, d: int, k: int, ids: dict) -> tuple[i
     return tuple(out)
 
 
+def step(sft: Sft, prev, states, active, symbols=None) -> list:
+    """The (symbol, states) steps of a configuration: the one transition rule.
+
+    A configuration is (previous symbol, per-slot state ids of compiled
+    atoms); `active` lists the (slot, rows) of the atoms covering the
+    coordinate, each stepped by one table lookup per symbol, and a symbol
+    that leaves some atom's words is no step. prev is None at the first
+    coordinate, which reads any of `symbols` (default: every symbol).
+    """
+    if prev is not None:
+        symbols = sft.successors(prev)
+    elif symbols is None:
+        symbols = range(sft.alphabet_size)
+    if not active:
+        return [(sym, states) for sym in symbols]
+    out = []
+    for sym in symbols:
+        nxt = list(states)
+        for i, rows in active:
+            state = nxt[i] = rows[nxt[i]][sym]
+            if state < 0:
+                break
+        else:
+            out.append((sym, tuple(nxt)))
+    return out
+
+
 class ConstraintAutomaton:
     """The product automaton of the SFT and a list of constraint atoms over [lo, hi].
 
     Each atom (start, words) is compiled once into its minimal acyclic DFA
-    (:func:`compile_atom`, or `compile`, which a search memo supplies), whose
-    states are integer ids of residual languages. A configuration is (last
-    symbol, per-atom state id); an atom sits in state 0 outside its window,
-    so equal futures give equal configurations. `moves` is the one transition
-    rule, one table lookup per atom and symbol; `words` reads it out
-    depth-first over the coordinates, and the independence checker's segment
-    sweep steps it one coordinate at a time.
+    (:func:`compile_atom`), whose states are integer ids of residual
+    languages, and owns one slot of the configuration; an atom sits in state
+    0 outside its window, so equal futures give equal configurations.
+    `words` reads the configurations out depth-first over the coordinates
+    through :func:`step`, the transition rule that the independence
+    checker's segment sweep also steps.
     """
 
-    def __init__(self, sft: Sft, atoms, lo: int, hi: int, compile=None):
+    def __init__(self, sft: Sft, atoms, lo: int, hi: int):
         self.sft = sft
         self.length = hi - lo + 1
-        self.symbols = tuple(range(sft.alphabet_size))
-        # The (atom index, rows) of the atoms whose window covers each offset.
+        # The (slot, rows) of the atoms whose window covers each offset.
         self.active: list[list] = [[] for _ in range(self.length)]
         for i, (start, words) in enumerate(atoms):
-            rows = compile(words) if compile else compile_atom(words, sft.alphabet_size)
+            rows = compile_atom(words, sft.alphabet_size)
             for p in range(start - lo, start - lo + len(words[0])):
                 self.active[p].append((i, rows))
         self.initial = (0,) * len(atoms)
-
-    def moves(self, p: int, prev, states, extra=()) -> list:
-        """(symbol, states) steps at offset p from a configuration; prev is None at offset 0.
-
-        `extra` lists (slot, rows) of further compiled atoms covering p, whose
-        states follow the automaton's own in `states`; they step alike.
-        """
-        symbols = self.symbols if prev is None else self.sft.successors(prev)
-        active = self.active[p] + extra if extra else self.active[p]
-        if not active:
-            return [(sym, states) for sym in symbols]
-        out = []
-        for sym in symbols:
-            nxt = list(states)
-            for i, rows in active:
-                state = nxt[i] = rows[nxt[i]][sym]
-                if state < 0:
-                    break
-            else:
-                out.append((sym, tuple(nxt)))
-        return out
 
     def words(self) -> tuple[Word, ...]:
         """Every legal word over [lo, hi] matching every atom, in sorted order."""
@@ -726,7 +730,7 @@ class ConstraintAutomaton:
         if p == self.length:
             out.append(tuple(word))
             return
-        for sym, nxt in self.moves(p, word[-1] if word else None, states):
+        for sym, nxt in step(self.sft, word[-1] if word else None, states, self.active[p]):
             word.append(sym)
             self._walk(p + 1, word, nxt, out)
             word.pop()

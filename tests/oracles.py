@@ -250,6 +250,26 @@ def independence_oracle(sft: Sft, a1, a2, i_set, e) -> bool:
     return True
 
 
+def sweep_oracle(sft: Sft, placements, span: int, firsts):
+    """One segment over [0, span] by enumeration, for every assignment at once.
+
+    placements are (first coordinate, options), each option a tuple of
+    (start, words) atoms inside the segment. For every choice of one option
+    per placement, the last symbols of the legal words over [0, span] that
+    start in `firsts` and match every chosen atom: the set of those sets, or
+    None when some choice leaves no word.
+    """
+    words = [w for w in legal_words(sft, 0, span) if w[0] in firsts]
+    out = set()
+    for choice in itertools.product(*[options for _, options in placements]):
+        atoms = [(start, frozenset(ws), len(ws[0])) for option in choice for start, ws in option]
+        lasts = frozenset(w[-1] for w in words if all(w[a : a + n] in ws for a, ws, n in atoms))
+        if not lasts:
+            return None
+        out.add(lasts)
+    return frozenset(out)
+
+
 def join_entropy_oracle(m: MarkovMeasure, atoms, shifts) -> list[Fraction]:
     """Joint-refinement atom measures by classifying covering words."""
     lo, hi = constraint_span([(s, a) for s in shifts for a in atoms])

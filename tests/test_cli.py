@@ -251,6 +251,7 @@ def _twice(key):
         (_SENSITIVITY, _put("params", "eps", "0"), "s.params.eps"),
         (_CROSSCHECK, _put("params", "depth", 0), "c.params.depth"),
         (_CROSSCHECK, _put("params", "pairs", 13), "c.params.pairs"),
+        (_CROSSCHECK, _put("params", "pairs", 12), "c.params.pairs"),
         (_CROSSCHECK, _put("params", "table_e_eps", "0"), "c.params.table_e_eps"),
         (_CROSSCHECK, _put("params", "table_e_eps", "-1"), "c.params.table_e_eps"),
         (
@@ -288,6 +289,7 @@ def _twice(key):
         "eps-zero",
         "crosscheck-depth-zero",
         "crosscheck-pairs-above-panel",
+        "crosscheck-pair-agrees-at-depth",
         "table-e-eps-zero",
         "table-e-eps-negative",
         "union-too-wide",
@@ -460,6 +462,23 @@ def test_bundled_csv_bytes_pinned(runner, tmp_path, name):
     assert result.exit_code == 0, result.output
     (csv_path,) = tmp_path.glob("*.csv")
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == BUNDLED_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize(
+    "depth, pair",
+    [(1, "bernoulli pair per(01)|per(011)"), (2, "golden_mean pair per(001)|per(00101)")],
+)
+def test_crosscheck_refuses_pairs_that_agree_at_depth(depth, pair):
+    """12 pairs reach points that agree on [-1, 1] (and one on [-2, 2]); the
+    config names the first such pair instead of failing in the classifiers."""
+    config = json.loads(json.dumps(_CROSSCHECK))
+    config["params"].update(pairs=12, depth=depth)
+    with pytest.raises(ConfigError) as err:
+        load_config(config)
+    assert err.value.field == "c.params.pairs"
+    assert f"{pair} agrees on [-{depth}, {depth}]" in str(err.value)
+    config["params"]["depth"] = 3
+    load_config(config)
 
 
 def test_crosscheck_csv_bytes_pinned(runner, tmp_path):

@@ -26,7 +26,7 @@ from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.symbolic import CylinderUnion, cylinder, resolve_constraints, whole_space
 from shiftlab.verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, InPairParams, Verdict
 
-from .oracles import independence_oracle
+from .oracles import independence_oracle, legal_words, sweep_oracle
 
 
 def _random_union(rng, sft, max_len=2):
@@ -341,6 +341,49 @@ def test_incremental_chains_match_word_oracle(systems):
         for window in (range(rng.randrange(0, 2), 4), range(6)):
             got = ind._greedy_subset(window, checker, chain, len(window))
             assert got == _oracle_greedy(sft, a1, a2, window, e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sweep_matches_sweep_oracle(systems, data):
+    """`_sweep` against word enumeration on random segments of the panel
+    systems: placements of one or two options, each of one or two atoms of
+    one word or many; complement E atoms as one-option placements at their
+    starts (in `_Checker._tip`'s order, targets first); random `firsts`."""
+    system = data.draw(st.sampled_from(systems), label="system")
+    sft = system.sft
+    span = data.draw(st.integers(0, 6), label="span")
+
+    def atom(lo):
+        start = data.draw(st.integers(lo, span), label="start")
+        legal = legal_words(sft, 0, data.draw(st.integers(0, min(2, span - start)), label="width"))
+        many = data.draw(st.booleans(), label="many")
+        count = data.draw(st.integers(2 if many and len(legal) > 1 else 1, len(legal)), label="words")
+        return start, tuple(sorted(data.draw(st.permutations(legal), label="order")[:count]))
+
+    placements = []
+    for _ in range(data.draw(st.integers(0, 3), label="placements")):
+        first = data.draw(st.integers(0, span), label="first")
+        options = [
+            tuple(atom(first) for _ in range(data.draw(st.integers(1, 2), label="atoms")))
+            for _ in range(data.draw(st.integers(1, 2), label="options"))
+        ]
+        placements.append((first, options))
+    for _ in range(data.draw(st.integers(0, 2), label="e atoms")):
+        start, (word, *_) = atom(0)  # E is the complement of one word
+        complement = tuple(w for w in legal_words(sft, 0, len(word) - 1) if w != word)
+        if complement:
+            placements.append((start, [((start, complement),)]))
+    letters = range(sft.alphabet_size)
+    firsts = frozenset(data.draw(st.sets(st.sampled_from(letters), min_size=1), label="firsts"))
+
+    atoms = ind._Atoms(sft.alphabet_size)
+    ids = [
+        (first, [tuple([(start, atoms.id(ws)) for start, ws in option]) for option in options])
+        for first, options in placements
+    ]
+    got = ind._sweep(sft, atoms, ids, span, firsts)
+    assert got == sweep_oracle(sft, placements, span, firsts), (system.id, placements, firsts)
 
 
 def test_long_chain_sweep(bernoulli):

@@ -23,6 +23,7 @@ from shiftlab.symbolic import (
     realizable_symbols,
     resolve_constraints,
     shift_point,
+    step,
     whole_space,
 )
 from shiftlab.errors import WindowExceededError
@@ -380,7 +381,7 @@ def test_complement_atoms_compile_to_residual_states():
     """The complement of one length-L word on the full 2-shift has at most
     2L - 1 residual states, where prefix states would number 2^L - 1: every
     prefix that has left the excluded word has the same future. The
-    automaton's moves reach no more states than that."""
+    automaton's steps reach no more states than that."""
     sft = full_shift(2)
     for length in range(1, 9):
         for word in sft.legal_words(length):
@@ -390,7 +391,9 @@ def test_complement_atoms_compile_to_residual_states():
             configs, seen = {(None, automaton.initial)}, set()
             for p in range(length):
                 configs = {
-                    step for prev, states in configs for step in automaton.moves(p, prev, states)
+                    moved
+                    for prev, states in configs
+                    for moved in step(sft, prev, states, automaton.active[p])
                 }
                 seen |= {state for _, (state,) in configs}
             assert len(seen) <= 2 * length - 1
