@@ -113,7 +113,9 @@ def density_from_indicator(hits: np.ndarray) -> DensityEstimate:
     if not len(hits):
         raise ValueError("hits must not be empty")
     start = max(1, math.ceil(DEFAULT_TAIL_FRACTION * len(hits)))
-    counts = np.cumsum(hits, dtype=np.int64)[start - 1 :]
+    # Only the tail's running counts are read: the head is one count.
+    counts = np.cumsum(hits[start - 1 :], dtype=np.int64)
+    counts += np.count_nonzero(hits[: start - 1])
     averages = counts / np.arange(start, len(hits) + 1)
     return DensityEstimate(float(averages.min()), float(averages.max()))
 

@@ -16,7 +16,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -184,20 +184,25 @@ class MarkovMeasure:
         return num
 
     @functools.cached_property
-    def draw_rows(self) -> tuple[list[int], ...]:
-        """The draw bounds of each transition row, for the forward walk."""
-        return tuple(_numerator_bounds(row, self._d) for row in self._pow_cache[1])
+    def stationary_bounds(self) -> list[int]:
+        """The draw bounds of the stationary vector, for a window's first symbol."""
+        return _numerator_bounds(self.pi_num, self._d_pi)
 
     @functools.cached_property
-    def reverse_draw_rows(self) -> tuple[list[int], ...]:
-        """The draw bounds of the time-reversed chain: row b is the law
+    def forward_plan(self) -> "_Plan":
+        """The forward walk, compiled at the first sample."""
+        return _plan([_numerator_bounds(row, self._d) for row in self._pow_cache[1]])
+
+    @functools.cached_property
+    def reverse_plan(self) -> "_Plan":
+        """The walk of the time-reversed chain: row b is the law
         pi[a] P[a][b] / pi[b] of the symbol before b (pi > 0, the chain being
         irreducible)."""
         P_num, pi_num, k = self._pow_cache[1], self.pi_num, self.sft.alphabet_size
-        return tuple(
+        return _plan([
             _numerator_bounds([pi_num[a] * P_num[a][b] for a in range(k)], pi_num[b] * self._d)
             for b in range(k)
-        )
+        ])
 
     def __eq__(self, other) -> bool:
         return (
@@ -350,16 +355,10 @@ def mix_seed(*parts: int) -> int:
     return value
 
 
-def _draw_bounds(weights: Sequence[Fraction]) -> list[int]:
-    """Integer thresholds so that a 64-bit uniform r selects the first index
-    with r < ceil(cumsum * 2^64); identical to comparing Fraction(r, 2^64)
-    against the exact cumulative sums."""
-    den = math.lcm(*(w.denominator for w in weights))
-    return _numerator_bounds([w.numerator * (den // w.denominator) for w in weights], den)
-
-
 def _numerator_bounds(nums: Sequence[int], den: int) -> list[int]:
-    """`_draw_bounds` of the weights nums[i] / den, in integers."""
+    """Integer thresholds so that a 64-bit uniform r selects the first index
+    with r < ceil(cumsum * 2^64) of the weights nums[i] / den; identical to
+    comparing Fraction(r, 2^64) against the exact cumulative sums."""
     bounds = []
     acc = 0
     for x in nums:
@@ -404,27 +403,55 @@ def _uniforms(bits, n: int) -> np.ndarray:
     return bits.random_raw(2 * n).astype("<u4").view("<u8")
 
 
-def _pick(bounds: Sequence[int], r: np.ndarray) -> np.ndarray:
-    """For each uniform, the first index i with r < bounds[i], else the last.
+def _thresholds(bounds: Sequence[int], dtype) -> list[tuple]:
+    """The pick of `bounds` compiled for `_pick`: (threshold, increment) pairs.
 
-    That index is the number of bounds at or below r, capped at the last
-    index, so it is summed from one comparison per distinct bound below 2^64,
-    each adding the bounds it stands for (a zero weight repeats the bound
-    before it, and a bound of 2^64 exceeds every uniform).
+    The first index i with r < bounds[i], else the last, is the number of
+    bounds at or below r, capped at the last index, so it is summed from one
+    comparison per distinct bound below 2^64, each adding the bounds it
+    stands for (a zero weight repeats the bound before it, and a bound of
+    2^64 exceeds every uniform).
     """
     last = len(bounds) - 1
-    index = np.zeros(len(r), dtype=np.min_scalar_type(last))
+    pairs = []
     passed = 0
     for b in sorted({b for b in bounds if b < 1 << 64}):
         count = min(bisect.bisect_right(bounds, b), last)
-        index += (r >= np.uint64(b)) * index.dtype.type(count - passed)
+        pairs.append((np.uint64(b), dtype.type(count - passed)))
         passed = count
+    return pairs
+
+
+def _pick(thresholds: Sequence[tuple], r: np.ndarray, dtype) -> np.ndarray:
+    """For each uniform, the index its compiled bounds select."""
+    index = np.zeros(len(r), dtype=dtype)
+    for b, step in thresholds:
+        index += (r >= b) * step
     return index
 
 
-def _draw(bits, weights: Sequence[Fraction]) -> int:
-    """Exact categorical draw via a 64-bit uniform against Fraction cumsums."""
-    return int(_pick(_draw_bounds(weights), _uniforms(bits, 1))[0])
+def _draw_index(bits, bounds: Sequence[int]) -> int:
+    """The first index i with r < bounds[i], else the last, for one 64-bit uniform r."""
+    return min(bisect.bisect_right(bounds, int(_uniforms(bits, 1)[0])), len(bounds) - 1)
+
+
+class _Plan(NamedTuple):
+    """A chain direction's draw rows, compiled once for `_walk`."""
+
+    dtype: np.dtype  # of the symbols: bytes whenever the alphabet fits in one
+    picks: tuple[list[tuple], ...]  # each row's `_thresholds`
+    successor: Optional[tuple[int, ...]]  # each row's one successor, when every row has one
+    one_law: bool  # every row draws by the same bounds
+
+
+def _plan(rows: Sequence[Sequence[int]]) -> _Plan:
+    """Compile draw-bound rows (row b the law of the symbol after b)."""
+    dtype = np.min_scalar_type(len(rows) - 1)
+    picks = tuple(_thresholds(bounds, dtype) for bounds in rows)
+    edges = np.array([0, (1 << 64) - 1], dtype=np.uint64)
+    ends = [_pick(pick, edges, dtype).tolist() for pick in picks]
+    successor = tuple(a for a, _ in ends) if all(a == b for a, b in ends) else None
+    return _Plan(dtype, picks, successor, all(bounds == rows[0] for bounds in rows))
 
 
 def _path(table: np.ndarray, s: int) -> np.ndarray:
@@ -459,39 +486,34 @@ def _path(table: np.ndarray, s: int) -> np.ndarray:
     return symbol_after[visited.T.reshape(-1)[:c]]
 
 
-def _walk(bits, rows: Sequence[Sequence[int]], s: int, n: int) -> np.ndarray:
-    """Symbol s and n chain steps after it, the successor of b drawn by bounds rows[b].
+def _walk(bits, plan: _Plan, s: int, n: int) -> np.ndarray:
+    """Symbol s and n chain steps after it, each successor drawn by the plan's rows.
 
-    The rows decide how the path is read. When every row has one successor
+    The plan decides how the path is read. When every row has one successor
     (it picks the same symbol for the least and the greatest uniform), the
     path is the orbit of s, walked until a symbol repeats and then tiled; the
     stream still skips the n uniforms the steps would draw. When every row is
     one law, the steps are that row's picks. Otherwise each chunk of uniforms
     becomes a successor table (row b holds the symbol after b at every step
-    of the chunk), read by block composition in `_path`. Symbols are bytes
-    whenever the alphabet fits in one.
+    of the chunk), read by block composition in `_path`.
     """
-    dtype = np.min_scalar_type(len(rows) - 1)
-    edges = np.array([0, (1 << 64) - 1], dtype=np.uint64)
-    ends = [_pick(bounds, edges).tolist() for bounds in rows]
-    if all(first == last for first, last in ends):
-        successor = [first for first, _ in ends]
+    if plan.successor is not None:
+        successor = plan.successor
         bits.random_raw(2 * n, output=False)
         orbit = [s]
         while successor[orbit[-1]] not in orbit:
             orbit.append(successor[orbit[-1]])
         loop = orbit.index(successor[orbit[-1]])
-        head = np.array(orbit, dtype=dtype)
+        head = np.array(orbit, dtype=plan.dtype)
         cycle = np.tile(head[loop:], -(-(n + 1) // (len(orbit) - loop)))
         return np.concatenate((head[:loop], cycle))[: n + 1]
-    one_law = all(bounds == rows[0] for bounds in rows)
-    parts = [np.array([s], dtype=dtype)]
+    parts = [np.array([s], dtype=plan.dtype)]
     for done in range(0, n, _WALK_CHUNK):
         r = _uniforms(bits, min(_WALK_CHUNK, n - done))
-        if one_law:
-            parts.append(_pick(rows[0], r))
+        if plan.one_law:
+            parts.append(_pick(plan.picks[0], r, plan.dtype))
         else:
-            parts.append(_path(np.stack([_pick(bounds, r) for bounds in rows]), s))
+            parts.append(_path(np.stack([_pick(pick, r, plan.dtype) for pick in plan.picks]), s))
             s = int(parts[-1][-1])
     return np.concatenate(parts)
 
@@ -506,8 +528,8 @@ def sample_point(m: MarkovMeasure, lo: int, hi: int, seed: int) -> SampledWindow
     if lo > hi:
         raise ValueError("lo must be <= hi")
     bits = _stream(seed)
-    first = _draw(bits, m.stationary)
-    return SampledWindow(m.sft, lo, hi, _walk(bits, m.draw_rows, first, hi - lo), seed)
+    first = _draw_index(bits, m.stationary_bounds)
+    return SampledWindow(m.sft, lo, hi, _walk(bits, m.forward_plan, first, hi - lo), seed)
 
 
 def sample_point_in(
@@ -527,15 +549,16 @@ def sample_point_in(
     c_lo, c_hi = cell.support
     if lo > c_lo or hi < c_hi:
         raise ValueError("window must cover the cell support")
-    weights = [m.word_weight(w) for w in cell.words]
-    total = sum(weights, Fraction(0))
+    # The cell's words share one length, hence one weight denominator.
+    nums = [m.pi_num[w[0]] * m.inner_num(w) for w in cell.words]
+    total = sum(nums)
     if total == 0:
         raise ValueError("cell has measure zero")
     bits = _stream(seed)
-    word = cell.words[_draw(bits, [w / total for w in weights])]
+    word = cell.words[_draw_index(bits, _numerator_bounds(nums, total))]
 
-    forward = _walk(bits, m.draw_rows, word[-1], hi - c_hi)
-    backward = _walk(bits, m.reverse_draw_rows, word[0], c_lo - lo)
+    forward = _walk(bits, m.forward_plan, word[-1], hi - c_hi)
+    backward = _walk(bits, m.reverse_plan, word[0], c_lo - lo)
     symbols = np.concatenate(
         [backward[:0:-1], np.array(word, dtype=forward.dtype), forward[1:]]
     )

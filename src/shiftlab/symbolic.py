@@ -279,7 +279,7 @@ class SampledWindow:
         pairs = window[:-1].astype(np.min_scalar_type(k * k - 1))
         pairs *= k
         np.add(pairs, window[1:], out=pairs, casting="unsafe")  # symbols are in range
-        if not sft._allowed_pairs[pairs].all():
+        if not np.take(sft._allowed_pairs, pairs).all():
             raise ValueError("window violates the transition matrix")
         window.flags.writeable = False
         self.sft = sft

@@ -12,12 +12,14 @@ from shiftlab.measures import (
     _WALK_CHUNK,
     MarkovMeasure,
     _bits,
-    _draw,
-    _draw_bounds,
+    _draw_index,
     _gap_nums,
+    _numerator_bounds,
     _path,
     _pick,
+    _plan,
     _stream,
+    _thresholds,
     _uniforms,
     _walk,
     measure_of,
@@ -458,11 +460,13 @@ def test_sample_point_in_conditional_law(golden):
 def test_pick_matches_per_draw_rule(nums, scale, which, edge):
     # Weights summing to 1, 1/2 or 0, so some rows leave every bound <= r.
     weights = [Fraction(x, scale * max(sum(nums), 1)) for x in nums]
-    bounds = _draw_bounds(weights)
-    assert bounds == reference_bounds(weights)
+    bounds = reference_bounds(weights)
+    assert _numerator_bounds(nums, scale * max(sum(nums), 1)) == bounds
     edges = [0, (1 << 64) - 1] + [b + d for b in bounds for d in (-1, 0) if 0 <= b + d < 1 << 64]
     r = edges[which % len(edges)] if edge else which
-    assert int(_pick(bounds, np.array([r], dtype=np.uint64))[0]) == reference_index(bounds, r)
+    dtype = np.min_scalar_type(len(bounds) - 1)
+    index = _pick(_thresholds(bounds, dtype), np.array([r], dtype=np.uint64), dtype)
+    assert int(index[0]) == reference_index(bounds, r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,17 +577,75 @@ def test_sampler_bit_identical_across_blocks(chain, monkeypatch):
             assert after == made[-1].getstate()[1]
 
 
+@st.composite
+def random_chains(draw) -> MarkovMeasure:
+    """An irreducible chain on k <= 4 symbols whose rows are random with zero
+    entries, one-successor rows mixed with random rows, or all one law. A
+    one-law row is all positive, and every other row keeps b -> b + 1 (mod k),
+    so the chain is irreducible."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["zero_entries", "one_successor", "one_law"]))
+    if kind == "one_law":
+        rows = [[draw(st.integers(1, 6)) for _ in range(k)]] * k
+    else:
+        rows = []
+        for a in range(k):
+            nxt = (a + 1) % k
+            if kind == "one_successor" and draw(st.booleans()):
+                row = [int(b == nxt) for b in range(k)]
+            else:
+                row = [draw(st.integers(0, 6)) for _ in range(k)]
+                row[nxt] = draw(st.integers(1, 6))
+            rows.append(row)
+    transition = [[Fraction(x, sum(row)) for x in row] for row in rows]
+    return MarkovMeasure(Sft(k, [[x > 0 for x in row] for row in rows]), transition)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sampler_plans_reused_on_random_chains(data):
+    """Two sample_point draws and one sample_point_in on one measure object,
+    so its compiled plans are reused, match the per-draw reference symbol for
+    symbol and leave the generator where the reference's is."""
+    m = data.draw(random_chains())
+    cell = _random_union(data, m)
+    assume(not cell.is_empty and measure_of(m, cell) > 0)
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(random, "Random", Recorded)
+        for _ in range(2):
+            lo, seed = data.draw(st.integers(-20, 20)), data.draw(st.integers(0, 1 << 70))
+            hi = lo + data.draw(st.sampled_from([0, 1, _BLOCK, _BLOCK**2 + 1]))
+            got = sample_point(m, lo, hi, seed).symbols
+            after = _stream_state()
+            assert got == sample_point_reference(m, lo, hi, seed)
+            assert after == made[-1].getstate()[1]
+        c_lo, c_hi = cell.support if not cell.is_full else (0, 0)
+        lo, hi = c_lo - data.draw(st.integers(0, 30)), c_hi + data.draw(st.integers(0, 30))
+        seed = data.draw(st.integers(0, 1 << 70))
+        got = sample_point_in(m, cell, lo, hi, seed).symbols
+        after = _stream_state()
+        assert got == sample_point_in_reference(m, cell, lo, hi, seed)
+        assert after == made[-1].getstate()[1]
+
+
 def test_walk_wide_alphabet_matches_per_draw():
     # 300 symbols do not fit in a byte: the table and the walk fall back to ints.
     k = 300
     rows = [
-        _draw_bounds(
+        reference_bounds(
             [Fraction(1, 2) if j in ((b + 1) % k, (7 * b + 3) % k) else Fraction(0) for j in range(k)]
         )
         for b in range(k)
     ]
     ref_rng = random.Random(3)
-    walk = _walk(_stream(3), rows, 0, 3000).tolist()
+    walk = _walk(_stream(3), _plan(rows), 0, 3000).tolist()
     expected = [0]
     for _ in range(3000):
         expected.append(reference_draw(ref_rng, rows[expected[-1]]))
@@ -592,7 +654,7 @@ def test_walk_wide_alphabet_matches_per_draw():
 
 
 def _one_hot(k: int, j: int) -> list:
-    return _draw_bounds([Fraction(int(i == j)) for i in range(k)])
+    return reference_bounds([Fraction(int(i == j)) for i in range(k)])
 
 
 # Hand-built bounds for each readout of `_walk`: a 5-symbol permutation and a
@@ -601,7 +663,7 @@ def _one_hot(k: int, j: int) -> list:
 WALK_ROWS = {
     "permutation": [_one_hot(5, j) for j in (3, 0, 4, 1, 2)],
     "tail_then_cycle": [_one_hot(5, j) for j in (1, 2, 3, 4, 2)],
-    "one_law": [_draw_bounds([Fraction(1, 3), Fraction(0), Fraction(2, 3)])] * 3,
+    "one_law": [reference_bounds([Fraction(1, 3), Fraction(0), Fraction(2, 3)])] * 3,
     "one_symbol": [_one_hot(1, 0)],
 }
 
@@ -612,7 +674,7 @@ def test_walk_readouts_match_per_draw(name):
     for seed, n in enumerate((0,) + BLOCK_LENGTHS):
         for s in range(len(rows)):
             ref_rng = random.Random(seed)
-            walk = _walk(_stream(seed), rows, s, n)
+            walk = _walk(_stream(seed), _plan(rows), s, n)
             expected = [s]
             for _ in range(n):
                 expected.append(reference_draw(ref_rng, rows[expected[-1]]))
@@ -669,7 +731,7 @@ def test_uniforms_match_getrandbits_across_draw_and_chunk(seed, tail):
     rng = random.Random(seed)
     bits = _stream(seed)
     weights = [Fraction(1, 3)] * 3
-    assert _draw(bits, weights) == reference_draw(rng, reference_bounds(weights))
+    assert _draw_index(bits, reference_bounds(weights)) == reference_draw(rng, reference_bounds(weights))
     got = np.concatenate((_uniforms(bits, _WALK_CHUNK), _uniforms(bits, tail)))
     assert got.tolist() == [rng.getrandbits(64) for _ in range(_WALK_CHUNK + tail)]
     assert _stream_state() == rng.getstate()[1]

@@ -173,6 +173,54 @@ def test_sampled_window_rejects_bad_windows(as_array):
         assert window(legal).symbols == tuple(legal)
 
 
+# The golden mean, the 4-cycle and a 300-symbol chain (each symbol stays or
+# steps to the next), whose coded pairs a * k + b need more than a byte; each
+# with one forbidden pair.
+LEGALITY_CHAINS = {
+    "golden_mean": (golden_sft, (1, 1)),
+    "cycle4": (lambda: Sft(4, [[b == (a + 1) % 4 for b in range(4)] for a in range(4)]), (2, 0)),
+    "wide300": (
+        lambda: Sft(300, [[(b - a) % 300 in (0, 1) for b in range(300)] for a in range(300)]),
+        (299, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["word", "array"])
+@pytest.mark.parametrize("chain", sorted(LEGALITY_CHAINS))
+def test_sampled_window_refuses_a_forbidden_pair_anywhere(chain, as_array):
+    make, (a, b) = LEGALITY_CHAINS[chain]
+    sft = make()
+    k = sft.alphabet_size
+    assert not sft.allowed[a][b]
+    length = 40
+
+    def window(symbols):
+        dtype = np.min_scalar_type(k - 1) if min(symbols) >= 0 else np.int64
+        spec = np.array(symbols, dtype=dtype) if as_array else symbols
+        return SampledWindow(sft, 5, 5 + len(symbols) - 1, spec, seed=0)
+
+    def legal_path(first, n, step):
+        path = [first]
+        while len(path) < n:
+            path.append(step(path[-1])[-1])
+        return path
+
+    legal = legal_path(a, length, sft.successors)
+    assert window(legal).symbols == tuple(legal)
+    # The one forbidden pair a -> b at the first, a middle and the last
+    # position: a legal path into a, then a legal path out of b.
+    for at in (0, length // 2, length - 2):
+        before = legal_path(a, at + 1, sft.predecessors)[::-1]
+        symbols = before + legal_path(b, length - at - 1, sft.successors)
+        assert symbols[at : at + 2] == [a, b]
+        with pytest.raises(ValueError, match="violates the transition matrix"):
+            window(symbols)
+    for bad in (k, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            window(legal[:-1] + [bad])
+
+
 def test_point_membership_examples():
     sft = full_shift(2)
     zeros = all_zeros(sft)
