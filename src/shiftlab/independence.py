@@ -180,14 +180,14 @@ class _Checker:
         shifts = new
         if fresh:  # E enters unshifted: its new atoms may land in closed segments, so refold
             shifts = state.shifts + shifts
-            state = self.empty._replace(e_atoms=tuple(sorted([*state.e_atoms, *fresh])))
+            state = _Prefix((), tuple(sorted([*state.e_atoms, *fresh])), 0, *self.empty[3:])
         for shift in shifts:
             state = state and self._place(state, shift)
         return state and self._settle(state)
 
     def _place(self, state: _Prefix, s: int) -> Optional[_Prefix]:
         """Append placement s after the E atoms that start before it; None if a segment dies."""
-        state = self._merge(state._replace(shifts=state.shifts + (s,)), s + self.lo)
+        state = self._merge(_Prefix(state.shifts + (s,), *state[1:]), s + self.lo)
         if state is None or not self.choices:
             return state
         return self._add(state, s + self.lo, s + self.hi, s)
@@ -207,7 +207,7 @@ class _Checker:
         tip = tail and self._tip(tail)
         if tip is None:
             return None
-        return state._replace(tip=tip) if tail is state else state
+        return _Prefix(*state[:6], tip) if tail is state else state
 
     def _add(self, state: _Prefix, lo: int, hi: int, pin: Optional[int]) -> Optional[_Prefix]:
         """Fold in [lo, hi]: the placement of shift `pin`, or if pin is None the next E atom."""
@@ -228,7 +228,7 @@ class _Checker:
             atoms += (state.e_atoms[merged],)
             merged += 1
         seg = (seg_lo, seg_hi, pins, atoms)
-        return state._replace(merged=merged, frontier=frontier, prev_hi=prev_hi, open=seg, tip=None)
+        return _Prefix(state.shifts, state.e_atoms, merged, frontier, prev_hi, seg, None)
 
     def _tip(self, state: _Prefix) -> Optional[frozenset]:
         """The frontier with the open segment folded in, or None if an assignment dies."""
@@ -362,7 +362,7 @@ EXHAUSTIVE_WINDOW_CAP = 24  # widest window searched exactly; wider ones get the
 NODE_BUDGET = 500_000  # branch-and-bound nodes a search visits before it falls back to greedy
 
 
-def _gap_dp_max(compatible, f_sorted) -> tuple[int, ...]:
+def _gap_dp_max(compatible, f_sorted, solved: dict) -> tuple[int, ...]:
     """Exact maximum via pairwise-gap DP when placements cannot overlap.
 
     Valid for single-word targets when every gap smaller than the placement
@@ -372,16 +372,18 @@ def _gap_dp_max(compatible, f_sorted) -> tuple[int, ...]:
     targets pairwise-compatible pairs can need different words at a shared
     placement, so callers keep unions out and check the precondition.
     `compatible(g)` says whether {0, g} is an independence set with E ignored.
+    `solved` keeps the tables of the widest contiguous window solved: by
+    translation a contiguous window of n shifts has the tables of its last n.
     """
-    gaps = {b - a for a in f_sorted for b in f_sorted if b > a}
-    compat = {g: compatible(g) for g in gaps}
     n = len(f_sorted)
-    # best[i] = largest subset size starting at position i and going right.
-    best = [1] * n
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            if compat[f_sorted[j] - f_sorted[i]]:
-                best[i] = max(best[i], 1 + best[j])
+    contiguous = f_sorted[-1] - f_sorted[0] == n - 1
+    best, compat = solved.get("table", ((), None))
+    if not contiguous or len(best) < n:
+        compat = {g: compatible(g) for g in {b - a for a in f_sorted for b in f_sorted if b > a}}
+        best = _suffix_table(compat, f_sorted)
+        if contiguous:
+            solved["table"] = (best, compat)
+    best = best[len(best) - n :]
     remaining = max(best)
     chosen: list[int] = []
     prev: Optional[int] = None
@@ -396,6 +398,15 @@ def _gap_dp_max(compatible, f_sorted) -> tuple[int, ...]:
         if remaining == 0:
             break
     return tuple(chosen)
+
+
+def _suffix_table(compat: dict, f_sorted) -> tuple[int, ...]:
+    """best[i]: the most shifts from f_sorted[i] on, f_sorted[i] first, at compatible gaps."""
+    n = len(f_sorted)
+    best = [1] * n
+    for i in range(n - 1, -1, -1):
+        best[i] = max([1 + best[j] for j in range(i + 1, n) if compat[f_sorted[j] - f_sorted[i]]], default=1)
+    return tuple(best)
 
 
 def max_independence_subset(
@@ -443,7 +454,8 @@ def max_independence_subset(
     single_word = all(len(t) == 1 and len(t[0][1]) == 1 for t in targets)
     if single_word and all(e.at(s).is_full for s in f_sorted):
         if not any(compatible(g) for g in range(1, span)):
-            return report(_gap_dp_max(compatible, f_sorted), True)
+            solved = checker.memo.setdefault(("dp", free.targets), {})  # one DP per targets
+            return report(_gap_dp_max(compatible, f_sorted, solved), True)
     # Smallest assignment-universally feasible gap ignoring E: every gap
     # inside any independence set is at least gamma, since subsets of
     # independence sets are independence sets, E only shrinks, and with E
@@ -556,16 +568,17 @@ def independence_density_profile(
     """Per window size N, the worst-case (over the E family) best ratio on {0..N-1}.
 
     A profile floor staying away from 0 is the desk-scale evidence for the
-    positive independence density constant.
+    positive independence density constant. Searched widest first, the
+    windows share one gap DP.
     """
     if not e_family:
         raise ValueError("e_family must be nonempty")
     memo = {} if _memo is None else _memo
-    reports = []
-    for n in n_list:
+    worst = {}
+    for n in sorted(set(n_list), reverse=True):
         reps = [max_independence_subset(sft, a1, a2, range(n), e, _memo=memo) for e in e_family]
-        reports.append(min(reps, key=lambda rep: rep.ratio))  # the first worst
-    return reports
+        worst[n] = min(reps, key=lambda rep: rep.ratio)  # the first worst
+    return [worst[n] for n in n_list]
 
 
 # ---------------------------------------------------------------------------
@@ -678,15 +691,16 @@ def classify_in_pair(
     only, and a positive verdict certifies that eps, not the largest that
     would pass. Positive needs every level's profile floor >= C_MIN there.
 
-    By shift invariance the map of (s, t) has measure 1 - mu(Ux ∩ T^-(t-s)
-    Uy), so one gap-kernel readout qualifies all of them before any is
-    built; one whose meet is empty is E = X, whose windows repeat the base
-    profile. The extras qualify once per call: nothing there depends on d.
+    By shift invariance the map of (s, t) is that of (0, t - s) translated
+    by s, of measure 1 - mu(Ux ∩ T^-(t-s) Uy): one gap-kernel readout
+    qualifies the gaps and one complement is built per gap. One whose meet
+    is empty is E = X, whose windows repeat the base profile. The extras
+    qualify once per call: nothing there depends on d.
     """
     levels = neighbourhood_levels(x, y, depth)
     memo: dict = {}  # one translation-relative sweep memo for every search of the pair
     level_eps = min(DEFAULT_EPS_GRID)
-    floor = 1 - Fraction(level_eps)
+    floor = 1 - Fraction(str(level_eps))  # the grid value's decimal: Fraction(0.02) > 1/50
     window = tuple(range(max(N_LIST)))
     extras = None  # qualified once, at the first level past its base profile
     level_witnesses = []
@@ -707,14 +721,14 @@ def classify_in_pair(
         if extras is None:
             extras = [e for e in params.extra_e_maps if e_min_measure(e, m, window) >= floor]
         meets = _gap_nums(m, ux, uy, RA_BOUND + 1)
-        qualifying = []
-        for s in range(RA_BOUND + 1):
-            for t in range(s + 1, RA_BOUND + 1):
-                num, den = meets[t - s]
-                if 1 - Fraction(num, den) >= floor:
-                    e = bad_constant_e(m, s, t, ux, uy)
-                    if not e.default.is_full:  # not just mu = 0: allowed moves can have probability 0
-                        qualifying.append(e)
+        per_gap = {}
+        for g in range(1, RA_BOUND + 1):
+            if 1 - Fraction(*meets[g]) >= floor:
+                e = bad_constant_e(m, 0, g, ux, uy)
+                if not e.default.is_full:  # not just mu = 0: allowed moves can have probability 0
+                    per_gap[g] = e.default
+        pairs = [(s, t) for s in range(RA_BOUND + 1) for t in range(s + 1, RA_BOUND + 1)]
+        qualifying = [TableE(per_gap[t - s].translate(s)) for s, t in pairs if t - s in per_gap]
         if not all(
             _prefixes_meet(sft, ux, uy, window, N_LIST, e, C_MIN, memo) for e in qualifying + extras
         ):

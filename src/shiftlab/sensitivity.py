@@ -392,7 +392,7 @@ def classify_diam_pair(
             witnesses.append(
                 {"level": d, "cell": repr(cell), "upper_density": float(dens)}
             )
-        level_eps = max((g for g in DEFAULT_EPS_GRID if floor > Fraction(g)), default=None)
+        level_eps = max((g for g in DEFAULT_EPS_GRID if floor > Fraction(str(g))), default=None)
         if level_eps is None:
             return Verdict(
                 NEGATIVE,

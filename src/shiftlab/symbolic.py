@@ -463,10 +463,10 @@ class CylinderUnion:
     def complement(self) -> "CylinderUnion":
         if self.is_empty:
             return whole_space(self.sft)
-        width = self.width
-        mine = set(self.words)
-        rest = [w for w in self.sft.legal_words(width) if w not in mine]
-        u = CylinderUnion._from_normal(self.sft, self.start, rest)
+        mine = set(self.words)  # a free boundary coordinate of the complement is free in self: no trim
+        u = CylinderUnion.__new__(CylinderUnion)
+        u.sft, u.words = self.sft, tuple([w for w in self.sft.legal_words(self.width) if w not in mine])
+        u.start = self.start if u.words else 0
         u._complement_of = self  # measure_of may then take 1 - mu(self) instead of summing u
         return u
 

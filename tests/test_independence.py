@@ -21,9 +21,9 @@ from shiftlab.independence import (
     ratio_meets,
     separating_depth,
 )
-from shiftlab.measures import _gap_nums, measure_of, measure_of_constraints
+from shiftlab.measures import MarkovMeasure, _gap_nums, measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
-from shiftlab.symbolic import CylinderUnion, cylinder, resolve_constraints, whole_space
+from shiftlab.symbolic import CylinderUnion, Sft, cylinder, resolve_constraints, whole_space
 from shiftlab.verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, InPairParams, Verdict
 
 from .oracles import independence_oracle, legal_words, sweep_oracle
@@ -578,6 +578,43 @@ def test_profile_shares_gap_checks_across_windows(systems):
         assert shared == fresh, (system.id, a1, a2)
 
 
+PROFILE_ORDERS = {
+    "ascending": list(range(1, 25)),
+    "descending": list(range(24, 0, -1)),
+    "shuffled": random.Random(29).sample(range(1, 25), 24),
+    "repeats": [24, 4, 16, 8, 4, 1, 24, 1],
+}
+
+
+@pytest.mark.parametrize("order", sorted(PROFILE_ORDERS))
+def test_profile_windows_share_one_gap_dp(systems, monkeypatch, order):
+    """Single-word targets with E = X take the gap-DP path. In any window
+    order, with repeats, one memo's profile equals fresh per-window searches
+    and runs one DP per targets: the narrower windows read the widest's table."""
+    tables = []
+    real = ind._suffix_table
+    monkeypatch.setattr(ind, "_suffix_table", lambda *args: tables.append(args) or real(*args))
+    n_list = PROFILE_ORDERS[order]
+    dp_targets = 0
+    for system in systems:
+        sft = system.sft
+        for _label, x, y in canonical_pairs(system, 6):
+            for d in (0, 1):
+                ux, uy = point_neighborhood(x, d), point_neighborhood(y, d)
+                memo: dict = {}
+                tables.clear()
+                shared = independence_density_profile(
+                    sft, system.measure, ux, uy, n_list, [full_e(sft)], _memo=memo
+                )
+                dps = len(tables)
+                fresh = [max_independence_subset(sft, ux, uy, range(n), full_e(sft)) for n in n_list]
+                assert shared == fresh, (system.id, _label, d, order)
+                took_dp = any(isinstance(key[0], str) and key[0] == "dp" for key in memo)
+                assert dps == int(took_dp), (system.id, _label, d, order)
+                dp_targets += took_dp
+    assert dp_targets >= 30
+
+
 def test_prefixes_meet_counts_each_window_inside_it(bernoulli):
     """E is empty at shifts 0..3, so the 4-window holds no independence set
     while the 8-window holds 4 of 8: the greedy's shift 4 must not count
@@ -656,6 +693,20 @@ def test_bad_constant_e_examples(bernoulli):
     assert measure_of(m, e.default) == 1 - target
 
 
+def test_constant_complements_are_translates_per_gap(systems):
+    """The map of (s, t) is the map of (0, t - s) translated by s, on the
+    panel pairs at depths 0-2 and every 0 <= s < t <= RA_BOUND."""
+    for system in systems:
+        m = system.measure
+        for label, x, y in canonical_pairs(system):
+            for d in range(3):
+                ux, uy = point_neighborhood(x, d), point_neighborhood(y, d)
+                for s in range(ind.RA_BOUND + 1):
+                    for t in range(s + 1, ind.RA_BOUND + 1):
+                        shifted = bad_constant_e(m, 0, t - s, ux, uy).default.translate(s)
+                        assert bad_constant_e(m, s, t, ux, uy) == TableE(shifted), (label, d, s, t)
+
+
 def test_bad_constant_e_infeasible_pair(golden):
     one = cylinder(golden.sft, 0, "1")
     e = bad_constant_e(golden.measure, 0, 1, one, one)
@@ -708,7 +759,8 @@ def test_classify_panel_signs(bernoulli, cycle4):
 
 def test_classify_level_zero_builds_no_constant_map(bernoulli, monkeypatch):
     """Every level-0 meet on Bernoulli has mu = 1/4 > 1/50, so the gap kernel
-    disqualifies all fifteen constant complements before any is built."""
+    disqualifies all fifteen constant complements before any is built. At
+    level 1 one complement is built per qualifying gap, at s = 0."""
     built = []
     real = ind.bad_constant_e
     monkeypatch.setattr(ind, "bad_constant_e", lambda *args: built.append(args) or real(*args))
@@ -718,7 +770,7 @@ def test_classify_level_zero_builds_no_constant_map(bernoulli, monkeypatch):
     assert built == []
     # At level 1 the meets at gaps 3..5 measure 1/64 and qualify; gaps 1 and 2 are empty.
     assert classify_in_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 1).is_positive
-    assert sorted(t - s for _m, s, t, _ux, _uy in built) == [1] * 5 + [2] * 4 + [3] * 3 + [4] * 2 + [5]
+    assert sorted(t - s for _m, s, t, _ux, _uy in built) == [1, 2, 3, 4, 5]
 
 
 def _reference_classify(sft, m, x, y, depth, params) -> Verdict:
@@ -810,6 +862,22 @@ def test_classify_thin_blocking_map_fails_every_eps(bernoulli):
         assert got == _reference_classify(
             bernoulli.sft, bernoulli.measure, zeros, ones, depth, params
         )
+
+
+def test_classify_eps_reads_the_grid_decimal():
+    """Fraction(0.02) is a little above 1/50, so a map whose sets measure
+    exactly 1 - Fraction(0.02) is thinner than eps = 0.02 allows: it takes no
+    part, and the verdict is the map-free one. Read as Fraction(0.02), the
+    floor would let it in, and it would block every shift from taking U_y."""
+    q = Fraction(0.02)
+    sft = Sft(2, [[True, True], [True, True]])
+    m = MarkovMeasure(sft, [[1 - q, q], [1 - q, q]])
+    assert m.stationary[1] == q
+    zeros, ones = periodic_point(sft, "0"), periodic_point(sft, "1")
+    e = _blocking_e(sft, point_neighborhood(ones, 0))
+    assert e_min_measure(e, m, range(max(ind.N_LIST))) == 1 - q
+    got = classify_in_pair(sft, m, zeros, ones, 0, InPairParams(extra_e_maps=(e,)))
+    assert got.is_positive and got == classify_in_pair(sft, m, zeros, ones, 0)
 
 
 def test_separating_depth(bernoulli):

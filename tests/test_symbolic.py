@@ -268,6 +268,29 @@ def test_normalization_canonicity_trim():
     assert empty.translate(3) == empty
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_complement_is_already_trimmed(data):
+    """A union's complement comes out in minimal-support form: its (start,
+    words) is a fixed point of _trim, and it equals the complement word list
+    normalized from the union's support."""
+    sft = data.draw(st.sampled_from(KERNEL_SFTS), label="sft")
+    words = [w for length in (1, 2, 3) for w in sft.legal_words(length)]
+    picks = data.draw(
+        st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(words)), min_size=1, max_size=4),
+        label="cylinders",
+    )
+    u = CylinderUnion(sft, picks)
+    c = u.complement()
+    if c.is_empty:
+        assert u.is_full
+        return
+    assert symbolic._trim(sft, c.start, set(c.words)) == (c.start, set(c.words))
+    rest = [w for w in sft.legal_words(u.width) if w not in set(u.words)]
+    assert c == CylinderUnion._from_normal(sft, u.start, rest)
+    assert c.complement() == u
+
+
 def test_too_wide_union_raises_before_listing_words(monkeypatch):
     """[0]_0 and [0]_18 extend to 2^18 words each over [0, 18]: past the
     budget the union raises before it lists them."""
