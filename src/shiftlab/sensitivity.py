@@ -42,7 +42,6 @@ from .symbolic import (
     PointRep,
     SetLike,
     Sft,
-    diam_of_set,
     resolve_constraints,
     shift_point,
 )
@@ -288,45 +287,26 @@ def classify_ms_pair(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiamMeanProfile:
-    """Limsup average of diam(T^s A); exact when the diameters settle into a cycle."""
+def diam_mean_profile(sft: Sft, a: CylinderUnion) -> Fraction:
+    """lim (1/n) sum_{s < n} diam(T^s a), exact.
 
-    value: float
-    exact: Optional[Fraction]
-    burn_in: int
-
-    def __float__(self) -> float:
-        return self.value
-
-
-DIAM_METRIC_HORIZON = 32  # each diam(T^s A) looks for a multi-valued coordinate in [-32, 32]
-DIAM_SCAN_CAP = 512  # most shifts whose diameters diam_mean_profile computes
-
-
-def diam_mean_profile(sft: Sft, m: MarkovMeasure, a: CylinderUnion, n_max: int) -> DiamMeanProfile:
-    """Tail estimate of limsup (1/|F_n|) sum_{s in F_n} diam(T^s a).
-
-    diam(T^s a) is exact per shift and eventually periodic in s, so once a
-    cycle is detected the limit equals the exact cycle mean; otherwise a
-    tail-max estimate over the computed prefix is returned.
+    Past the support, coordinate n of T^s a reads the orbit of a's last
+    symbols at step n + s - hi. Once that orbit cycles, diam(T^s a) = 2^-d
+    with d the circular distance from the phase of step s - hi to the
+    nearest cycle set of two or more symbols, so the limit is the mean of
+    2^-d over the cycle's phases, and 0 when no cycle set has two symbols.
     """
     if a.is_empty:
         raise ValueError("diam profile of the empty set")
-    count = min(n_max, DIAM_SCAN_CAP)
-    values = [diam_of_set(a.translate(-s), sft, DIAM_METRIC_HORIZON).value for s in range(count)]
-    tail_start = count // 2
-    for period in range(1, 17):
-        if count - tail_start < 2 * period:
-            break
-        if all(
-            values[i] == values[i + period] for i in range(tail_start, count - period)
-        ):
-            cycle = values[tail_start : tail_start + period]
-            exact = sum(Fraction(v) for v in cycle) / period
-            return DiamMeanProfile(float(exact), exact, tail_start)
-    averages = np.cumsum(values) / np.arange(1, count + 1)
-    return DiamMeanProfile(float(averages[tail_start:].max()), None, tail_start)
+    sets, start = sft.orbit(frozenset(w[-1] for w in a.words))
+    cycle = sets[start:]
+    p = len(cycle)
+    wide = [j for j, symbols in enumerate(cycle) if len(symbols) >= 2]
+    if not wide:
+        return Fraction(0)
+    return sum(
+        Fraction(1, 2 ** min(min((i - j) % p, (j - i) % p) for j in wide)) for i in range(p)
+    ) / p
 
 
 def _visit_predicate(sft: Sft, cell: CylinderUnion, u: CylinderUnion) -> PeriodicPredicate:
@@ -374,31 +354,29 @@ def classify_diam_pair(
 
     Per level and cell the witness shift set is S = {s : A ∩ T^{-s}Ux != 0
     and A ∩ T^{-s}Uy != 0}, decided exactly per shift (p and q may differ
-    with s); positive needs the upper density of S above some grid eps at
-    every level for every cell.
+    with s). A level is NEGATIVE iff its density floor over the cells is 0;
+    otherwise it certifies the largest grid eps strictly below the floor,
+    else the floor itself, as `classify_ms_pair` does with its targets.
     """
     levels = neighbourhood_levels(x, y, depth)
     check_cell_family(m, cell_family)
     level_epses = []
     witnesses = []
     for d, ux, uy in levels:
-        floor: Optional[Fraction] = None
-        for cell in cell_family:
-            px = _visit_predicate(sft, cell, ux)
-            py = _visit_predicate(sft, cell, uy)
-            dens = _periodic_and(px, py).frequency()
-            if floor is None or dens < floor:
-                floor = dens
-            witnesses.append(
-                {"level": d, "cell": repr(cell), "upper_density": float(dens)}
-            )
-        level_eps = max((g for g in DEFAULT_EPS_GRID if floor > Fraction(str(g))), default=None)
-        if level_eps is None:
-            return Verdict(
-                NEGATIVE,
-                note=f"level {d}: qualifying-shift density floor {floor} below the grid",
-            )
-        level_epses.append(level_eps)
+        densities = [
+            _periodic_and(_visit_predicate(sft, cell, ux), _visit_predicate(sft, cell, uy)).frequency()
+            for cell in cell_family
+        ]
+        witnesses += [
+            {"level": d, "cell": repr(cell), "upper_density": float(dens)}
+            for cell, dens in zip(cell_family, densities)
+        ]
+        floor = min(densities)
+        if floor == 0:
+            return Verdict(NEGATIVE, note=f"level {d}: qualifying-shift density floor 0")
+        level_epses.append(max(
+            (g for g in DEFAULT_EPS_GRID if Fraction(str(g)) < floor), default=float(floor)
+        ))
     return Verdict(POSITIVE, eps_certified=min(level_epses), witnesses=tuple(witnesses))
 
 

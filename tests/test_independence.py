@@ -615,6 +615,45 @@ def test_profile_windows_share_one_gap_dp(systems, monkeypatch, order):
     assert dp_targets >= 30
 
 
+def test_narrower_windows_read_the_table_tail(systems):
+    """After a shared-memo profile on single-word targets, a narrower
+    contiguous window of n shifts has its own suffix table in the stored
+    table's last n entries, and its reconstruction reads only those: with
+    every other entry poisoned, each narrower window still matches a fresh
+    search."""
+    poisoned_reads = 0
+    for system in systems:
+        sft = system.sft
+        for _label, x, y in canonical_pairs(system, 6):
+            for d in (0, 1):
+                ux, uy = point_neighborhood(x, d), point_neighborhood(y, d)
+                memo: dict = {}
+                independence_density_profile(
+                    sft, system.measure, ux, uy, range(1, 25), [full_e(sft)], _memo=memo
+                )
+                solved = next(
+                    (v for k, v in memo.items() if isinstance(k[0], str) and k[0] == "dp"), None
+                )
+                if solved is None:
+                    continue
+                best, compat = solved["table"]
+                widest = len(best)
+                for n in range(1, widest):
+                    tail = best[widest - n :]
+                    own = ind._suffix_table(compat, tuple(range(n)))
+                    assert tail == own, (system.id, _label, d, n)
+                    # Poison the head: a reconstruction that read it would stop at
+                    # shift 0, since index 0 outranks every true entry and the rest read 0.
+                    head = (widest + 1,) + (0,) * (widest - n - 1)
+                    solved["table"] = (head + tail, compat)
+                    got = max_independence_subset(sft, ux, uy, range(n), full_e(sft), _memo=memo)
+                    fresh = max_independence_subset(sft, ux, uy, range(n), full_e(sft))
+                    assert got == fresh, (system.id, _label, d, n)
+                    poisoned_reads += len(fresh.best) > 1
+                solved["table"] = (best, compat)
+    assert poisoned_reads >= 400, poisoned_reads
+
+
 def test_prefixes_meet_counts_each_window_inside_it(bernoulli):
     """E is empty at shifts 0..3, so the 4-window holds no independence set
     while the 8-window holds 4 of 8: the greedy's shift 4 must not count
@@ -800,7 +839,8 @@ def _reference_classify(sft, m, x, y, depth, params) -> Verdict:
         ]
         adversaries.extend(params.extra_e_maps)
         qualifying = [
-            e for e in adversaries if e_min_measure(e, m, range(max(ind.N_LIST))) >= 1 - Fraction(eps)
+            e for e in adversaries
+            if e_min_measure(e, m, range(max(ind.N_LIST))) >= 1 - Fraction(str(eps))
         ]
         if not all(
             ratio_meets(sft, ux, uy, range(n), e, ind.C_MIN, _memo=memo)
@@ -876,8 +916,10 @@ def test_classify_eps_reads_the_grid_decimal():
     zeros, ones = periodic_point(sft, "0"), periodic_point(sft, "1")
     e = _blocking_e(sft, point_neighborhood(ones, 0))
     assert e_min_measure(e, m, range(max(ind.N_LIST))) == 1 - q
-    got = classify_in_pair(sft, m, zeros, ones, 0, InPairParams(extra_e_maps=(e,)))
+    params = InPairParams(extra_e_maps=(e,))
+    got = classify_in_pair(sft, m, zeros, ones, 0, params)
     assert got.is_positive and got == classify_in_pair(sft, m, zeros, ones, 0)
+    assert got == _reference_classify(sft, m, zeros, ones, 0, params)
 
 
 def test_separating_depth(bernoulli):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from shiftlab import independence, sensitivity
-from shiftlab.entropy import separation_counts
+from shiftlab.entropy import default_cell_family, separation_counts
 from shiftlab.independence import classify_in_pair, point_neighborhood, separating_depth
 from shiftlab.measures import MarkovMeasure, measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
@@ -26,6 +26,7 @@ from shiftlab.symbolic import (
     CylinderUnion,
     Sft,
     cylinder,
+    diam_of_set,
     point_in_set,
     resolve_constraints,
     whole_space,
@@ -334,18 +335,89 @@ def test_visit_predicate_matches_resolve(systems):
 
 def test_diam_profile_whole_space(systems):
     for system in systems:
-        prof = diam_mean_profile(system.sft, system.measure, whole_space(system.sft), 4096)
-        assert prof.exact == Fraction(1)
+        prof = diam_mean_profile(system.sft, whole_space(system.sft))
+        assert prof == Fraction(1)
 
 
 def test_diam_profile_cylinder(bernoulli):
-    prof = diam_mean_profile(bernoulli.sft, bernoulli.measure, cylinder(bernoulli.sft, 0, "0"), 4096)
-    assert prof.exact == Fraction(1)
+    prof = diam_mean_profile(bernoulli.sft, cylinder(bernoulli.sft, 0, "0"))
+    assert prof == Fraction(1)
 
 
 def test_diam_profile_singleton_cell(cycle4):
-    prof = diam_mean_profile(cycle4.sft, cycle4.measure, cylinder(cycle4.sft, 0, [0]), 4096)
-    assert prof.exact == Fraction(0)
+    prof = diam_mean_profile(cycle4.sft, cylinder(cycle4.sft, 0, [0]))
+    assert prof == Fraction(0)
+
+
+def _cyclic_classes(classes: int, wide=(0,)):
+    """The SFT that steps every symbol of class c to every symbol of class
+    c + 1 mod `classes`, where the classes in `wide` hold two symbols and
+    the others one, with uniform transition rows; and each class's symbols."""
+    members, k = [], 0
+    for c in range(classes):
+        size = 2 if c in wide else 1
+        members.append(list(range(k, k + size)))
+        k += size
+    allowed = [[False] * k for _ in range(k)]
+    for c in range(classes):
+        for a in members[c]:
+            for b in members[(c + 1) % classes]:
+                allowed[a][b] = True
+    sft = Sft(k, allowed)
+    m = MarkovMeasure(sft, [[Fraction(int(v), sum(row)) for v in row] for row in allowed])
+    return sft, m, members
+
+
+def test_diam_profile_is_the_cycle_mean_of_diam_of_set(systems):
+    """Past the burn-in diam(T^s a) repeats with the period p of the orbit
+    of a's last symbols, and the profile is its mean over one period, read
+    with diam_of_set at a horizon above p. Sets: unions of 1-3 legal words
+    of width 1-3 at starts -3..3, on the panel and on cyclic-class SFTs."""
+    sfts = [system.sft for system in systems]
+    sfts += [_cyclic_classes(5)[0], _cyclic_classes(5, (0, 2))[0], _cyclic_classes(20)[0]]
+    rng = random.Random(29)
+    for sft in sfts:
+        for _ in range(25):
+            words = sft.legal_words(rng.randint(1, 3))
+            start = rng.randint(-3, 3)
+            chosen = rng.sample(words, min(len(words), rng.randint(1, 3)))
+            a = CylinderUnion(sft, [(start, w) for w in chosen])
+            sets, cycle_start = sft.orbit(frozenset(w[-1] for w in a.words))
+            p = len(sets) - cycle_start
+            burn = max(0, a.support[1] + cycle_start + p)
+            diams = [
+                diam_of_set(a.translate(-s), sft, p + 1) for s in range(burn, burn + 2 * p)
+            ]
+            assert not any(d.truncated for d in diams), (sft, a)
+            values = [Fraction(d.value) for d in diams]
+            assert values[:p] == values[p:], (sft, a)
+            assert diam_mean_profile(sft, a) == sum(values[:p]) / p, (sft, a)
+
+
+def test_diam_profile_twenty_classes():
+    """On 20 cyclic classes with two symbols in class 0, every one-class
+    cylinder has diameters 2^-d at circular distances d = 0, 1, 1, ..., 9,
+    9, 10 from class 0: the mean is (3 - 3/1024) / 20."""
+    sft, _m, members = _cyclic_classes(20)
+    for c, symbols in enumerate(members):
+        whole_class = CylinderUnion(sft, [(0, [b]) for b in symbols])
+        for a in [cylinder(sft, 0, [b]) for b in symbols] + [whole_class]:
+            assert diam_mean_profile(sft, a) == Fraction(3069, 20480), (c, a)
+
+
+def test_classify_diam_certifies_a_floor_below_the_grid():
+    """On 60 cyclic classes with two symbols in class 0, points of period 60
+    that differ only in class 0 share each one-symbol cell at one shift in
+    60: the floor 1/60 lies below every grid eps, and the level certifies
+    it exactly instead of answering NEGATIVE."""
+    sft, m, members = _cyclic_classes(60)
+    rest = [b for symbols in members[1:] for b in symbols]
+    x = periodic_point(sft, [members[0][0]] + rest)
+    y = periodic_point(sft, [members[0][1]] + rest)
+    v = classify_diam_pair(sft, m, x, y, 1, default_cell_family(m, 1))
+    assert v.is_positive, v.note
+    assert v.eps_certified == float(Fraction(1, 60))
+    assert min(w["upper_density"] for w in v.witnesses) == float(Fraction(1, 60))
 
 
 def test_verdict_invariants():
