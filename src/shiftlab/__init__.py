@@ -5,7 +5,6 @@ with Markov measures."""
 from .symbolic import (
     BridgedBlocks,
     CylinderUnion,
-    DistanceResult,
     EventuallyPeriodic,
     SampledWindow,
     Sft,

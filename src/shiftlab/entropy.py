@@ -24,8 +24,8 @@ from .symbolic import (
     PointRep,
     SetLike,
     Sft,
+    constraints_meet,
     cylinder,
-    resolve_constraints,
     whole_space,
 )
 from .verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, MsFunctionParams, Verdict
@@ -49,8 +49,7 @@ class Partition:
                 raise ValueError("partition contains an empty atom")
         for i, a in enumerate(self.atoms):
             for b in self.atoms[i + 1 :]:
-                meet = resolve_constraints([(0, a), (0, b)], m.sft)
-                if not meet.is_empty:
+                if constraints_meet([(0, a), (0, b)], m.sft):
                     raise ValueError("partition atoms are not pairwise disjoint")
         total = sum((measure_of(m, a) for a in self.atoms), Fraction(0))
         if total != 1:

@@ -42,7 +42,7 @@ from .symbolic import (
     PointRep,
     SetLike,
     Sft,
-    resolve_constraints,
+    constraints_meet,
     shift_point,
 )
 from .verdicts import (
@@ -312,34 +312,22 @@ def diam_mean_profile(sft: Sft, a: CylinderUnion) -> Fraction:
 def _visit_predicate(sft: Sft, cell: CylinderUnion, u: CylinderUnion) -> PeriodicPredicate:
     """Exact eventually-periodic predicate s -> [cell ∩ T^{-s} u nonempty].
 
-    Small shifts are resolved directly; once the translated support of u
-    clears the cell the question reduces to exact-step reachability between
-    boundary symbol sets, whose subset dynamics cycle.
+    Each shift is decided by `constraints_meet`, the block filter of the
+    symbolic layer, without listing words. Once the translated support of u
+    clears the cell the filter reads the orbit of the cell's last symbols
+    (`Sft.orbit`) at the step count to u, so the predicate is periodic from
+    the shift where that orbit cycles, with the orbit's period.
     """
     if u.is_empty:
         return PeriodicPredicate((), (False,))
     if cell.is_full or u.is_full:
         return PeriodicPredicate((), (True,))
-    _c_lo, c_hi = cell.support
-    u_lo, _u_hi = u.support
-    s0 = max(0, c_hi - u_lo + 1)
-    pre = [
-        not resolve_constraints([(0, cell), (s, u)], sft).is_empty for s in range(s0)
-    ]
-
-    ends = frozenset(w[-1] for w in cell.words)
-    starts = frozenset(w[0] for w in u.words)
-    sets, cycle_start = sft.orbit(ends)
-
-    def hit(steps: int) -> bool:
-        return bool(sft.reach(ends, steps) & starts)
-
-    # Shift s >= s0 corresponds to exactly (u_lo + s - c_hi) steps.
-    steps_at_s0 = u_lo + s0 - c_hi
-    burn = s0 + max(0, cycle_start - steps_at_s0)
-    pre += [hit(steps_at_s0 + (s - s0)) for s in range(s0, burn)]
-    cyc = [hit(steps_at_s0 + (burn - s0) + j) for j in range(len(sets) - cycle_start)]
-    return PeriodicPredicate(tuple(pre), tuple(cyc))
+    c_hi, u_lo = cell.support[1], u.support[0]
+    s0 = max(0, c_hi - u_lo + 1)  # the first shift whose u starts past the cell
+    sets, cycle_start = sft.orbit(frozenset(w[-1] for w in cell.words))
+    burn = s0 + max(0, cycle_start - (u_lo + s0 - c_hi))
+    meets = [constraints_meet([(0, cell), (s, u)], sft) for s in range(burn + len(sets) - cycle_start)]
+    return PeriodicPredicate(tuple(meets[:burn]), tuple(meets[burn:]))
 
 
 def classify_diam_pair(

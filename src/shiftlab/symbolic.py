@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -740,68 +740,51 @@ def _cluster_constraints(sft: Sft, atoms):
     """Merge overlapping atoms into blocks and filter across gaps.
 
     Returns a list of (start, words) blocks sorted by start with pairwise
-    disjoint intervals, or None if the atoms contradict each other.
+    disjoint intervals, or None if the atoms contradict each other. The
+    filter is one arc-consistency pass along the block path, run forward on
+    successors and then backward on predecessors: a word survives iff its
+    entry symbol is reached (`Sft.reach`, read off the orbit) from the exit
+    symbols of the neighbouring block's surviving words. On a path that
+    puts every surviving word in some point, so a non-None answer means the
+    atoms meet.
     """
-    spans = sorted(atoms, key=lambda a: (a[0], a[0] + len(a[1][0])))
-    clusters: list[list] = []
-    cur: list = []
-    cur_hi = None
-    for start, words in spans:
+    runs: list[list] = []  # [atoms, last coordinate] of each run of overlapping atoms
+    for start, words in sorted(atoms, key=lambda a: (a[0], a[0] + len(a[1][0]))):
         end = start + len(words[0]) - 1
-        if cur and start <= cur_hi:
-            cur.append((start, words))
-            cur_hi = max(cur_hi, end)
+        if runs and start <= runs[-1][1]:
+            runs[-1][0].append((start, words))
+            runs[-1][1] = max(runs[-1][1], end)
         else:
-            if cur:
-                clusters.append((cur, cur_hi))
-            cur = [(start, words)]
-            cur_hi = end
-    clusters.append((cur, cur_hi))
-
+            runs.append([[(start, words)], end])
     blocks: list[tuple[int, tuple[Word, ...]]] = []
-    for group, g_hi in clusters:
-        g_lo = group[0][0]
-        if len(group) == 1:
-            merged = group[0][1]
-        else:
-            merged = ConstraintAutomaton(sft, group, g_lo, g_hi).words()
-        if not merged:
+    for run, hi in runs:
+        lo = run[0][0]
+        words = run[0][1] if len(run) == 1 else ConstraintAutomaton(sft, run, lo, hi).words()
+        if not words:
             return None
-        blocks.append((g_lo, tuple(merged)))
+        blocks.append((lo, tuple(words)))
 
-    # Forward filter: keep words whose start symbol is reachable from some
-    # surviving end symbol of the previous block.
-    filtered: list[tuple[int, tuple[Word, ...]]] = []
-    prev_ends: frozenset[int] | None = None
-    prev_hi = None
-    for start, words in blocks:
-        if prev_ends is not None:
-            reached = sft.reach(prev_ends, start - prev_hi)
-            keep = tuple(w for w in words if w[0] in reached)
-            if not keep:
+    for forward in (True, False):
+        # Going forward a block is entered at its words' first symbols from
+        # the last symbols of the block before it; backward, the other way round.
+        enter, leave = (0, -1) if forward else (-1, 0)
+        for i in range(1, len(blocks)) if forward else range(len(blocks) - 2, -1, -1):
+            (start, words), (n_start, n_words) = blocks[i], blocks[i - 1 if forward else i + 1]
+            steps = (start - n_start - len(n_words[0]) if forward else n_start - start - len(words[0])) + 1
+            reached = sft.reach(frozenset([w[leave] for w in n_words]), steps, forward)
+            words = tuple([w for w in words if w[enter] in reached])
+            if not words:
                 return None
-            words = keep
-        filtered.append((start, words))
-        prev_ends = frozenset(w[-1] for w in words)
-        prev_hi = start + len(words[0]) - 1
+            blocks[i] = (start, words)
+    return blocks
 
-    # Backward filter, symmetric.
-    result: list[tuple[int, tuple[Word, ...]]] = []
-    next_starts: frozenset[int] | None = None
-    next_lo = None
-    for start, words in reversed(filtered):
-        hi = start + len(words[0]) - 1
-        if next_starts is not None:
-            reached = sft.reach(next_starts, next_lo - hi, forward=False)
-            keep = tuple(w for w in words if w[-1] in reached)
-            if not keep:
-                return None
-            words = keep
-        result.append((start, words))
-        next_starts = frozenset(w[0] for w in words)
-        next_lo = start
-    result.reverse()
-    return result
+
+def constraints_meet(constraints: ShiftedConstraintSet, sft: Sft) -> bool:
+    """``not resolve_constraints(...).is_empty``, decided by the block filter
+    of :func:`_cluster_constraints` without listing a word (no atoms, no
+    blocks: the whole space)."""
+    atoms = constraint_atoms(constraints, sft)
+    return atoms is not None and _cluster_constraints(sft, atoms) is not None
 
 
 def resolve_constraints(
@@ -859,23 +842,14 @@ def point_in_set(p: PointRep, s: SetLike, shift: int = 0) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DistanceResult:
-    """A metric value; `truncated` marks a horizon-limited upper bound."""
-
-    value: float
-    truncated: bool
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def realizable_symbols(s: SetLike, n: int) -> frozenset[int]:
     """{x_n : x in s} for a nonempty block-form set (exact).
 
     Off the blocks, x_n is reachable forward from the block before n and
     backward from the block after it, whichever of the two exist.
     """
+    if s.is_empty:
+        raise ValueError("realizable_symbols of the empty set")
     blocks = s.blocks()
     if not blocks:
         raise ValueError("realizable_symbols of the whole space is the full alphabet")
@@ -893,39 +867,29 @@ def realizable_symbols(s: SetLike, n: int) -> frozenset[int]:
     return symbols
 
 
-def diam_of_set(s: SetLike, sft: Sft, horizon: int) -> DistanceResult:
+def diam_of_set(s: SetLike, sft: Sft) -> Fraction:
     """Exact diameter of a nonempty set under the 2^{-|n|} metric.
 
-    The diameter is 2^{-n*} for the multi-valued realizable coordinate n*
-    nearest 0. If no coordinate in [-horizon, horizon] is multi-valued the
-    result is the truncated bound 2^{-horizon-1}, except when the set is
-    provably a single point (pinned forever), which gives exactly 0.
+    The diameter is 1/2^n for the coordinate n nearest 0 whose realizable
+    symbols (:func:`realizable_symbols`) number two or more, and 0 for a
+    single point. Past the support [lo, hi], coordinate hi + i reads step i
+    of the orbit (`Sft.orbit`) of the last block's end symbols and lo - i
+    the backward orbit of the first block's start symbols, so a coordinate
+    with |n| beyond max(|lo|, |hi|) plus the longer orbit repeats the
+    symbols of one inside that bound, and the scan up to it is exact.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     if s.is_empty:
         raise ValueError("diameter of the empty set")
-    if not s.blocks():
-        return DistanceResult(1.0 if sft.alphabet_size >= 2 else 0.0, False)
-    for n in range(0, horizon + 1):
-        for coord in ((n,) if n == 0 else (-n, n)):
-            if len(realizable_symbols(s, coord)) >= 2:
-                return DistanceResult(2.0 ** (-n), False)
-    # Nothing multi-valued within the horizon. The set is a single point
-    # (exact diameter 0) iff every remaining support coordinate is pinned
-    # and both periodic tails stay single-valued forever.
     blocks = s.blocks()
-    lo_sup = blocks[0][0]
-    hi_sup = blocks[-1][0] + len(blocks[-1][1][0]) - 1
-    outside = [n for n in range(lo_sup, hi_sup + 1) if abs(n) > horizon]
-    if any(len(realizable_symbols(s, n)) >= 2 for n in outside):
-        return DistanceResult(2.0 ** (-horizon - 1), True)
-    tails = (
-        sft.orbit(frozenset(w[-1] for w in blocks[-1][1])),
-        sft.orbit(frozenset(w[0] for w in blocks[0][1]), forward=False),
+    if not blocks:
+        return Fraction(1 if sft.alphabet_size >= 2 else 0)
+    (lo, first), (start, last) = blocks[0], blocks[-1]
+    hi = start + len(last[0]) - 1
+    tail = max(
+        len(sft.orbit(frozenset(w[-1] for w in last))[0]),
+        len(sft.orbit(frozenset(w[0] for w in first), forward=False)[0]),
     )
-    # Step 0 of each orbit is a support coordinate, pinned above; the orbit
-    # lists every set reached after it.
-    if all(len(r) == 1 for sets, _start in tails for r in sets[1:]):
-        return DistanceResult(0.0, False)
-    return DistanceResult(2.0 ** (-horizon - 1), True)
+    for n in range(max(-lo, hi) + tail + 1):
+        if len(realizable_symbols(s, n)) >= 2 or len(realizable_symbols(s, -n)) >= 2:
+            return Fraction(1, 2**n)
+    return Fraction(0)

@@ -313,19 +313,37 @@ def test_crosscheck_rows_are_the_classifier_verdicts(golden):
     assert rows == expected
 
 
+def _union_or_complement(sft, rng):
+    """A union of 2-3 legal words of one width 1-3 at a start in -2..1, or its complement."""
+    words = sft.legal_words(rng.randint(1, 3))
+    chosen = rng.sample(words, min(len(words), rng.randint(2, 3)))
+    u = CylinderUnion(sft, [(rng.randrange(-2, 2), w) for w in chosen])
+    return u.complement() if rng.random() < 0.5 else u
+
+
 def test_visit_predicate_matches_resolve(systems):
+    """The visit predicate against resolving cell ∩ T^{-s} u, on cylinders,
+    unions of 2-3 words and their complements, over the panel and cyclic-class
+    SFTs: up to three periods of the orbit of the cell's last symbols past the
+    shift where it cycles, and at every shift below 30 for cylinders."""
     rng = random.Random(23)
-    for system in systems:
-        words = [list(system.sft.legal_words(n)) for n in (1, 2, 3)]
+    sfts = [system.sft for system in systems] + [_cyclic_classes(5, (0, 2))[0], _cyclic_classes(20)[0]]
+    for sft in sfts:
+        words = [list(sft.legal_words(n)) for n in (1, 2, 3)]
         for _ in range(12):
-            cell = cylinder(system.sft, 0, rng.choice(rng.choice(words)))
-            u = cylinder(system.sft, rng.randrange(-2, 2), rng.choice(words[1]))
-            pred = _visit_predicate(system.sft, cell, u)
-            for s in range(30):
-                expected = not resolve_constraints(
-                    [(0, cell), (s, u)], system.sft
-                ).is_empty
-                assert pred(s) == expected, (system.id, cell, u, s)
+            cell = cylinder(sft, 0, rng.choice(rng.choice(words)))
+            u = cylinder(sft, rng.randrange(-2, 2), rng.choice(words[1]))
+            pairs = [(cell, u, 30), (_union_or_complement(sft, rng), _union_or_complement(sft, rng), 0)]
+            for cell, u, floor in pairs:
+                if cell.is_empty:
+                    continue
+                pred = _visit_predicate(sft, cell, u)
+                sets, cycle_start = sft.orbit(frozenset(w[-1] for w in cell.words))
+                u_lo = u.support[0] if u.support else 0
+                burn = max(0, cell.support[1] - u_lo + 1) + cycle_start
+                for s in range(max(floor, burn + 3 * (len(sets) - cycle_start))):
+                    expected = not resolve_constraints([(0, cell), (s, u)], sft).is_empty
+                    assert pred(s) == expected, (sft, cell, u, s)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +388,9 @@ def _cyclic_classes(classes: int, wide=(0,)):
 
 def test_diam_profile_is_the_cycle_mean_of_diam_of_set(systems):
     """Past the burn-in diam(T^s a) repeats with the period p of the orbit
-    of a's last symbols, and the profile is its mean over one period, read
-    with diam_of_set at a horizon above p. Sets: unions of 1-3 legal words
-    of width 1-3 at starts -3..3, on the panel and on cyclic-class SFTs."""
+    of a's last symbols, and the profile is its mean over one period of
+    exact diam_of_set values. Sets: unions of 1-3 legal words of width 1-3
+    at starts -3..3, on the panel and on cyclic-class SFTs."""
     sfts = [system.sft for system in systems]
     sfts += [_cyclic_classes(5)[0], _cyclic_classes(5, (0, 2))[0], _cyclic_classes(20)[0]]
     rng = random.Random(29)
@@ -385,13 +403,18 @@ def test_diam_profile_is_the_cycle_mean_of_diam_of_set(systems):
             sets, cycle_start = sft.orbit(frozenset(w[-1] for w in a.words))
             p = len(sets) - cycle_start
             burn = max(0, a.support[1] + cycle_start + p)
-            diams = [
-                diam_of_set(a.translate(-s), sft, p + 1) for s in range(burn, burn + 2 * p)
-            ]
-            assert not any(d.truncated for d in diams), (sft, a)
-            values = [Fraction(d.value) for d in diams]
-            assert values[:p] == values[p:], (sft, a)
-            assert diam_mean_profile(sft, a) == sum(values[:p]) / p, (sft, a)
+            diams = [diam_of_set(a.translate(-s), sft) for s in range(burn, burn + 2 * p)]
+            assert diams[:p] == diams[p:], (sft, a)
+            assert diam_mean_profile(sft, a) == sum(diams[:p]) / p, (sft, a)
+
+
+def test_diam_of_set_twenty_classes():
+    """On 20 cyclic classes with two symbols in class 0, a one-symbol
+    cylinder at 0 of class c is pinned until class 0 comes round, min(c,
+    20 - c) coordinates away: classes 1, 10 and 19 give 1/2, 1/1024, 1/2."""
+    sft, _m, members = _cyclic_classes(20)
+    for c, diam in ((1, Fraction(1, 2)), (10, Fraction(1, 1024)), (19, Fraction(1, 2))):
+        assert diam_of_set(cylinder(sft, 0, members[c]), sft) == diam
 
 
 def test_diam_profile_twenty_classes():

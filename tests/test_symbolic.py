@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -496,6 +497,31 @@ def test_resolve_bridged_respects_reachability():
     assert bad.is_empty
 
 
+def test_cluster_blocks_hold_exactly_the_realizable_words():
+    """Each block that _cluster_constraints keeps holds exactly the windows,
+    over its interval, of the legal words on the hull that satisfy every
+    atom, and None means no word does: the forward filter alone decides
+    emptiness, the backward one prunes the words of the earlier blocks."""
+    rng = random.Random(30)
+    for sft in KERNEL_SFTS:
+        for _ in range(150):
+            constraints = []
+            for _ in range(rng.randint(1, 3)):
+                words = sft.legal_words(rng.randint(1, 2))
+                u = CylinderUnion(sft, [(0, w) for w in rng.sample(words, rng.randint(1, min(len(words), 3)))])
+                constraints.append((rng.randint(0, 5), u.complement() if rng.random() < 0.3 else u))
+            atoms = symbolic.constraint_atoms(constraints, sft)
+            if not atoms:
+                continue
+            lo, hi = constraint_span(constraints)
+            points = [w for w in legal_words(sft, lo, hi) if all(satisfies(c, w, lo) for c in constraints)]
+            blocks = symbolic._cluster_constraints(sft, atoms)
+            assert (blocks is None) == (not points), constraints
+            for start, words in blocks or ():
+                window = slice(start - lo, start - lo + len(words[0]))
+                assert words == tuple(sorted({p[window] for p in points})), (constraints, start)
+
+
 # ---------------------------------------------------------------------------
 # Diameters
 # ---------------------------------------------------------------------------
@@ -503,14 +529,22 @@ def test_resolve_bridged_respects_reachability():
 
 def test_diam_examples():
     sft = full_shift(2)
-    assert diam_of_set(whole_space(sft), sft, 8).value == 1.0
-    d = diam_of_set(cylinder(sft, 0, "0"), sft, 8)
-    assert d.value == 0.5 and not d.truncated
+    assert diam_of_set(whole_space(sft), sft) == 1
+    assert diam_of_set(cylinder(sft, 0, "0"), sft) == Fraction(1, 2)
     deep = cylinder(sft, -3, "0000000")  # pinned on [-3, 3]
-    d = diam_of_set(deep, sft, 3)
-    assert d.truncated and d.value == 2.0 ** (-4)
+    assert diam_of_set(deep, sft) == Fraction(1, 16)
     with pytest.raises(ValueError):
-        diam_of_set(cylinder(golden_sft(), 0, "11"), golden_sft(), 4)
+        diam_of_set(cylinder(golden_sft(), 0, "11"), golden_sft())
+
+
+def test_realizable_symbols_refuses_the_empty_set():
+    """An empty union's blocks() is () as the whole space's is; is_empty
+    tells them apart, and each gets its own refusal."""
+    sft = golden_sft()
+    with pytest.raises(ValueError, match="realizable_symbols of the empty set"):
+        realizable_symbols(cylinder(sft, 0, "11"), 0)
+    with pytest.raises(ValueError, match="whole space"):
+        realizable_symbols(whole_space(sft), 0)
 
 
 def _kernel_set(data, sft: Sft):
@@ -557,28 +591,14 @@ def test_reach_realizable_diam_match_oracles(data):
     for n in inside + between + outside:
         assert realizable_symbols(s, n) == realizable_oracle(sft, s, n), n
 
-    known: dict = {}
-
-    def realizable(n: int) -> frozenset:
-        if n not in known:
-            known[n] = realizable_oracle(sft, s, n)
-        return known[n]
-
+    # Reachable sets repeat within 2^k steps, so the coordinates from 0 and the
+    # support to 2^k past them hold the nearest multi-valued coordinate if any
+    # coordinate is multi-valued; none is iff the set is a single point.
+    span = range(min(lo, 0) - 2**k, max(hi, 0) + 2**k + 1)
     nearest = next(
-        (n for n in range(9) if len(realizable(n)) >= 2 or len(realizable(-n)) >= 2), None
+        (abs(n) for n in sorted(span, key=abs) if len(realizable_oracle(sft, s, n)) >= 2), None
     )
-    # Reachable sets repeat within 2^k steps, so the coordinates within 2^k of
-    # the support decide whether the set is a single point; support first.
-    span = sorted(range(lo - 2**k, hi + 2**k + 1), key=lambda n: max(lo - n, n - hi))
-    single_point = nearest is None and all(len(realizable(n)) == 1 for n in span)
-    for horizon in range(1, 9):
-        d = diam_of_set(s, sft, horizon)
-        if nearest is not None and nearest <= horizon:
-            assert (d.value, d.truncated) == (2.0**-nearest, False), horizon
-        elif single_point:
-            assert (d.value, d.truncated) == (0.0, False), horizon
-        else:
-            assert (d.value, d.truncated) == (2.0 ** (-horizon - 1), True), horizon
+    assert diam_of_set(s, sft) == (0 if nearest is None else Fraction(1, 2**nearest))
 
 
 def test_diam_tail_multivalued_one_step_past_support():
@@ -590,5 +610,4 @@ def test_diam_tail_multivalued_one_step_past_support():
     s = resolve_constraints([(0, cylinder(sft, -1, [4])), (0, cylinder(sft, 1, [0]))], sft, gap_cap=0)
     assert isinstance(s, BridgedBlocks)
     assert [len(realizable_oracle(sft, s, n)) for n in range(-3, 4)] == [1, 1, 1, 1, 1, 2, 1]
-    d = diam_of_set(s, sft, 1)
-    assert (d.value, d.truncated) == (2.0**-2, True)
+    assert diam_of_set(s, sft) == Fraction(1, 4)
