@@ -184,6 +184,11 @@ class MarkovMeasure:
         return num
 
     @functools.cached_property
+    def support(self) -> Sft:
+        """The SFT of the positive transitions: a set's words legal in it are those of positive weight."""
+        return Sft(self.sft.alphabet_size, [[v > 0 for v in row] for row in self.transition])
+
+    @functools.cached_property
     def stationary_bounds(self) -> list[int]:
         """The draw bounds of the stationary vector, for a window's first symbol."""
         return _numerator_bounds(self.pi_num, self._d_pi)

@@ -149,7 +149,7 @@ def _best_gap(
     return None if best is None else (best, Fraction(*targets[best]))
 
 
-PAIR_BOUND = 6  # shift pairs (s, t) are searched over 0 <= s < t <= PAIR_BOUND
+PAIR_BOUND = 6  # witness pairs 0 <= s < t <= PAIR_BOUND; the least window of MS witness gaps
 ENTRY_HORIZON = 10_000  # steps scanned for the first entry into s^-1 A ∩ t^-1 A
 WITNESS_TOLERANCE = 0.02  # the witness density may fall short of eps by this much
 
@@ -248,31 +248,37 @@ def classify_ms_pair(
 ) -> Verdict:
     """Mean-sensitivity pair verdict over nested canonical neighbourhoods.
 
-    Per level and cell, `_best_gap` finds the gap t with mu(A ∩ T^{-t}A) > 0
-    maximizing the target mu(Ux ∩ T^{-t}Uy). A zero target is NEGATIVE. A
-    positive one is a proof: by Birkhoff, mu-a.e. z in A ∩ T^{-t}A gives
-    p = z and q = T^t z in A whose pair orbit visits (Ux, Uy) with density
-    exactly the target, so nothing is sampled. Each cell certifies the
-    largest grid eps at or below its target, else the target itself (deep
-    levels certify tiny exact targets the fixed grid cannot express).
+    Per level and cell, the gaps g >= 1 where A ∩ T^{-g}A and Ux ∩ T^{-g}Uy
+    both have positive measure form one eventually periodic predicate: the
+    `_visit_predicate`s of the pairs restricted to `m.support`, met by
+    `_periodic_and`. A level is NEGATIVE iff some cell has no such g, read
+    exactly over the preperiod and one period. Otherwise `_best_gap` up to
+    max(PAIR_BOUND, the first such g) finds the gap t with mu(A ∩ T^{-t}A) > 0
+    maximizing the target mu(Ux ∩ T^{-t}Uy) > 0, a proof: by Birkhoff, mu-a.e.
+    z in A ∩ T^{-t}A gives p = z and q = T^t z in A whose pair orbit visits
+    (Ux, Uy) with density exactly the target, so nothing is sampled. Each
+    cell certifies the largest grid eps at or below its target, else the
+    target itself (deep levels certify tiny exact targets the fixed grid
+    cannot express).
     """
     levels = neighbourhood_levels(x, y, depth)
     check_cell_family(m, cell_family)
+    s = m.support
+    def on_s(u: CylinderUnion) -> CylinderUnion:  # u's words of positive weight
+        return CylinderUnion(s, [(u.start, w) for w in u.words])
+    returns = [_visit_predicate(s, on_s(cell), on_s(cell)) for cell in cell_family]
     level_epses: list[float] = []
     witnesses = []
     for d, ux, uy in levels:
+        visits = _visit_predicate(s, on_s(ux), on_s(uy))
         cell_epses: list[float] = []
-        for cell in cell_family:
-            best = _best_gap(m, cell, ux, uy, PAIR_BOUND)
-            if best is None or best[1] == 0:
-                return Verdict(
-                    NEGATIVE,
-                    note=(
-                        f"level {d}, cell {cell!r}: every admissible (s, t) has "
-                        f"mu(s^-1 Ux ∩ t^-1 Uy) = 0"
-                    ),
-                )
-            t, target = best
+        for cell, back in zip(cell_family, returns):
+            both = _periodic_and(back, visits)
+            first = next(filter(both, range(1, len(both.preperiod) + len(both.period) + 1)), None)
+            if first is None:
+                return Verdict(NEGATIVE, note=f"level {d}, cell {cell!r}: no gap g >= 1 has "
+                               "mu(A ∩ T^-g A) > 0 and mu(Ux ∩ T^-g Uy) > 0")
+            t, target = _best_gap(m, cell, ux, uy, max(PAIR_BOUND, first))
             cell_epses.append(max(
                 (g for g in DEFAULT_EPS_GRID if Fraction(str(g)) <= target),
                 default=float(target),
@@ -318,7 +324,7 @@ def _visit_predicate(sft: Sft, cell: CylinderUnion, u: CylinderUnion) -> Periodi
     (`Sft.orbit`) at the step count to u, so the predicate is periodic from
     the shift where that orbit cycles, with the orbit's period.
     """
-    if u.is_empty:
+    if cell.is_empty or u.is_empty:
         return PeriodicPredicate((), (False,))
     if cell.is_full or u.is_full:
         return PeriodicPredicate((), (True,))

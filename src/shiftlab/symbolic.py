@@ -709,7 +709,7 @@ class ConstraintAutomaton:
     """
 
     def __init__(self, sft: Sft, atoms, lo: int, hi: int):
-        self.sft = sft
+        self.sft, self.lo, self.hi = sft, lo, hi
         self.length = hi - lo + 1
         # The (slot, rows) of the atoms whose window covers each offset.
         self.active: list[list] = [[] for _ in range(self.length)]
@@ -720,7 +720,7 @@ class ConstraintAutomaton:
         self.initial = (0,) * len(atoms)
 
     def words(self) -> tuple[Word, ...]:
-        """Every legal word over [lo, hi] matching every atom, in sorted order."""
+        """Every legal word over [lo, hi] matching every atom, in sorted order (past WORD_BUDGET: ValueError)."""
         out: list[Word] = []
         self._walk(0, [], self.initial, out)
         return tuple(out)
@@ -729,6 +729,8 @@ class ConstraintAutomaton:
         """Depth-first from offset p: append to `out` every completion of `word`."""
         if p == self.length:
             out.append(tuple(word))
+            if len(out) > WORD_BUDGET:
+                _check_budget(len(out), self.lo, self.hi)
             return
         for sym, nxt in step(self.sft, word[-1] if word else None, states, self.active[p]):
             word.append(sym)

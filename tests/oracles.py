@@ -331,6 +331,36 @@ def reach_oracle(sft: Sft, symbols, steps: int, forward: bool = True) -> frozens
     return current
 
 
+def ms_phase_oracle(m: MarkovMeasure, x, y, depth: int) -> bool:
+    """The MS verdict of (x, y) to `depth` over the whole space and the
+    one-symbol cylinders at 0: positive iff the words of both points on
+    [-depth, depth] use only transitions of positive probability and x_0, y_0
+    lie in one cyclic class of the positive graph.
+
+    A one-symbol cell returns to itself only at multiples of the period p,
+    and Ux meets T^-g Uy only at g = class(y_0) - class(x_0) mod p, both at
+    every large enough such g. The classes come from a BFS over the positive
+    transitions from symbol 0: a symbol at BFS level l lies in class l mod p,
+    p being the gcd of level(a) + 1 - level(b) over the positive edges a -> b.
+    """
+    P, k = m.transition, len(m.transition)
+    level = {0: 0}
+    queue = [0]
+    for a in queue:
+        for b in range(k):
+            if P[a][b] and b not in level:
+                level[b] = level[a] + 1
+                queue.append(b)
+    period = 0
+    for a in range(k):
+        for b in range(k):
+            if P[a][b]:
+                period = math.gcd(period, level[a] + 1 - level[b])
+    words = [[p.eval(n) for n in range(-depth, depth + 1)] for p in (x, y)]
+    charged = all(P[a][b] for w in words for a, b in zip(w, w[1:]))
+    return charged and (level[x.eval(0)] - level[y.eval(0)]) % period == 0
+
+
 def realizable_oracle(sft: Sft, setlike, n: int) -> frozenset:
     """{x_n : x in setlike}: the symbol at n of every legal word over the hull of
     the blocks and n that `satisfies` the set. Every legal word extends to a point."""

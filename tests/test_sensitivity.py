@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftlab import independence, sensitivity
 from shiftlab.entropy import default_cell_family, separation_counts
@@ -27,12 +29,13 @@ from shiftlab.symbolic import (
     Sft,
     cylinder,
     diam_of_set,
+    full_shift,
     point_in_set,
     resolve_constraints,
     whole_space,
 )
 from shiftlab.verdicts import InPairParams, Verdict, WitnessParams
-from .oracles import gap_measures_oracle
+from .oracles import gap_measures_oracle, ms_phase_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,81 @@ def test_classify_ms_witnesses_match_gap_oracle(systems):
             targets = gap_measures_oracle(system.measure, ux, uy, horizon)
             t = max((g for g in range(1, horizon) if admissible[g] > 0), key=targets.__getitem__)
             assert (w["s"], w["t"], w["target"]) == (0, t, targets[t]), (system.id, w)
+
+
+def test_classify_ms_reads_gaps_past_the_pair_bound(bernoulli):
+    """Positive levels whose first gap lies past PAIR_BOUND: on 12 cyclic
+    classes with two symbols in class 0, points of period 12 that differ only
+    there meet at multiples of 12; Bernoulli 0^25 and 1^25 at depth 12 meet
+    from g = 25 on."""
+    sft, m, members = _cyclic_classes(12)
+    rest = [b for symbols in members[1:] for b in symbols]
+    x = periodic_point(sft, [members[0][0]] + rest)
+    y = periodic_point(sft, [members[0][1]] + rest)
+    v = classify_ms_pair(sft, m, x, y, 1, default_cell_family(m, 1))
+    assert v.is_positive, v.note
+    assert {w["t"] for w in v.witnesses} == {12}
+    zeros, ones = periodic_point(bernoulli.sft, "0"), periodic_point(bernoulli.sft, "1")
+    v = classify_ms_pair(bernoulli.sft, bernoulli.measure, zeros, ones, 12, bernoulli.cell_family)
+    assert v.is_positive, v.note
+
+
+def test_classify_ms_reads_the_measure_support():
+    """P = [[0, 1], [1, 0]] on the full 2-shift charges only the 2-cycle:
+    [0] returns at even gaps and [0]_0 ∩ [1]_g is charged at odd ones, so
+    per(01)|per(10) is NEGATIVE although every such set is nonempty in the
+    full shift; and per(0)'s neighbourhood [000]_-1 is null, so its level is
+    NEGATIVE."""
+    sft = full_shift(2)
+    m = MarkovMeasure(sft, [[0, 1], [1, 0]])
+    assert m.support == Sft(2, [[False, True], [True, False]]) and m.support is m.support
+    x, y = periodic_point(sft, "01"), periodic_point(sft, "10")
+    assert classify_ms_pair(sft, m, x, y, 0, default_cell_family(m, 1)).is_negative
+    zeros = periodic_point(sft, "0")
+    v = classify_ms_pair(sft, m, zeros, y, 1, [whole_space(sft)])
+    assert v.is_negative and v.note.startswith("level 1"), v.note
+
+
+@st.composite
+def phase_chains(draw) -> MarkovMeasure:
+    """An irreducible chain of period 1-4 with 1-2 symbols per cyclic class:
+    every symbol steps to every symbol of the next class, a 30% chance adds
+    one random edge, and each other transition is allowed with probability 0
+    at a 20% rate."""
+    rng = draw(st.randoms(use_true_random=False))
+    classes = rng.randint(1, 4)
+    members, k = [], 0
+    for _ in range(classes):
+        size = rng.randint(1, 2)
+        members.append(range(k, k + size))
+        k += size
+    weights = [[0] * k for _ in range(k)]
+    for c in range(classes):
+        for a in members[c]:
+            for b in members[(c + 1) % classes]:
+                weights[a][b] = rng.randint(1, 4)
+    if rng.random() < 0.3:
+        weights[rng.randrange(k)][rng.randrange(k)] = rng.randint(1, 4)
+    allowed = [[w > 0 or rng.random() < 0.2 for w in row] for row in weights]
+    return MarkovMeasure(Sft(k, allowed), [[Fraction(w, sum(row)) for w in row] for row in weights])
+
+
+def _random_periodic_point(sft, rng):
+    """The periodic point of a random legal word of length 1-6 that closes into a cycle."""
+    while True:
+        try:
+            return periodic_point(sft, rng.choice(sft.legal_words(rng.randint(1, 6))))
+        except ValueError:
+            continue
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=phase_chains(), rng=st.randoms(use_true_random=False), depth=st.integers(0, 3))
+def test_classify_ms_matches_the_phase_oracle(m, rng, depth):
+    x, y = _random_periodic_point(m.sft, rng), _random_periodic_point(m.sft, rng)
+    assume(separating_depth(x, y, depth) is not None)
+    v = classify_ms_pair(m.sft, m, x, y, depth, default_cell_family(m, 1))
+    assert v.is_positive == ms_phase_oracle(m, x, y, depth), v.note
 
 
 def test_classify_diam_examples(bernoulli, golden, cycle4):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import symbolic
+from shiftlab.measures import MarkovMeasure, measure_of_constraints
 from shiftlab.panel import panel_systems
 from shiftlab.symbolic import (
     BridgedBlocks,
@@ -17,6 +22,7 @@ from shiftlab.symbolic import (
     SampledWindow,
     Sft,
     compile_atom,
+    constraints_meet,
     cylinder,
     diam_of_set,
     full_shift,
@@ -316,6 +322,52 @@ def test_union_at_word_budget_normalizes(monkeypatch):
     monkeypatch.setattr(symbolic, "WORD_BUDGET", (1 << 10) - 1)
     with pytest.raises(ValueError, match="union too wide"):
         CylinderUnion(sft, pairs)
+
+
+def test_merged_run_past_word_budget_raises():
+    """The complement a of [0]_-4 ∪ [0]_4 on the full 3-shift (8,748 words
+    over [-4, 4]) meets its translate by 8 in one run of overlapping atoms
+    over [-4, 12], which holds 2^3 * 3^14 words. Listing that run raises the
+    budget's ValueError, naming the run's coordinates, once it passes
+    WORD_BUDGET words, instead of running out of memory. The child process
+    limits its own address space to 1.5 GB."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent(
+        """
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+        from shiftlab.symbolic import CylinderUnion, full_shift, resolve_constraints
+        sft = full_shift(3)
+        a = CylinderUnion(sft, [(-4, "0"), (4, "0")]).complement()
+        try:
+            resolve_constraints([(0, a), (8, a)], sft, gap_cap=0)
+        except ValueError as err:
+            print(err)
+        """
+    )
+    package_root = os.path.dirname(os.path.dirname(symbolic.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"union too wide for exact normalization (> {symbolic.WORD_BUDGET} words over [-4, 12])"
+
+
+def test_every_merge_checks_the_word_budget(monkeypatch):
+    """Resolution, measures and nonemptiness checks merge a run through one
+    listing, so each raises past the budget: on the full 2-shift the
+    complement of [0]_-4 ∪ [0]_4 meets its translate by 8 in a run over
+    [-4, 12] of 2^14 words, past a budget of 2^10."""
+    sft = full_shift(2)
+    a, m = CylinderUnion(sft, [(-4, "0"), (4, "0")]).complement(), MarkovMeasure(sft, [["1/2"] * 2] * 2)
+    monkeypatch.setattr(symbolic, "WORD_BUDGET", 1 << 10)
+    for merge in (
+        lambda: resolve_constraints([(0, a), (8, a)], sft, gap_cap=0),
+        lambda: measure_of_constraints(m, [(0, a), (8, a)]),
+        lambda: constraints_meet([(0, a), (8, a)], sft),
+    ):
+        with pytest.raises(ValueError, match=r"> 1024 words over \[-4, 12\]"):
+            merge()
 
 
 @settings(max_examples=40, deadline=None)
