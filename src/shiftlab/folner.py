@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .symbolic import EventuallyPeriodic, PointRep, SetLike, point_in_set, point_window
+from .symbolic import EventuallyPeriodic, PointRep, SetLike, Sft, constraints_meet, point_in_set, point_window
 
 DEFAULT_TAIL_FRACTION = 0.5
 DEFAULT_N_MAX = 100_000
@@ -81,6 +81,38 @@ class PeriodicPredicate:
 
     def frequency(self) -> Fraction:
         return Fraction(sum(self.period), len(self.period))
+
+
+def _periodic_and(p1: PeriodicPredicate, p2: PeriodicPredicate) -> PeriodicPredicate:
+    burn = max(len(p1.preperiod), len(p2.preperiod))
+    period = math.lcm(len(p1.period), len(p2.period))
+    pre = tuple(p1(s) and p2(s) for s in range(burn))
+    cyc = tuple(p1(burn + j) and p2(burn + j) for j in range(period))
+    return PeriodicPredicate(pre, cyc)
+
+
+def _visit_predicate(sft: Sft, cell: SetLike, u: SetLike) -> PeriodicPredicate:
+    """Exact eventually-periodic predicate s -> [cell ∩ T^{-s} u nonempty] on block-form sets.
+
+    While u starts inside the cell's support, `constraints_meet` (the block
+    filter of the symbolic layer) decides each shift. Past it the sets meet
+    iff the orbit (`Sft.orbit`) of the last symbols of the cell's last block
+    reaches a first symbol of u's first block across the gap, the filter's
+    own test at a free gap; so the predicate is periodic once the orbit cycles.
+    """
+    if cell.is_empty or u.is_empty:
+        return PeriodicPredicate((), (False,))
+    if not cell.blocks() or not u.blocks():
+        return PeriodicPredicate((), (True,))
+    c_hi, u_lo = cell.support[1], u.support[0]
+    s0 = max(0, c_hi - u_lo + 1)  # the first shift whose u starts past the cell
+    lasts, firsts = frozenset(w[-1] for w in cell.blocks()[-1][1]), frozenset(w[0] for w in u.blocks()[0][1])
+    sets, cycle_start = sft.orbit(lasts)
+    burn = s0 + max(0, cycle_start - (u_lo + s0 - c_hi))
+    meets = [constraints_meet([(0, cell), (s, u)], sft) for s in range(s0)]
+    for s in range(s0, burn + len(sets) - cycle_start):
+        meets.append(not firsts.isdisjoint(sft.reach(lasts, u_lo + s - c_hi)))
+    return PeriodicPredicate(tuple(meets[:burn]), tuple(meets[burn:]))
 
 
 Predicate = Union[PeriodicPredicate, Callable[[int], bool]]

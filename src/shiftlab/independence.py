@@ -15,8 +15,8 @@ one coordinate sweep from its entry symbols, all assignments at once, every
 atom (E's and the targets') stepped through one transition rule. The checker
 is incremental over sorted prefixes: searches extend saved states, and each
 search (a pair classification, a density profile) shares one memo of
-translation-relative segment sweeps, greedy chains and compiled atoms. It is
-property-tested against the 2^|I| word-enumeration oracle in the test suite.
+translation-relative segment sweeps, greedy chains and gap predicates; the SFT
+keeps compiled atoms. It is property-tested against the 2^|I| word-enumeration oracle.
 
 A threshold test only decides |I| / |F| >= threshold, so its greedy chain
 stops at ceil(threshold * |F|) chosen shifts, and one greedy over nested
@@ -26,12 +26,14 @@ greedy, which later tests resume.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
+from .folner import PeriodicPredicate, _periodic_and, _visit_predicate
 from .measures import MarkovMeasure, _gap_nums, measure_of
 from .symbolic import (
     CylinderUnion,
@@ -39,7 +41,6 @@ from .symbolic import (
     SetLike,
     Sft,
     Word,
-    compile_atom,
     cylinder,
     resolve_constraints,
     step,
@@ -157,7 +158,7 @@ class _Checker:
         self.sft, self.e = sft, e
         self.memo = {} if memo is None else memo
         if "atoms" not in self.memo:
-            self.memo["atoms"] = _Atoms(sft.alphabet_size)
+            self.memo["atoms"] = _Atoms(sft)
         self.atoms = self.memo["atoms"]
         self.dead = None in targets
         t1, t2 = targets
@@ -259,7 +260,7 @@ class _Checker:
 
 
 class _Atoms:
-    """A search's atoms: each word list interned to an integer id and compiled once.
+    """A search's atoms: each word list interned to an integer id, its rows read off `Sft.atom_rows`.
 
     Lookups go by id(words), and the table holds every word list it has
     looked up, so no id() is reused while the search memo that owns it
@@ -267,11 +268,11 @@ class _Atoms:
     equal target choices one target id.
     """
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self, sft: Sft):
+        self.sft = sft
         self.seen: dict[int, tuple] = {}  # id(words) -> (words, atom id)
         self.ids: dict = {}  # words -> atom id
-        self.words: list = []  # atom id -> words, and their compile_atom rows
+        self.words: list = []  # atom id -> words, and their compiled rows
         self.rows: list = []
         self.targets: dict = {}  # target choices in atom ids -> target id
 
@@ -281,7 +282,7 @@ class _Atoms:
             atom = self.ids.setdefault(words, len(self.ids))
             if atom == len(self.words):
                 self.words.append(words)
-                self.rows.append(compile_atom(words, self.k))
+                self.rows.append(self.sft.atom_rows(words))
             hit = self.seen[id(words)] = (words, atom)
         return hit[1]
 
@@ -362,6 +363,17 @@ EXHAUSTIVE_WINDOW_CAP = 24  # widest window searched exactly; wider ones get the
 NODE_BUDGET = 500_000  # branch-and-bound nodes a search visits before it falls back to greedy
 
 
+def _gap_predicate(sft: Sft, a1: SetLike, a2: SetLike, memo: dict) -> PeriodicPredicate:
+    """g -> [{0, g} is an independence set of the nonempty (a1, a2) with E ignored], kept in the
+    memo: A_i ∩ T^{-g} A_j meets for every ordered pair of targets other than the whole space."""
+    key = ("gaps", _target_atoms(a1), _target_atoms(a2))
+    if key not in memo:
+        sets = list({a.blocks(): a for a in (a1, a2) if a.blocks()}.values())
+        pairs = [_visit_predicate(sft, a, b) for a in sets for b in sets]
+        memo[key] = functools.reduce(_periodic_and, pairs, PeriodicPredicate((), (True,)))
+    return memo[key]
+
+
 def _gap_dp_max(compatible, f_sorted, solved: dict) -> tuple[int, ...]:
     """Exact maximum via pairwise-gap DP when placements cannot overlap.
 
@@ -421,7 +433,7 @@ def max_independence_subset(
     """Largest independence subset of the window.
 
     Single-word targets with a trivial E and non-overlapping placements go
-    through an exact pairwise-gap DP; everything else runs include-first
+    through an exact pairwise-gap DP over `_gap_predicate`; the rest runs include-first
     branch and bound with monotone pruning (supersets of a failing set fail)
     and a size bound, ties resolving to the lexicographically smallest
     subset. Windows beyond the exhaustive cap, or searches past the node
@@ -437,30 +449,20 @@ def max_independence_subset(
     targets = (_target_atoms(a1), _target_atoms(a2))
     if None in targets:
         return report((), True)
-    checker = _Checker(sft, targets, e, _memo)
-    free = _Checker(sft, targets, full_e(sft), checker.memo)
-    # With E ignored {a, a + g} is independent or not whatever a is: the memo keeps each gap.
-    compat = checker.memo.setdefault(("gaps", free.targets), {})
-    first = None  # the state of {0}: with E ignored a single placement always holds
-
-    def compatible(g: int) -> bool:
-        nonlocal first
-        if g not in compat:
-            first = first or free.extend(free.empty, 0)
-            compat[g] = free.extend(first, g) is not None
-        return compat[g]
-
-    span = free.hi - free.lo + 1
-    single_word = all(len(t) == 1 and len(t[0][1]) == 1 for t in targets)
-    if single_word and all(e.at(s).is_full for s in f_sorted):
+    memo = {} if _memo is None else _memo
+    compatible = _gap_predicate(sft, a1, a2, memo)
+    ends = [(start, start + len(ws[0])) for t in targets for start, ws in t]
+    span = max((end for _, end in ends), default=1) - min((start for start, _ in ends), default=0)
+    if all(len(t) == 1 and len(t[0][1]) == 1 for t in targets) and all(e.at(s).is_full for s in f_sorted):
         if not any(compatible(g) for g in range(1, span)):
-            solved = checker.memo.setdefault(("dp", free.targets), {})  # one DP per targets
+            solved = memo.setdefault(("dp", targets), {})  # one DP per targets
             return report(_gap_dp_max(compatible, f_sorted, solved), True)
     # Smallest assignment-universally feasible gap ignoring E: every gap
     # inside any independence set is at least gamma, since subsets of
     # independence sets are independence sets, E only shrinks, and with E
     # ignored the check on {a, a + g} does not depend on a.
     gamma = next((g for g in range(1, span + 4 * sft.alphabet_size + 1) if compatible(g)), None)
+    checker = _Checker(sft, targets, e, memo)
 
     if len(f_sorted) > EXHAUSTIVE_WINDOW_CAP:
         return report(_greedy_subset(f_sorted, checker, [], len(f_sorted)), False)

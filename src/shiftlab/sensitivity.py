@@ -11,7 +11,6 @@ orbit against the exact target mu(s^{-1}U_x ∩ t^{-1}U_y).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ import numpy as np
 
 from .entropy import check_cell_family, separation_counts, separation_growing
 from .errors import EntryTimeNotFoundError
-from .folner import PeriodicPredicate, density_from_indicator, orbit_indicator
+from .folner import _periodic_and, _visit_predicate, density_from_indicator, orbit_indicator
 from .independence import (
     InPairParams,
     TableE,
@@ -42,7 +41,6 @@ from .symbolic import (
     PointRep,
     SetLike,
     Sft,
-    constraints_meet,
     shift_point,
 )
 from .verdicts import (
@@ -131,16 +129,13 @@ def disjoint_family_counterexample(a) -> tuple[list[int], list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _best_gap(
-    m: MarkovMeasure, a: SetLike, ux: SetLike, uy: SetLike, bound: int
-) -> Optional[tuple[int, Fraction]]:
+def _best_gap(admissible, targets, bound: int) -> Optional[tuple[int, Fraction]]:
     """The first gap 0 < g <= bound with mu(A ∩ T^{-g}A) > 0 maximizing
-    mu(Ux ∩ T^{-g}Uy), with that measure, or None. By shift invariance the
-    measures of (s, t) depend on t - s only, so (0, g) is the first best pair
-    of the search over 0 <= s < t <= bound in (s, t) order. Gap measures are
+    mu(Ux ∩ T^{-g}Uy), with that measure, or None, from `_gap_nums` rows of
+    (A, A) and (Ux, Uy) past `bound`. By shift invariance the measures of
+    (s, t) depend on t - s only, so (0, g) is the first best pair of the
+    search over 0 <= s < t <= bound in (s, t) order. Gap measures are
     compared as integer cross-products."""
-    admissible = _gap_nums(m, a, a, bound + 1)
-    targets = _gap_nums(m, ux, uy, bound + 1)
     best = None
     for g in range(1, bound + 1):
         n, d = targets[g]
@@ -189,7 +184,7 @@ def find_sensitivity_witnesses(
         raise ValueError("neighbourhoods must be nonempty")
     eps_frac = Fraction(eps)
 
-    best = _best_gap(m, a, ux, uy, PAIR_BOUND)
+    best = _best_gap(_gap_nums(m, a, a, PAIR_BOUND + 1), _gap_nums(m, ux, uy, PAIR_BOUND + 1), PAIR_BOUND)
     if best is None or best[1] < eps_frac:
         return Verdict(
             NEGATIVE,
@@ -253,13 +248,13 @@ def classify_ms_pair(
     `_visit_predicate`s of the pairs restricted to `m.support`, met by
     `_periodic_and`. A level is NEGATIVE iff some cell has no such g, read
     exactly over the preperiod and one period. Otherwise `_best_gap` up to
-    max(PAIR_BOUND, the first such g) finds the gap t with mu(A ∩ T^{-t}A) > 0
-    maximizing the target mu(Ux ∩ T^{-t}Uy) > 0, a proof: by Birkhoff, mu-a.e.
-    z in A ∩ T^{-t}A gives p = z and q = T^t z in A whose pair orbit visits
-    (Ux, Uy) with density exactly the target, so nothing is sampled. Each
-    cell certifies the largest grid eps at or below its target, else the
-    target itself (deep levels certify tiny exact targets the fixed grid
-    cannot express).
+    max(PAIR_BOUND, the first such g), on gap rows read once per level and per
+    call, finds the gap t with mu(A ∩ T^{-t}A) > 0 maximizing the target
+    mu(Ux ∩ T^{-t}Uy) > 0, a proof: by Birkhoff, mu-a.e. z in A ∩ T^{-t}A
+    gives p = z and q = T^t z in A whose pair orbit visits (Ux, Uy) with
+    density exactly the target, so nothing is sampled. Each cell certifies
+    the largest grid eps at or below its target, else the target itself
+    (deep levels certify tiny exact targets the fixed grid cannot express).
     """
     levels = neighbourhood_levels(x, y, depth)
     check_cell_family(m, cell_family)
@@ -267,18 +262,25 @@ def classify_ms_pair(
     def on_s(u: CylinderUnion) -> CylinderUnion:  # u's words of positive weight
         return CylinderUnion(s, [(u.start, w) for w in u.words])
     returns = [_visit_predicate(s, on_s(cell), on_s(cell)) for cell in cell_family]
+    back_rows: list = []  # each cell's mu(A ∩ T^-g A) rows, rebuilt only when a level needs more
     level_epses: list[float] = []
     witnesses = []
     for d, ux, uy in levels:
         visits = _visit_predicate(s, on_s(ux), on_s(uy))
-        cell_epses: list[float] = []
+        bounds = []
         for cell, back in zip(cell_family, returns):
             both = _periodic_and(back, visits)
             first = next(filter(both, range(1, len(both.preperiod) + len(both.period) + 1)), None)
             if first is None:
                 return Verdict(NEGATIVE, note=f"level {d}, cell {cell!r}: no gap g >= 1 has "
                                "mu(A ∩ T^-g A) > 0 and mu(Ux ∩ T^-g Uy) > 0")
-            t, target = _best_gap(m, cell, ux, uy, max(PAIR_BOUND, first))
+            bounds.append(max(PAIR_BOUND, first))
+        if not back_rows or len(back_rows[0]) <= max(bounds):
+            back_rows = [_gap_nums(m, cell, cell, max(bounds) + 1) for cell in cell_family]
+        targets = _gap_nums(m, ux, uy, max(bounds) + 1)
+        cell_epses: list[float] = []
+        for cell, back, bound in zip(cell_family, back_rows, bounds):
+            t, target = _best_gap(back, targets, bound)
             cell_epses.append(max(
                 (g for g in DEFAULT_EPS_GRID if Fraction(str(g)) <= target),
                 default=float(target),
@@ -313,27 +315,6 @@ def diam_mean_profile(sft: Sft, a: CylinderUnion) -> Fraction:
     return sum(
         Fraction(1, 2 ** min(min((i - j) % p, (j - i) % p) for j in wide)) for i in range(p)
     ) / p
-
-
-def _visit_predicate(sft: Sft, cell: CylinderUnion, u: CylinderUnion) -> PeriodicPredicate:
-    """Exact eventually-periodic predicate s -> [cell ∩ T^{-s} u nonempty].
-
-    Each shift is decided by `constraints_meet`, the block filter of the
-    symbolic layer, without listing words. Once the translated support of u
-    clears the cell the filter reads the orbit of the cell's last symbols
-    (`Sft.orbit`) at the step count to u, so the predicate is periodic from
-    the shift where that orbit cycles, with the orbit's period.
-    """
-    if cell.is_empty or u.is_empty:
-        return PeriodicPredicate((), (False,))
-    if cell.is_full or u.is_full:
-        return PeriodicPredicate((), (True,))
-    c_hi, u_lo = cell.support[1], u.support[0]
-    s0 = max(0, c_hi - u_lo + 1)  # the first shift whose u starts past the cell
-    sets, cycle_start = sft.orbit(frozenset(w[-1] for w in cell.words))
-    burn = s0 + max(0, cycle_start - (u_lo + s0 - c_hi))
-    meets = [constraints_meet([(0, cell), (s, u)], sft) for s in range(burn + len(sets) - cycle_start)]
-    return PeriodicPredicate(tuple(meets[:burn]), tuple(meets[burn:]))
 
 
 def classify_diam_pair(
@@ -372,14 +353,6 @@ def classify_diam_pair(
             (g for g in DEFAULT_EPS_GRID if Fraction(str(g)) < floor), default=float(floor)
         ))
     return Verdict(POSITIVE, eps_certified=min(level_epses), witnesses=tuple(witnesses))
-
-
-def _periodic_and(p1: PeriodicPredicate, p2: PeriodicPredicate) -> PeriodicPredicate:
-    burn = max(len(p1.preperiod), len(p2.preperiod))
-    period = math.lcm(len(p1.period), len(p2.period))
-    pre = tuple(p1(s) and p2(s) for s in range(burn))
-    cyc = tuple(p1(burn + j) and p2(burn + j) for j in range(period))
-    return PeriodicPredicate(pre, cyc)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ class Sft:
             if not self._pred[a]:
                 raise ValueError(f"symbol {a} has no allowed predecessor")
         self._orbits: dict[tuple[frozenset[int], bool], tuple[tuple[frozenset[int], ...], int]] = {}
+        self._atoms: dict[tuple[Word, ...], tuple[tuple[int, ...], ...]] = {}
 
     # -- basic structure -------------------------------------------------
 
@@ -138,6 +139,13 @@ class Sft:
         if steps >= len(sets):
             steps = start + (steps - start) % (len(sets) - start)
         return sets[steps]
+
+    def atom_rows(self, words: tuple[Word, ...]) -> tuple[tuple[int, ...], ...]:
+        """The rows of `compile_atom(words, k)`, compiled once per word tuple and kept, as orbits are."""
+        rows = self._atoms.get(words)
+        if rows is None:
+            rows = self._atoms[words] = compile_atom(words, self.alphabet_size)
+        return rows
 
     # -- value semantics ---------------------------------------------------
 
@@ -463,9 +471,12 @@ class CylinderUnion:
     def complement(self) -> "CylinderUnion":
         if self.is_empty:
             return whole_space(self.sft)
+        sft, width = self.sft, self.width  # past WORD_BUDGET legal words of the width, raise before listing
+        words = sum(_path_count(a, width - 1, sft.successors) for a in range(sft.alphabet_size))
+        _check_budget(words, *self.support)
         mine = set(self.words)  # a free boundary coordinate of the complement is free in self: no trim
         u = CylinderUnion.__new__(CylinderUnion)
-        u.sft, u.words = self.sft, tuple([w for w in self.sft.legal_words(self.width) if w not in mine])
+        u.sft, u.words = sft, tuple([w for w in sft.legal_words(width) if w not in mine])
         u.start = self.start if u.words else 0
         u._complement_of = self  # measure_of may then take 1 - mu(self) instead of summing u
         return u
@@ -699,8 +710,8 @@ def step(sft: Sft, prev, states, active, symbols=None) -> list:
 class ConstraintAutomaton:
     """The product automaton of the SFT and a list of constraint atoms over [lo, hi].
 
-    Each atom (start, words) is compiled once into its minimal acyclic DFA
-    (:func:`compile_atom`), whose states are integer ids of residual
+    Each atom (start, words) reads its minimal acyclic DFA (:func:`compile_atom`,
+    kept by `Sft.atom_rows`), whose states are integer ids of residual
     languages, and owns one slot of the configuration; an atom sits in state
     0 outside its window, so equal futures give equal configurations.
     `words` reads the configurations out depth-first over the coordinates
@@ -714,7 +725,7 @@ class ConstraintAutomaton:
         # The (slot, rows) of the atoms whose window covers each offset.
         self.active: list[list] = [[] for _ in range(self.length)]
         for i, (start, words) in enumerate(atoms):
-            rows = compile_atom(words, sft.alphabet_size)
+            rows = sft.atom_rows(words)
             for p in range(start - lo, start - lo + len(words[0])):
                 self.active[p].append((i, rows))
         self.initial = (0,) * len(atoms)

@@ -25,6 +25,25 @@ def three_symbol_chain() -> MarkovMeasure:
     )
 
 
+def cyclic_classes(classes: int, wide=(0,)):
+    """The SFT that steps every symbol of class c to every symbol of class
+    c + 1 mod `classes`, where the classes in `wide` hold two symbols and
+    the others one, with uniform transition rows; and each class's symbols."""
+    members, k = [], 0
+    for c in range(classes):
+        size = 2 if c in wide else 1
+        members.append(list(range(k, k + size)))
+        k += size
+    allowed = [[False] * k for _ in range(k)]
+    for c in range(classes):
+        for a in members[c]:
+            for b in members[(c + 1) % classes]:
+                allowed[a][b] = True
+    sft = Sft(k, allowed)
+    m = MarkovMeasure(sft, [[Fraction(int(v), sum(row)) for v in row] for row in allowed])
+    return sft, m, members
+
+
 def stationary_oracle(rows) -> tuple:
     """pi with pi P = pi and sum(pi) = 1 for an irreducible chain of Fraction
     rows, by dense Gaussian elimination: full (k + 1)-entry row operations on

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shiftlab.independence as ind
+import shiftlab.symbolic as symbolic
 from shiftlab.independence import (
     EXHAUSTIVE_WINDOW_CAP,
     TableE,
@@ -22,11 +23,11 @@ from shiftlab.independence import (
     separating_depth,
 )
 from shiftlab.measures import MarkovMeasure, _gap_nums, measure_of, measure_of_constraints
-from shiftlab.panel import canonical_pairs, periodic_point
+from shiftlab.panel import bernoulli_system, canonical_pairs, periodic_point
 from shiftlab.symbolic import CylinderUnion, Sft, cylinder, resolve_constraints, whole_space
 from shiftlab.verdicts import DEFAULT_EPS_GRID, NEGATIVE, POSITIVE, InPairParams, Verdict
 
-from .oracles import independence_oracle, legal_words, sweep_oracle
+from .oracles import cyclic_classes, independence_oracle, legal_words, sweep_oracle
 
 
 def _random_union(rng, sft, max_len=2):
@@ -377,7 +378,7 @@ def test_sweep_matches_sweep_oracle(systems, data):
     letters = range(sft.alphabet_size)
     firsts = frozenset(data.draw(st.sets(st.sampled_from(letters), min_size=1), label="firsts"))
 
-    atoms = ind._Atoms(sft.alphabet_size)
+    atoms = ind._Atoms(sft)
     ids = [
         (first, [tuple([(start, atoms.id(ws)) for start, ws in option]) for option in options])
         for first, options in placements
@@ -576,6 +577,62 @@ def test_profile_shares_gap_checks_across_windows(systems):
         shared = independence_density_profile(sft, m, a1, a2, range(1, 25), family, _memo=memo)
         fresh = [independence_density_profile(sft, m, a1, a2, [n], family)[0] for n in range(1, 25)]
         assert shared == fresh, (system.id, a1, a2)
+
+
+def _gap_target(rng, sft):
+    """A `_wide_target` (the whole space, a bridged set or a union), or a
+    union of 1-3 legal words of one width 1-3 at starts -2..1, or its complement."""
+    roll = rng.random()
+    if roll < 0.4:
+        return _wide_target(rng, sft)
+    words = sft.legal_words(rng.randint(1, 3))
+    chosen = rng.sample(words, min(len(words), rng.randint(1, 3)))
+    u = CylinderUnion(sft, [(rng.randrange(-2, 2), w) for w in chosen])
+    return u.complement() if roll < 0.7 else u
+
+
+GAP_SFTS = {"cyclic5": cyclic_classes(5, (0, 2))[0], "cyclic20": cyclic_classes(20)[0]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_gap_predicate_matches_the_checker(systems, data, rng):
+    """The gap predicate a search keeps in its memo against the checker on
+    {0, g} with E ignored, and against word enumeration for g <= 5, at every
+    g from 1 through its preperiod plus three periods. Targets come from
+    `_gap_target`, on the panel and cyclic-class SFTs."""
+    sfts = {system.id: system.sft for system in systems} | GAP_SFTS
+    sft = sfts[data.draw(st.sampled_from(sorted(sfts)), label="sft")]
+    a1, a2 = _gap_target(rng, sft), _gap_target(rng, sft)
+    assume(not a1.is_empty and not a2.is_empty)
+    memo: dict = {}
+    max_independence_subset(sft, a1, a2, range(4), full_e(sft), _memo=memo)
+    pred = memo[("gaps", ind._target_atoms(a1), ind._target_atoms(a2))]
+    for g in range(1, len(pred.preperiod) + 3 * len(pred.period) + 1):
+        want = is_independence_set(sft, a1, a2, [0, g], full_e(sft))
+        assert pred(g) == want, (a1, a2, g)
+        if g <= 5:
+            assert want == independence_oracle(sft, a1, a2, [0, g], full_e(sft)), (a1, a2, g)
+
+
+def test_sft_keeps_compiled_atoms(monkeypatch):
+    """A second classification of the same pair compiles no atom: every
+    checker and resolution reads the rows the SFT keeps per word tuple, and
+    each kept table equals a fresh `compile_atom`."""
+    compiled = []
+    real = symbolic.compile_atom
+    monkeypatch.setattr(symbolic, "compile_atom", lambda words, k: compiled.append(words) or real(words, k))
+    system = bernoulli_system()  # a fresh SFT, whose table starts empty
+    sft, m = system.sft, system.measure
+    _label, x, y = canonical_pairs(system, 1)[0]
+    first = classify_in_pair(sft, m, x, y, 2)
+    count = len(compiled)
+    assert count > 0 and first.is_positive
+    assert classify_in_pair(sft, m, x, y, 2) == first
+    assert len(compiled) == count
+    assert len(sft._atoms) == count
+    for words, rows in sft._atoms.items():
+        assert rows == real(words, sft.alphabet_size)
 
 
 PROFILE_ORDERS = {

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from shiftlab import independence, sensitivity
 from shiftlab.entropy import default_cell_family, separation_counts
 from shiftlab.independence import classify_in_pair, point_neighborhood, separating_depth
-from shiftlab.measures import MarkovMeasure, measure_of, measure_of_constraints
+from shiftlab.measures import MarkovMeasure, _gap_nums, measure_of, measure_of_constraints
 from shiftlab.panel import canonical_pairs, periodic_point
 from shiftlab.sensitivity import (
     CrosscheckRow,
@@ -25,6 +25,7 @@ from shiftlab.sensitivity import (
     pigeonhole_oracle,
 )
 from shiftlab.symbolic import (
+    GAP_CAP,
     CylinderUnion,
     Sft,
     cylinder,
@@ -35,7 +36,7 @@ from shiftlab.symbolic import (
     whole_space,
 )
 from shiftlab.verdicts import InPairParams, Verdict, WitnessParams
-from .oracles import gap_measures_oracle, ms_phase_oracle
+from .oracles import cyclic_classes, gap_measures_oracle, ms_phase_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +100,8 @@ def _per_pair(m, a, ux, uy, bound):
 
 
 def test_best_gap_is_first_best_shift_pair(systems):
+    """`_best_gap` on gap rows read up to the bound or past it (as a level's
+    shared rows are) against the (s, t) double loop."""
     rng = random.Random(23)
     for _ in range(120):
         system = systems[rng.randrange(3)]
@@ -109,7 +112,9 @@ def test_best_gap_is_first_best_shift_pair(systems):
         for s, t, target in _per_pair(system.measure, a, ux, uy, bound):
             if best is None or target > best[2]:
                 best = (s, t, target)
-        got = _best_gap(system.measure, a, ux, uy, bound)
+        horizon = bound + 1 + rng.randrange(0, 3)
+        m = system.measure
+        got = _best_gap(_gap_nums(m, a, a, horizon), _gap_nums(m, ux, uy, horizon), bound)
         assert best == (None if got is None else (0, *got))
 
 
@@ -257,7 +262,7 @@ def test_classify_ms_reads_gaps_past_the_pair_bound(bernoulli):
     classes with two symbols in class 0, points of period 12 that differ only
     there meet at multiples of 12; Bernoulli 0^25 and 1^25 at depth 12 meet
     from g = 25 on."""
-    sft, m, members = _cyclic_classes(12)
+    sft, m, members = cyclic_classes(12)
     rest = [b for symbols in members[1:] for b in symbols]
     x = periodic_point(sft, [members[0][0]] + rest)
     y = periodic_point(sft, [members[0][1]] + rest)
@@ -399,29 +404,46 @@ def _union_or_complement(sft, rng):
     return u.complement() if rng.random() < 0.5 else u
 
 
+def _bridged(sft, rng):
+    """Two `_union_or_complement`s 7-9 coordinates apart, resolved without
+    bridging: a two-block bridged set, one block, or empty."""
+    first, second = _union_or_complement(sft, rng), _union_or_complement(sft, rng)
+    return resolve_constraints([(0, first), (rng.randint(7, 9), second)], sft, gap_cap=0)
+
+
 def test_visit_predicate_matches_resolve(systems):
     """The visit predicate against resolving cell ∩ T^{-s} u, on cylinders,
-    unions of 2-3 words and their complements, over the panel and cyclic-class
-    SFTs: up to three periods of the orbit of the cell's last symbols past the
-    shift where it cycles, and at every shift below 30 for cylinders."""
+    unions of 2-3 words, their complements and bridged sets, over the panel
+    and cyclic-class SFTs: up to three periods of the orbit of the last
+    symbols of the cell's last block past the shift where it cycles, and at
+    every shift below 30 for cylinders. Pairs with a bridged set resolve
+    with no gap bridged by enumeration, which is exact and lists no words
+    across the gaps."""
     rng = random.Random(23)
-    sfts = [system.sft for system in systems] + [_cyclic_classes(5, (0, 2))[0], _cyclic_classes(20)[0]]
+    sfts = [system.sft for system in systems] + [cyclic_classes(5, (0, 2))[0], cyclic_classes(20)[0]]
+    bridged = 0
     for sft in sfts:
         words = [list(sft.legal_words(n)) for n in (1, 2, 3)]
         for _ in range(12):
             cell = cylinder(sft, 0, rng.choice(rng.choice(words)))
             u = cylinder(sft, rng.randrange(-2, 2), rng.choice(words[1]))
             pairs = [(cell, u, 30), (_union_or_complement(sft, rng), _union_or_complement(sft, rng), 0)]
+            pairs += [(_bridged(sft, rng), _union_or_complement(sft, rng), 0)]
+            pairs += [(_union_or_complement(sft, rng), _bridged(sft, rng), 0)]
+            pairs += [(_bridged(sft, rng), _bridged(sft, rng), 0)]
             for cell, u, floor in pairs:
-                if cell.is_empty:
+                if cell.is_empty or not cell.blocks():
                     continue
+                bridged += cell.bridged + u.bridged
+                gap_cap = 0 if cell.bridged or u.bridged else GAP_CAP
                 pred = _visit_predicate(sft, cell, u)
-                sets, cycle_start = sft.orbit(frozenset(w[-1] for w in cell.words))
-                u_lo = u.support[0] if u.support else 0
+                sets, cycle_start = sft.orbit(frozenset(w[-1] for w in cell.blocks()[-1][1]))
+                u_lo = u.support[0] if u.blocks() else 0
                 burn = max(0, cell.support[1] - u_lo + 1) + cycle_start
                 for s in range(max(floor, burn + 3 * (len(sets) - cycle_start))):
-                    expected = not resolve_constraints([(0, cell), (s, u)], sft).is_empty
+                    expected = not resolve_constraints([(0, cell), (s, u)], sft, gap_cap=gap_cap).is_empty
                     assert pred(s) == expected, (sft, cell, u, s)
+    assert bridged >= 100, bridged
 
 
 # ---------------------------------------------------------------------------
@@ -445,32 +467,13 @@ def test_diam_profile_singleton_cell(cycle4):
     assert prof == Fraction(0)
 
 
-def _cyclic_classes(classes: int, wide=(0,)):
-    """The SFT that steps every symbol of class c to every symbol of class
-    c + 1 mod `classes`, where the classes in `wide` hold two symbols and
-    the others one, with uniform transition rows; and each class's symbols."""
-    members, k = [], 0
-    for c in range(classes):
-        size = 2 if c in wide else 1
-        members.append(list(range(k, k + size)))
-        k += size
-    allowed = [[False] * k for _ in range(k)]
-    for c in range(classes):
-        for a in members[c]:
-            for b in members[(c + 1) % classes]:
-                allowed[a][b] = True
-    sft = Sft(k, allowed)
-    m = MarkovMeasure(sft, [[Fraction(int(v), sum(row)) for v in row] for row in allowed])
-    return sft, m, members
-
-
 def test_diam_profile_is_the_cycle_mean_of_diam_of_set(systems):
     """Past the burn-in diam(T^s a) repeats with the period p of the orbit
     of a's last symbols, and the profile is its mean over one period of
     exact diam_of_set values. Sets: unions of 1-3 legal words of width 1-3
     at starts -3..3, on the panel and on cyclic-class SFTs."""
     sfts = [system.sft for system in systems]
-    sfts += [_cyclic_classes(5)[0], _cyclic_classes(5, (0, 2))[0], _cyclic_classes(20)[0]]
+    sfts += [cyclic_classes(5)[0], cyclic_classes(5, (0, 2))[0], cyclic_classes(20)[0]]
     rng = random.Random(29)
     for sft in sfts:
         for _ in range(25):
@@ -490,7 +493,7 @@ def test_diam_of_set_twenty_classes():
     """On 20 cyclic classes with two symbols in class 0, a one-symbol
     cylinder at 0 of class c is pinned until class 0 comes round, min(c,
     20 - c) coordinates away: classes 1, 10 and 19 give 1/2, 1/1024, 1/2."""
-    sft, _m, members = _cyclic_classes(20)
+    sft, _m, members = cyclic_classes(20)
     for c, diam in ((1, Fraction(1, 2)), (10, Fraction(1, 1024)), (19, Fraction(1, 2))):
         assert diam_of_set(cylinder(sft, 0, members[c]), sft) == diam
 
@@ -499,7 +502,7 @@ def test_diam_profile_twenty_classes():
     """On 20 cyclic classes with two symbols in class 0, every one-class
     cylinder has diameters 2^-d at circular distances d = 0, 1, 1, ..., 9,
     9, 10 from class 0: the mean is (3 - 3/1024) / 20."""
-    sft, _m, members = _cyclic_classes(20)
+    sft, _m, members = cyclic_classes(20)
     for c, symbols in enumerate(members):
         whole_class = CylinderUnion(sft, [(0, [b]) for b in symbols])
         for a in [cylinder(sft, 0, [b]) for b in symbols] + [whole_class]:
@@ -511,7 +514,7 @@ def test_classify_diam_certifies_a_floor_below_the_grid():
     that differ only in class 0 share each one-symbol cell at one shift in
     60: the floor 1/60 lies below every grid eps, and the level certifies
     it exactly instead of answering NEGATIVE."""
-    sft, m, members = _cyclic_classes(60)
+    sft, m, members = cyclic_classes(60)
     rest = [b for symbols in members[1:] for b in symbols]
     x = periodic_point(sft, [members[0][0]] + rest)
     y = periodic_point(sft, [members[0][1]] + rest)

@@ -324,6 +324,19 @@ def test_union_at_word_budget_normalizes(monkeypatch):
         CylinderUnion(sft, pairs)
 
 
+def test_complement_checks_the_word_budget(monkeypatch):
+    """A complement counts the legal words of its width before listing them:
+    the full 2-shift has 2^12 words of width 12, past a budget of 2^10, so
+    the complement of one 12-symbol word raises the budget's ValueError,
+    naming its coordinates, where it used to list them all; 2^10 words of
+    width 10 are at the budget and list."""
+    sft = full_shift(2)
+    monkeypatch.setattr(symbolic, "WORD_BUDGET", 1 << 10)
+    with pytest.raises(ValueError, match=r"> 1024 words over \[3, 14\]"):
+        cylinder(sft, 3, "0" * 12).complement()
+    assert len(cylinder(sft, 3, "0" * 10).complement().words) == (1 << 10) - 1
+
+
 def test_merged_run_past_word_budget_raises():
     """The complement a of [0]_-4 ∪ [0]_4 on the full 3-shift (8,748 words
     over [-4, 4]) meets its translate by 8 in one run of overlapping atoms
